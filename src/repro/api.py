@@ -49,6 +49,7 @@ from .store import (
     netlist_digest,
     result_digest,
 )
+from .store.keys import take_canonical_verilog
 from .triage import TriageConfig, TriageResult, triage_netlist
 
 __all__ = [
@@ -309,13 +310,21 @@ class Session:
     def _analyze_netlist(
         self, netlist: Netlist, source: Optional[str] = None
     ) -> AnalysisReport:
-        digest = netlist_digest(netlist)
+        digest = self._digest(netlist)
         result = identify_words(netlist, self.config, store=self.store)
         if self.store is not None:
             # Persist the parsed body too, so this report's digest can be
             # the base of a later analyze_incremental call.
             self.store.commit_netlist(digest, netlist)
         return self._report(netlist, digest, result, source)
+
+    def _digest(self, netlist: Netlist) -> str:
+        """:func:`~repro.store.netlist_digest`, keeping the canonical text
+        for this request's body commit only when a store will make one."""
+        digest = netlist_digest(netlist)
+        if self.store is None:
+            take_canonical_verilog(netlist)
+        return digest
 
     def _analyze_path(
         self, path: str, format: Optional[str]
@@ -324,7 +333,7 @@ class Session:
         cached = self._probe(digest, source=path, fallback_name=path)
         if cached is not None:
             return cached
-        netlist = self.load_netlist(path, format)
+        netlist, _ = self._read_netlist(path, format, digest)
         return self._analyze_fresh(netlist, digest, path)
 
     def analyze_text(
@@ -367,12 +376,12 @@ class Session:
         """
         if isinstance(source, Netlist):
             netlist = source
-            digest = netlist_digest(netlist)
+            digest = self._digest(netlist)
             path = None
         else:
             path = os.fspath(source)
             digest = file_digest(path)
-            netlist = self.load_netlist(path, format)
+            netlist, _ = self._read_netlist(path, format, digest)
         return self._triage_netlist(netlist, digest, triage_config, path)
 
     def triage_text(
@@ -508,7 +517,6 @@ class Session:
 
         report = self._analyze_netlist(edited)
         digest = report.digest
-        self.store.commit_netlist(digest, edited)
         cache = report.result.trace.cache
         incremental = IncrementalReport(
             base_digest=base_digest,
@@ -748,18 +756,31 @@ class Session:
         """Parse a netlist file, going through the store's parse cache."""
         path = os.fspath(path)
         digest = file_digest(path)
+        netlist, parsed = self._read_netlist(path, format, digest)
+        if parsed and self.store is not None:
+            self.store.commit_netlist(digest, netlist)
+        return netlist
+
+    def _read_netlist(
+        self, path: str, format: Optional[str], digest: str
+    ) -> Tuple[Netlist, bool]:
+        """The netlist at ``path`` (file digest ``digest``), and whether it
+        was parsed rather than reloaded from the store's parse cache.
+
+        Commits nothing: analysis and triage commit the body under the
+        same digest at the end of the request, from the canonical text
+        their digest produced.
+        """
         if self.store is not None:
             cached = self.store.probe_netlist(digest)
             if cached is not None:
-                return cached
+                return cached, False
         if format is None:
             format = "bench" if path.endswith(".bench") else "verilog"
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         netlist = parse_bench(text) if format == "bench" else parse_verilog(text)
-        if self.store is not None:
-            self.store.commit_netlist(digest, netlist)
-        return netlist
+        return netlist, True
 
 
 def _gate_diff(

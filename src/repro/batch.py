@@ -375,11 +375,20 @@ def _pool_round(
     failures: List[Tuple[int, str, str, str]] = []
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
     try:
-        futures = {
-            pool.submit(_corpus_task, path, config, store, score, triage):
-            (index, path)
-            for index, path in pending
-        }
+        futures = {}
+        for index, path in pending:
+            try:
+                future = pool.submit(
+                    _corpus_task, path, config, store, score, triage
+                )
+            except BrokenProcessPool as exc:
+                # A worker died before every row was submitted: the rows
+                # left over fail with the pool, like the ones in flight.
+                failures.append(
+                    (index, path, "worker_crash", str(exc) or "worker_crash")
+                )
+                continue
+            futures[future] = (index, path)
         remaining = set(futures)
         hung = False
         while remaining:

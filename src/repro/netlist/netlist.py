@@ -71,8 +71,14 @@ class Netlist:
         self._order: Dict[str, None] = {}
         self._driver: Dict[str, Gate] = {}  # net -> driving gate
         self._fanouts: Dict[str, List[Gate]] = {}  # net -> consuming gates
+        # Ports in declaration order (the order the writer emits them),
+        # mirrored by sets for O(1) membership: b18 declares ~1,000 ports
+        # and every gate, net and written line asks "is this a port?".
+        # Mutate through add_input/add_output so the two stay in step.
         self.primary_inputs: List[str] = []
         self.primary_outputs: List[str] = []
+        self._input_set: Set[str] = set()
+        self._output_set: Set[str] = set()
         # Cached cone boundary; invalidated by every mutation.  Analysis
         # passes ask for it once per cone/signature/subcircuit, which made
         # recomputation (a full gate scan) a dominant cost on large designs.
@@ -80,6 +86,11 @@ class Netlist:
         # Cached name -> file position; lets subcircuit extraction order a
         # small kept-gate set without scanning every gate in the netlist.
         self._position_cache: Optional[Dict[str, int]] = None
+        # ``(revision, name, canonical Verilog text)``: set by the first
+        # ``repro.store.keys.netlist_digest`` of a request and released by
+        # the store's body commit, so one request serializes once.  The
+        # stamp, not a mutation hook, is what invalidates it.
+        self._canonical_verilog: Optional[Tuple[int, str, str]] = None
         # Monotonic structural revision, bumped by every mutation.  External
         # derived-index caches (the array kernel's CSR tables) key on
         # ``(netlist identity, revision)`` so a mutated netlist can never
@@ -92,14 +103,16 @@ class Netlist:
     def add_input(self, net: str) -> None:
         if net in self._driver:
             raise NetlistError(f"net {net!r} already driven; cannot be an input")
-        if net not in self.primary_inputs:
+        if net not in self._input_set:
             self.primary_inputs.append(net)
+            self._input_set.add(net)
             self._leaf_cache = None
             self.revision += 1
 
     def add_output(self, net: str) -> None:
-        if net not in self.primary_outputs:
+        if net not in self._output_set:
             self.primary_outputs.append(net)
+            self._output_set.add(net)
             self.revision += 1
 
     def add_gate(
@@ -116,7 +129,7 @@ class Netlist:
             raise NetlistError(
                 f"net {output!r} already driven by {self._driver[output].name!r}"
             )
-        if output in self.primary_inputs:
+        if output in self._input_set:
             raise NetlistError(f"net {output!r} is a primary input")
         gate = Gate(name, cell, inputs, output)
         self._gates[name] = gate
@@ -189,9 +202,16 @@ class Netlist:
         return (
             net in self._driver
             or net in self._fanouts
-            or net in self.primary_inputs
-            or net in self.primary_outputs
+            or net in self._input_set
+            or net in self._output_set
         )
+
+    def ports(self) -> List[str]:
+        """Module port list: the inputs, then the outputs that are not also
+        inputs, each in declaration order."""
+        return self.primary_inputs + [
+            net for net in self.primary_outputs if net not in self._input_set
+        ]
 
     def gates_in_file_order(self) -> Iterator[Gate]:
         """Gates in the order their defining lines appear in the file."""
@@ -237,6 +257,14 @@ class Netlist:
         result.update(self.primary_outputs)
         result.update(self._driver)
         result.update(self._fanouts)
+        return result
+
+    def internal_nets(self) -> Set[str]:
+        """Nets that are neither primary inputs nor primary outputs."""
+        result: Set[str] = set(self._driver)
+        result.update(self._fanouts)
+        result -= self._input_set
+        result -= self._output_set
         return result
 
     def flip_flops(self) -> List[Gate]:
@@ -326,6 +354,8 @@ class Netlist:
         dup = Netlist(name or self.name)
         dup.primary_inputs = list(self.primary_inputs)
         dup.primary_outputs = list(self.primary_outputs)
+        dup._input_set = set(self._input_set)
+        dup._output_set = set(self._output_set)
         for gate in self.gates_in_file_order():
             dup.add_gate(gate.name, gate.cell, gate.inputs, gate.output)
         return dup
@@ -338,6 +368,8 @@ class Netlist:
         instantiations on the same lines).  This is the contract the
         Verilog round-trip guarantees: ``parse(write(n)) == n``.
         """
+        if self is other:
+            return True
         if not isinstance(other, Netlist):
             return NotImplemented
         if (

@@ -40,6 +40,7 @@ netlist surfaces *all* of its problems (up to ``max_errors``) in a single
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -372,18 +373,20 @@ def _apply_instance(
 # writer
 # ----------------------------------------------------------------------
 
-def _pin_names(gate) -> Tuple[str, List[str]]:
+def _pin_names(gate) -> Tuple[str, Tuple[str, ...]]:
     """Return (output pin, input pins) for a gate per the writer convention."""
     if gate.cell.sequential:
-        return "Q", ["D"]
+        return "Q", ("D",)
     if gate.cell.family == "mux":
-        return "Z", ["S", "A", "B"]
-    letters = []
-    for i in range(len(gate.inputs)):
-        # A, B, C, ... skipping the output letters entirely (we never need
-        # more than 26 - small fanins in mapped netlists).
-        letters.append(chr(ord("A") + i))
-    return "Z", letters
+        return "Z", ("S", "A", "B")
+    return "Z", _input_letters(len(gate.inputs))
+
+
+@functools.lru_cache(maxsize=None)
+def _input_letters(count: int) -> Tuple[str, ...]:
+    # A, B, C, ... skipping the output letters entirely (we never need
+    # more than 26 - small fanins in mapped netlists).
+    return tuple(chr(ord("A") + i) for i in range(count))
 
 
 def _sized_cell_name(gate) -> str:
@@ -402,10 +405,17 @@ def write_verilog(netlist: Netlist) -> str:
     identifiers, so ``parse_verilog(write_verilog(n)) == n`` holds for any
     netlist this package can represent.
     """
-    esc = escape_identifier
-    ports = list(netlist.primary_inputs) + [
-        p for p in netlist.primary_outputs if p not in netlist.primary_inputs
-    ]
+    escaped: Dict[str, str] = {}
+
+    def esc(name: str) -> str:
+        # A net is written once per declaration, driver and fanout pin;
+        # check its spelling once.
+        text = escaped.get(name)
+        if text is None:
+            text = escaped[name] = escape_identifier(name)
+        return text
+
+    ports = netlist.ports()
     lines = [
         f"module {esc(netlist.name)} ({', '.join(esc(p) for p in ports)});"
     ]
@@ -413,13 +423,7 @@ def write_verilog(netlist: Netlist) -> str:
         lines.append(f"  input {esc(net)};")
     for net in netlist.primary_outputs:
         lines.append(f"  output {esc(net)};")
-    internal = sorted(
-        net
-        for net in netlist.nets()
-        if net not in netlist.primary_inputs
-        and net not in netlist.primary_outputs
-    )
-    for net in internal:
+    for net in sorted(netlist.internal_nets()):
         lines.append(f"  wire {esc(net)};")
     for gate in netlist.gates_in_file_order():
         out_pin, in_pins = _pin_names(gate)

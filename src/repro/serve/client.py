@@ -37,10 +37,11 @@ import json
 import random
 import socket
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["ServeClient", "ServeError", "ReadyStatus"]
+__all__ = ["ServeClient", "ServeError", "ReadyStatus", "default_retry_seed"]
 
 #: HTTP statuses that are safe and useful to retry: the server shed load
 #: (429) or is draining/starting (503).  Everything else is final.
@@ -70,6 +71,15 @@ class ReadyStatus:
         return self.ready
 
 
+def default_retry_seed(host: str, port: int) -> int:
+    """The jitter seed of a client at ``host:port`` with no ``retry_seed``.
+
+    A CRC-32 of the address, so it is the same in every process
+    (builtin ``hash`` of a string changes with ``PYTHONHASHSEED``).
+    """
+    return zlib.crc32(f"{host}:{port}".encode("utf-8"))
+
+
 class ServeClient:
     """Blocking HTTP client bound to one server address.
 
@@ -77,7 +87,8 @@ class ServeClient:
     makes at most ``1 + max_retries`` attempts); ``backoff_base`` /
     ``backoff_cap`` shape the exponential backoff between them, and
     ``retry_seed`` makes the jitter reproducible (``None`` seeds from
-    the address, which is already deterministic per client).
+    the address via :func:`default_retry_seed`, the same in every
+    process).
     """
 
     def __init__(
@@ -99,7 +110,7 @@ class ServeClient:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         if retry_seed is None:
-            retry_seed = hash((host, port)) & 0xFFFFFFFF
+            retry_seed = default_retry_seed(host, port)
         self._rng = random.Random(retry_seed)
         #: Attempts made by the most recent request (1 = no retries).
         self.last_attempts = 0

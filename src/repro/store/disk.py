@@ -41,7 +41,12 @@ from ..core.words import IdentificationResult
 from ..netlist.netlist import Netlist
 from ..netlist.verilog import write_verilog
 from ..schema import SCHEMA_VERSION, stamp
-from .keys import cache_key, config_fingerprint, netlist_digest
+from .keys import (
+    cache_key,
+    config_fingerprint,
+    netlist_digest,
+    take_canonical_verilog,
+)
 from .serialize import UnserializableResult, result_from_dict, result_to_dict
 
 __all__ = ["ArtifactStore", "StoreStats", "DEFAULT_DEGRADED_AFTER"]
@@ -616,8 +621,13 @@ class ArtifactStore:
         Reparsing the canonical form is cheaper than the original source
         (comments and formatting are gone) and, more importantly, it is
         format-independent: a ``.bench`` file's parse is cached the same
-        way as a Verilog one.
+        way as a Verilog one.  The body is the canonical text this
+        request's :func:`netlist_digest` already produced, when there is
+        one; committing it ends that memo's life.
         """
+        verilog = take_canonical_verilog(netlist)
+        if verilog is None:
+            verilog = write_verilog(netlist)
         key = cache_key(digest, "", kind="netlist")
         self.put(
             key,
@@ -625,7 +635,7 @@ class ArtifactStore:
             {
                 "digest": digest,
                 "netlist": _netlist_summary(netlist),
-                "verilog": write_verilog(netlist),
+                "verilog": verilog,
             },
         )
         return key

@@ -17,6 +17,11 @@ with NUL separators::
     construction (distinct prefixes), so a raw-file entry can never
     shadow a canonical-netlist entry.
 
+    Within one request the canonical text is serialized once: it is
+    memoized on the netlist (validated by ``Netlist.revision`` and name,
+    so a mutated netlist re-serializes) until the store's body commit
+    takes it with :func:`take_canonical_verilog` and stores it verbatim.
+
 ``config_fingerprint``
     A canonical JSON document of exactly the
     :class:`~repro.core.pipeline.PipelineConfig` fields that can change a
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from ..core import backends
 from ..core.conecache import (
@@ -59,6 +64,7 @@ __all__ = [
     "config_fingerprint",
     "file_digest",
     "netlist_digest",
+    "take_canonical_verilog",
 ]
 
 #: PipelineConfig fields that affect a run's output, in fingerprint order.
@@ -100,8 +106,26 @@ def config_fingerprint(config: PipelineConfig) -> str:
 
 def netlist_digest(netlist: Netlist) -> str:
     """Content digest of an in-memory netlist (canonical Verilog form)."""
-    text = write_verilog(netlist)
+    stamp = (netlist.revision, netlist.name)
+    memo = netlist._canonical_verilog
+    if memo is not None and memo[:2] == stamp:
+        text = memo[2]
+    else:
+        text = write_verilog(netlist)
+        netlist._canonical_verilog = (*stamp, text)
     return "netlist:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def take_canonical_verilog(netlist: Netlist) -> Optional[str]:
+    """Release and return the text :func:`netlist_digest` memoized.
+
+    ``None`` when no current memo exists (never digested, or mutated
+    since); the caller then serializes the netlist itself.
+    """
+    memo, netlist._canonical_verilog = netlist._canonical_verilog, None
+    if memo is None or memo[:2] != (netlist.revision, netlist.name):
+        return None
+    return memo[2]
 
 
 def bytes_digest(data: bytes) -> str:

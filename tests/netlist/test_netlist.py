@@ -141,6 +141,68 @@ class TestCopy:
         ]
 
 
+class TestPorts:
+    def test_ports_keep_declaration_order_without_duplicates(self):
+        nl = Netlist("p")
+        for net in ("b", "a", "b"):
+            nl.add_input(net)
+        for net in ("z", "a", "y", "z"):
+            nl.add_output(net)
+        assert nl.primary_inputs == ["b", "a"]
+        assert nl.primary_outputs == ["z", "a", "y"]
+        # A net that is both input and output is listed once, as an input.
+        assert nl.ports() == ["b", "a", "z", "y"]
+
+    def test_internal_nets_exclude_every_port(self, small):
+        assert small.internal_nets() == {"n1", "q"}
+        assert small.internal_nets() | {"x", "y", "n2"} == small.nets()
+
+    def test_has_net_sees_undriven_ports(self):
+        nl = Netlist("p")
+        nl.add_input("a")
+        nl.add_output("dangling")
+        assert nl.has_net("a") and nl.has_net("dangling")
+        assert not nl.has_net("other")
+
+    def test_copy_has_independent_port_sets(self, small):
+        dup = small.copy()
+        dup.add_input("w")
+        dup.add_output("n1")
+        assert "w" not in small.primary_inputs and not small.has_net("w")
+        assert small.primary_outputs == ["n2"]
+        with pytest.raises(NetlistError):
+            dup.add_gate("g9", AND, ["x", "y"], "w")
+        small.add_gate("g9", AND, ["x", "y"], "w")  # still legal here
+
+
+class TestEquality:
+    def test_same_object_does_not_walk_the_gates(self, small, monkeypatch):
+        def walk(self):
+            raise AssertionError("structural compare of a netlist with itself")
+
+        monkeypatch.setattr(Netlist, "gates_in_file_order", walk)
+        assert small == small
+
+    def test_weak_lookup_of_a_live_netlist_does_not_walk(
+        self, small, monkeypatch
+    ):
+        import weakref
+
+        table = weakref.WeakKeyDictionary({small: 1})
+
+        def walk(self):
+            raise AssertionError("structural compare on a weak lookup")
+
+        monkeypatch.setattr(Netlist, "gates_in_file_order", walk)
+        assert table.get(small) == 1
+
+    def test_structural_compare_still_applies_to_copies(self, small):
+        dup = small.copy()
+        assert dup == small
+        dup.add_output("q")
+        assert dup != small
+
+
 class TestBuilder:
     def test_expression_style(self):
         b = NetlistBuilder("t")
