@@ -7,12 +7,6 @@ warm-vs-cold numbers (a cold run that commits to a fresh store, then warm
 probes that load the cached result).  CI uploads the file as an artifact
 so the perf trajectory of the engine is recorded per commit.
 
-When numpy is importable the run is measured under **both** signature
-kernels (``REPRO_KERNEL=python`` and ``=array``): the report carries a
-``kernels`` section with per-kernel wall time and the array/python
-speedup, and asserts the two result digests are byte-identical — the
-benchmark doubles as the differential check on the design it times.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--design b12]
@@ -26,12 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import tempfile
 import time
 
-from repro.core import kernels as _kernels
 from repro.core.pipeline import PipelineConfig, identify_words
 from repro.store import ArtifactStore, result_digest
 from repro.synth.designs import BENCHMARKS
@@ -53,40 +45,6 @@ def _timed_runs(netlist, config: PipelineConfig, repeats: int):
     return best, times, best_result
 
 
-def _bench_kernels(netlist, config: PipelineConfig, repeats: int) -> dict:
-    """Per-kernel wall time plus the differential digest check.
-
-    Forces each kernel via ``REPRO_KERNEL`` (restoring the caller's
-    setting afterwards) and refuses to report a speedup for results that
-    are not byte-identical.
-    """
-    previous = os.environ.get(_kernels.KERNEL_ENV)
-    walls = {}
-    digests = {}
-    try:
-        for kernel in ("python", "array"):
-            os.environ[_kernels.KERNEL_ENV] = kernel
-            best, _, result = _timed_runs(netlist, config, repeats)
-            walls[kernel] = best
-            digests[kernel] = result_digest(result)
-    finally:
-        if previous is None:
-            os.environ.pop(_kernels.KERNEL_ENV, None)
-        else:
-            os.environ[_kernels.KERNEL_ENV] = previous
-    if digests["array"] != digests["python"]:
-        raise AssertionError(
-            "array kernel digest diverged from the python reference"
-        )
-    return {
-        "python_wall_seconds": walls["python"],
-        "array_wall_seconds": walls["array"],
-        "speedup": walls["python"] / walls["array"] if walls["array"]
-        else float("inf"),
-        "result_digest": digests["array"],
-    }
-
-
 def run(design: str, repeats: int, jobs: int) -> dict:
     netlist = BENCHMARKS[design]()
     config = PipelineConfig(jobs=jobs)
@@ -101,7 +59,7 @@ def run(design: str, repeats: int, jobs: int) -> dict:
         "jobs": jobs,
         "repeats": repeats,
         "python": platform.python_version(),
-        "kernel": best_trace.kernel,
+        "result_digest": result_digest(best_result),
         "wall_seconds": best,
         "wall_seconds_all": times,
         "stage_seconds": dict(best_trace.stage_seconds),
@@ -114,8 +72,6 @@ def run(design: str, repeats: int, jobs: int) -> dict:
         "counters": best_trace.counter_dict(),
         "store": store_numbers,
     }
-    if _kernels.numpy_available():
-        payload["kernels"] = _bench_kernels(netlist, config, repeats)
     return payload
 
 
@@ -166,20 +122,12 @@ def main() -> int:
         handle.write("\n")
     print(
         f"{payload['design']}: {payload['wall_seconds'] * 1000.0:.1f} ms "
-        f"(min of {args.repeats}, kernel={payload['kernel']}), "
+        f"(min of {args.repeats}), "
         f"key cache {payload['cache_hit_rates']['hash_key']:.1%}, "
         f"store warm {payload['store']['warm_seconds'] * 1000.0:.1f} ms "
         f"({payload['store']['speedup']:.0f}x) -> "
         f"{args.output}"
     )
-    if "kernels" in payload:
-        k = payload["kernels"]
-        print(
-            f"kernels: python "
-            f"{k['python_wall_seconds'] * 1000.0:.1f} ms, array "
-            f"{k['array_wall_seconds'] * 1000.0:.1f} ms "
-            f"({k['speedup']:.2f}x, digests identical)"
-        )
     return 0
 
 

@@ -632,13 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per-backend store keys",
     )
     parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="signature kernel: python, array, or auto (default: the "
-        "REPRO_KERNEL environment, then auto)",
-    )
-    parser.add_argument(
         "--score",
         action="store_true",
         help="also score each design against its golden register names",
@@ -714,7 +707,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_simultaneous=args.max_simultaneous,
             allow_partial=args.backend != "base",
             backend=args.backend,
-            kernel=args.kernel,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

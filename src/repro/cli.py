@@ -6,7 +6,6 @@ This is the tool a downstream user actually runs::
     repro-identify design.bench --format bench   # ISCAS .bench
     repro-identify design.v --baseline           # shape hashing only
     repro-identify design.v --backend regfeat    # feature-vector backend
-    repro-identify design.v --kernel python      # force a signature kernel
     repro-identify design.v --json report.json   # machine-readable output
     repro-identify design.v --depth 5 --max-simultaneous 3
     repro-identify design.v --jobs 4             # parallel subgroup search
@@ -42,7 +41,7 @@ from .core import PipelineConfig, identify_words
 from .core.modules import identify_operators
 from .core.propagation import propagate_words
 from .core.resilience import BudgetExceeded, PreflightError
-from .core.words import IdentificationResult
+from .core.words import SIGNATURE_KERNEL, IdentificationResult
 from .eval import evaluate, extract_reference_words
 from .exitcodes import EXIT_CHECK_FAILED, EXIT_OK, EXIT_STRICT, EXIT_USAGE
 from .netlist import parse_bench, parse_verilog
@@ -88,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run shape hashing [6] instead of the control-signal "
         "technique (alias for --backend base)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="signature kernel: python, array, or auto (default: the "
-        "REPRO_KERNEL environment, then auto); output is byte-identical "
-        "for any choice",
     )
     parser.add_argument(
         "--propagate",
@@ -230,7 +221,7 @@ def _report(
             # backend name for old consumers; "backend" is authoritative.
             "technique": result.trace.backend,
             "backend": result.trace.backend,
-            "kernel": result.trace.kernel,
+            "kernel": SIGNATURE_KERNEL,
             "depth": args.depth,
             "max_simultaneous": args.max_simultaneous,
             "jobs": args.jobs,
@@ -294,7 +285,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_simultaneous=args.max_simultaneous,
             allow_partial=backend != "base",
             backend=backend,
-            kernel=args.kernel,
             jobs=args.jobs,
             deadline_s=args.deadline,
             max_assignments=args.budget,

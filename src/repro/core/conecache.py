@@ -97,13 +97,9 @@ CONE_FINGERPRINT_FIELDS = (
 #: cached; ``max_cone_gates`` is checked before any probe or commit;
 #: ``preflight`` is diagnostics-only; a run with a ``fault_hook``
 #: disables cone caching entirely.
-#: ``kernel`` is neutral for the same reason ``jobs`` is: both kernels
-#: produce byte-identical outcomes (the differential kernel suite), so
-#: runs differing only in kernel share cone entries.
 CONE_NEUTRAL_FIELDS = (
     "grouping",
     "jobs",
-    "kernel",
     "deadline_s",
     "max_assignments",
     "max_cone_gates",

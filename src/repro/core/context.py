@@ -43,13 +43,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.cone import ConeNode, extract_cone
 from ..netlist.netlist import Netlist
-from . import kernels
 from .hashkey import (
     DEFAULT_DEPTH,
     LEAF_TOKEN,
     BitSignature,
     Subtree,
     cone_digest,
+    fast_signature,
+    fast_subtree,
 )
 from .words import CacheStats
 
@@ -72,7 +73,6 @@ class AnalysisContext:
         netlist: Netlist,
         depth: int = DEFAULT_DEPTH,
         parent: Optional["AnalysisContext"] = None,
-        kernel: Optional[str] = None,
     ):
         if depth < 1:
             raise ValueError("depth must be >= 1")
@@ -94,27 +94,13 @@ class AnalysisContext:
         self._supports: Dict[Tuple[str, int], frozenset] = {}
         self._netsets: Dict[Tuple[str, int], frozenset] = {}
         self._keys_precomputed = False
-        # level -> mapping of net -> key for levels 1..depth-1, filled by
+        # level -> {net: key} for levels 1..depth-1, filled by
         # precompute_keys(); lets signature() resolve subtree keys with one
         # plain-string dict probe (missing net == cone leaf == LEAF_TOKEN).
-        # Under the array kernel the values are
-        # :class:`~repro.core.kernels.LevelKeyView` objects (same ``get``
-        # contract, interned strings) instead of dicts.
-        self._level_keys: Dict[int, Mapping[str, str]] = {}
-        # Array-kernel state (repro.core.kernels): resolved once per
-        # context so a mid-run env change cannot split a single analysis
-        # across kernels.  The ``kernel`` argument carries an explicit
-        # PipelineConfig.kernel preference (the engine passes it);
-        # sub-contexts inherit the parent's resolved kernel so one run
-        # never mixes kernels.  The CSR table and cone bitsets build
-        # lazily.
-        if kernel is None and parent is not None:
-            self.kernel = parent.kernel
-        else:
-            self.kernel = kernels.resolve_kernel(kernel)
-        self._shared_entry: Optional[kernels._SharedEntry] = None
-        self._table: Optional[kernels.NetTable] = None
-        self._cone_bitsets: Optional[kernels.ConeBitsets] = None
+        # Nets of one shape share one interned key string.
+        self._level_keys: Dict[int, Dict[str, str]] = {}
+        # Bulk-signature memos (signatures()): interned root types and one
+        # Subtree per child net at depth-1 levels.
         self._root_types: Dict[Tuple[str, int], str] = {}
         self._subtrees: Dict[str, Subtree] = {}
 
@@ -219,25 +205,22 @@ class AnalysisContext:
         The recursive :meth:`key` produces identical strings, but pays a
         Python call per (net, level) frame; one bulk pass over the driver
         index computes each level from the one below it with tight loops.
-        Idempotent; sub-contexts skip it (they inherit from the parent).
+        Each level interns its strings, so all nets of one shape share one
+        key object: real designs have few shapes per level (b18: 13/90/173
+        at levels 1/2/3 over 59k nets), and matching's string compares then
+        short-circuit on identity.  Idempotent; sub-contexts skip it (they
+        inherit from the parent).
         """
         if self._keys_precomputed:
             return
         self._keys_precomputed = True
-        if self.kernel == "array":
-            table = self._ensure_table()
-            views, completed = kernels.shared_level_views(
-                self._shared_entry, self.depth, self.budget
-            )
-            self._level_keys.update(views)
-            self.stats.key_misses += table.num_eligible * completed
-            return
         boundary = self.boundary
-        eligible = [
-            (net, gate.inputs, gate.cell.name)
-            for net, gate in self.netlist.drivers()
-            if not gate.is_ff and net not in boundary
-        ]
+        nets: List[str] = []
+        gates = []
+        for net, gate in self.netlist.drivers():
+            if not gate.cell.sequential and net not in boundary:
+                nets.append(net)
+                gates.append(gate)
         prev: Dict[str, str] = {}
         completed_levels = 0
         for level in range(1, self.depth):
@@ -249,40 +232,27 @@ class AnalysisContext:
                 # boundary.
                 break
             cur: Dict[str, str] = {}
+            shapes: Dict[str, str] = {}
+            intern = shapes.setdefault
             get = prev.get
-            if level == 1:
-                for net, inputs, cell in eligible:
-                    cur[net] = f"({LEAF_TOKEN * len(inputs)}{cell})"
-            else:
-                for net, inputs, cell in eligible:
-                    if len(inputs) == 2:
-                        a = get(inputs[0], LEAF_TOKEN)
-                        b = get(inputs[1], LEAF_TOKEN)
-                        if b < a:
-                            a, b = b, a
-                        cur[net] = f"({a}{b}{cell})"
-                    else:
-                        parts = sorted(
-                            [get(c, LEAF_TOKEN) for c in inputs]
-                        )
-                        cur[net] = f"({''.join(parts)}{cell})"
+            for net, gate in zip(nets, gates):
+                inputs = gate.inputs
+                if level == 1:
+                    key = f"({LEAF_TOKEN * len(inputs)}{gate.cell.name})"
+                elif len(inputs) == 2:
+                    a = get(inputs[0], LEAF_TOKEN)
+                    b = get(inputs[1], LEAF_TOKEN)
+                    if b < a:
+                        a, b = b, a
+                    key = f"({a}{b}{gate.cell.name})"
+                else:
+                    parts = sorted([get(c, LEAF_TOKEN) for c in inputs])
+                    key = f"({''.join(parts)}{gate.cell.name})"
+                cur[net] = intern(key, key)
             self._level_keys[level] = cur
             prev = cur
             completed_levels += 1
-        self.stats.key_misses += len(eligible) * completed_levels
-
-    def _ensure_table(self) -> Optional[kernels.NetTable]:
-        """The process-shared CSR :class:`~repro.core.kernels.NetTable`
-        for this netlist, bound on first use; ``None`` under the python
-        kernel."""
-        if self.kernel != "array":
-            return None
-        if self._table is None:
-            self._shared_entry = kernels.shared_entry(
-                self.netlist, self.boundary
-            )
-            self._table = self._shared_entry.table
-        return self._table
+        self.stats.key_misses += len(nets) * completed_levels
 
     def hash_key(self, node: ConeNode) -> str:
         """Canonical post-order key of an expanded cone subtree, memoized
@@ -356,10 +326,85 @@ class AnalysisContext:
         return sig
 
     def signatures(self, nets: Sequence[str]) -> List[BitSignature]:
+        """``[self.signature(net) for net in nets]``, built in one loop.
+
+        With the depth-1 key table precomputed, a whole group is built
+        without per-net method calls: memo probes and stat bumps are
+        batched, the frozen dataclasses go through the fast constructors,
+        and fanout shares one :class:`Subtree` per child net (a subtree is
+        a pure function of its child within one context).  A gate listing
+        the same input twice gets fresh subtrees for that signature,
+        because :meth:`Subgroup.finalize` tells leftovers apart by
+        ``id()``.  Keys, signatures and counters equal the per-net path.
+        """
         view = self._level_keys.get(self.depth - 1)
-        if type(view) is kernels.LevelKeyView:
-            return kernels.bulk_signatures(self, nets, view)
-        return [self.signature(net) for net in nets]
+        if view is None:
+            return [self.signature(net) for net in nets]
+        memo = self._signatures
+        driver_of = self.netlist.driver
+        boundary = self.boundary
+        levels = self.depth - 1
+        cone = self.cone
+        vget = view.get
+        root_types = self._root_types
+        subtrees_of = self._subtrees
+        sub_get = subtrees_of.get
+        leaf = LEAF_TOKEN
+        new_subtree = fast_subtree
+        out: List[BitSignature] = []
+        append = out.append
+        sig_hits = sig_misses = key_hits = 0
+        for net in nets:
+            sig = memo.get(net)
+            if sig is not None:
+                sig_hits += 1
+                append(sig)
+                continue
+            sig_misses += 1
+            driver = driver_of(net)
+            if driver is None or driver.cell.sequential or net in boundary:
+                sig = fast_signature(net, None, (), ())
+            else:
+                inputs = driver.inputs
+                arity = len(inputs)
+                key_hits += arity
+                if arity == 1 or len(set(inputs)) == arity:
+                    subtrees = []
+                    keys_of = []
+                    for child in inputs:
+                        subtree = sub_get(child)
+                        if subtree is None:
+                            subtree = new_subtree(
+                                child, vget(child) or leaf,
+                                partial(cone, child, levels),
+                            )
+                            subtrees_of[child] = subtree
+                        subtrees.append(subtree)
+                        keys_of.append(subtree.key)
+                    subtrees = tuple(subtrees)
+                else:
+                    keys_of = [vget(child) or leaf for child in inputs]
+                    subtrees = tuple(
+                        new_subtree(child, key, partial(cone, child, levels))
+                        for child, key in zip(inputs, keys_of)
+                    )
+                if arity == 2:
+                    a, b = keys_of
+                    sorted_keys = (a, b) if a <= b else (b, a)
+                else:
+                    sorted_keys = tuple(sorted(keys_of))
+                cell = driver.cell.name
+                root_type = root_types.get((cell, arity))
+                if root_type is None:
+                    root_type = root_types[(cell, arity)] = f"{cell}{arity}"
+                sig = fast_signature(net, root_type, subtrees, sorted_keys)
+            memo[net] = sig
+            append(sig)
+        stats = self.stats
+        stats.signature_hits += sig_hits
+        stats.signature_misses += sig_misses
+        stats.key_hits += key_hits
+        return out
 
     # ------------------------------------------------------------------
     # cone net sets
@@ -401,44 +446,6 @@ class AnalysisContext:
             result = frozenset(acc)
         self._netsets[memo_key] = result
         return result
-
-    def common_cone_nets(
-        self, roots: Sequence[str], levels: int
-    ) -> Optional[set]:
-        """Intersection of ``cone_nets(root, levels)`` over ``roots``,
-        computed on packed-uint64 bitsets — or ``None`` when the array
-        kernel is off and the caller should run the set-based loop.
-
-        Mirrors the python loop movement for movement: one netset
-        hit/miss per root in order, with the same early exit as soon as
-        the running intersection empties (later roots never counted).
-        """
-        if self.kernel != "array" or not roots:
-            return None
-        table = self._ensure_table()
-        index_get = table.index.get
-        ids = [index_get(net) for net in roots]
-        if any(i is None for i in ids):
-            return None
-        if self._cone_bitsets is None:
-            self._cone_bitsets = kernels.ConeBitsets(table)
-        bitsets = self._cone_bitsets
-        stats = self.stats
-        common = None
-        for net_id in ids:
-            row = bitsets.cached_row(net_id, levels)
-            if row is None:
-                stats.netset_misses += 1
-                row = bitsets.row(net_id, levels)
-            else:
-                stats.netset_hits += 1
-            if common is None:
-                common = row.copy()
-            else:
-                common &= row
-                if not common.any():
-                    return set()
-        return kernels.decode_bitset_row(table, common)
 
     # ------------------------------------------------------------------
     # incremental re-hash after reduction
@@ -492,36 +499,12 @@ class AnalysisContext:
         reduced_boundary = reduced.cone_leaf_nets()
         local_keys: Dict[Tuple[str, int], str] = {}
 
-        dirty = None
-        if (
-            self.kernel == "array"
-            and len(self.netlist) >= kernels.REHASH_MIN_NETS
-        ):
-            # Vectorized dirty pass: one level-synchronous sweep answers
-            # every support/values intersection this assignment needs,
-            # instead of materializing per-(net, level) support sets.
-            table = self._ensure_table()
-            table_index = table.index
-            dirty = kernels.dirty_flags(
-                table,
-                [
-                    i
-                    for i in (table_index.get(net) for net in values)
-                    if i is not None
-                ],
-                self.depth,
-            )
-
         def changed(net: str, levels: int) -> bool:
             # Assigned nets are conservatively dirty at levels >= 1: a
             # reduced netlist may re-drive them with a TIE cell, which an
             # unreduced key cannot anticipate.
             if levels and net in values:
                 return True
-            if dirty is not None:
-                index = table_index.get(net)
-                if index is not None:
-                    return dirty[levels][index]
             return not self.support(net, levels).isdisjoint(values)
 
         def reduced_key(net: str, levels: int) -> str:

@@ -100,23 +100,14 @@ def find_control_signals(
     if context is not None:
         levels = context.depth - 1
         node_nets_cache = context.node_cache("cone_nets")
-        # Array kernel: the whole intersection runs on packed bitsets
-        # (same memo movements and early exit); None means the kernel is
-        # off and the set-based loop below runs instead.
-        common = context.common_cone_nets(
-            [st.root_net for st in subtrees], levels
-        )
-        if common is not None and not common:
-            return []
-        if common is None:
-            for st in subtrees:
-                nets = context.cone_nets(st.root_net, levels)
-                if common is None:
-                    common = set(nets)
-                else:
-                    common &= nets
-                    if not common:
-                        return []
+        for st in subtrees:
+            nets = context.cone_nets(st.root_net, levels)
+            if common is None:
+                common = set(nets)
+            else:
+                common &= nets
+                if not common:
+                    return []
     else:
         node_nets_cache = {}
         cones = []

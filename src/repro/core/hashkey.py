@@ -140,9 +140,10 @@ def fast_subtree(
     """:class:`Subtree` built without the frozen-dataclass ``__init__``.
 
     Frozen dataclasses funnel every field store through
-    ``object.__setattr__``; the array kernel constructs hundreds of
-    thousands of subtrees per run, so it writes the instance dict
-    directly.  Field-for-field identical to ``Subtree(...)`` (equality,
+    ``object.__setattr__``; the bulk signature pass
+    (:meth:`~repro.core.context.AnalysisContext.signatures`) constructs
+    hundreds of thousands of subtrees per run, so it writes the instance
+    dict directly.  Field-for-field identical to ``Subtree(...)`` (equality,
     hashing, and ``cone`` behave the same).
     """
     subtree = _SUBTREE_NEW(Subtree)

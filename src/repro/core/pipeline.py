@@ -95,11 +95,6 @@ class PipelineConfig:
         ``allow_partial=False`` are two spellings of the same strategy
         and are normalized onto each other, so either spelling produces
         identical results *and* identical store fingerprints.
-    ``kernel``
-        Signature-kernel preference (:mod:`repro.core.kernels`):
-        ``None`` (default) defers to the ``REPRO_KERNEL`` environment,
-        ``"auto"``/``"python"``/``"array"`` select explicitly.  Kernels
-        are output-neutral and never enter store fingerprints.
 
     Resilience knobs (see :mod:`repro.core.resilience` and DESIGN.md §8 —
     all default to "unlimited", in which case every budget check is a
@@ -138,7 +133,6 @@ class PipelineConfig:
     accept_partial_heals: bool = False
     jobs: int = 1
     backend: str = "ours"
-    kernel: Optional[str] = None
     deadline_s: Optional[float] = None
     max_assignments: Optional[int] = None
     max_cone_gates: Optional[int] = None
@@ -168,13 +162,6 @@ class PipelineConfig:
             object.__setattr__(self, "allow_partial", False)
         elif self.backend == "ours" and not self.allow_partial:
             object.__setattr__(self, "backend", "base")
-        if self.kernel is not None:
-            from .kernels import KernelError, resolve_kernel
-
-            try:
-                resolve_kernel(self.kernel)
-            except KernelError as exc:
-                raise ValueError(str(exc)) from None
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
         if self.max_assignments is not None and self.max_assignments < 0:

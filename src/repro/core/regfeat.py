@@ -45,7 +45,6 @@ from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..netlist.netlist import Netlist
-from . import kernels
 from .words import IdentificationResult, Word
 
 __all__ = ["run_regfeat", "REGFEAT_NAME"]
@@ -255,7 +254,6 @@ def run_regfeat(
     result = IdentificationResult()
     result.trace.backend = REGFEAT_NAME
     result.trace.jobs = config.jobs
-    result.trace.kernel = kernels.resolve_kernel(config.kernel)
 
     stage_started = perf_counter()
     features = _extract_features(netlist, config.depth)

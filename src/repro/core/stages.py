@@ -717,11 +717,7 @@ class AnalysisEngine:
     ) -> IdentificationResult:
         started = perf_counter()
         if context is None:
-            context = AnalysisContext(
-                netlist,
-                self.config.depth,
-                kernel=getattr(self.config, "kernel", None),
-            )
+            context = AnalysisContext(netlist, self.config.depth)
         elif context.depth != self.config.depth:
             raise ValueError(
                 f"context depth {context.depth} != config depth "
@@ -732,7 +728,6 @@ class AnalysisEngine:
         result = IdentificationResult()
         result.trace.backend = getattr(self.config, "backend", "ours")
         result.trace.jobs = self.config.jobs
-        result.trace.kernel = context.kernel
         chain: Optional[ConeCacheChain] = None
         if self.cone_tiers:
             chain = ConeCacheChain(

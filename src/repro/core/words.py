@@ -13,7 +13,13 @@ __all__ = [
     "CacheStats",
     "StageTrace",
     "IdentificationResult",
+    "SIGNATURE_KERNEL",
 ]
+
+#: The ``kernel`` field of trace payloads and ``--json`` config blocks.
+#: Signatures have a single implementation, so the field is a constant;
+#: it stays in the payloads so their shape (``SCHEMA_VERSION``) holds.
+SIGNATURE_KERNEL = "python"
 
 
 @dataclass(frozen=True)
@@ -193,11 +199,6 @@ class StageTrace:
     # digest must not depend on how the backend was selected — so like
     # ``jobs`` it stays outside counter_dict().
     backend: str = "ours"
-    # Which signature-kernel implementation computed the run ("python" or
-    # "array", see repro.core.kernels).  Like ``jobs`` it is outside
-    # counter_dict(): both kernels produce byte-identical results, so the
-    # determinism oracles must not see which one ran.
-    kernel: str = "python"
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     cache: CacheStats = field(default_factory=CacheStats)
     # Resilience layer (see core/resilience.py and DESIGN.md §8): every
@@ -294,7 +295,7 @@ class StageTrace:
             "counters": self.counter_dict(),
             "jobs": self.jobs,
             "backend": self.backend,
-            "kernel": self.kernel,
+            "kernel": SIGNATURE_KERNEL,
             "stage_seconds": dict(self.stage_seconds),
             "cache": self.cache.as_dict(),
             "degraded": self.degraded,

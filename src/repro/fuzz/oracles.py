@@ -27,10 +27,6 @@ provably must not care about, re-run, compare:
     cache-on ≡ cache-off: a result committed to the artifact store and
     probed back is byte-identical to the computed one (the persistence
     sibling of ``jobs``).
-``kernel``
-    The vectorized array kernel (:mod:`repro.core.kernels`) ≡ the python
-    reference path: identical result digest and stage counters on every
-    sample.  Skipped (vacuously passing) when numpy is unavailable.
 ``triage``
     Trojan triage (:mod:`repro.triage`) is deterministic across re-runs
     and its ``(position, score)`` ranking is invariant under hostile
@@ -66,12 +62,10 @@ provably must not care about, re-run, compare:
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core import kernels as _kernels
 from ..core.baseline import baseline_config
 from ..core.pipeline import PipelineConfig, identify_words
 from ..core.reduction import reduce_netlist
@@ -358,46 +352,6 @@ def _check_jobs(ctx: OracleContext) -> Optional[str]:
         return "jobs=4 produced different words than jobs=1"
     if (parallel.trace.counter_dict() != serial.trace.counter_dict()):
         return "jobs=4 produced different stage counters than jobs=1"
-    return None
-
-
-def _check_kernel(ctx: OracleContext) -> Optional[str]:
-    """array kernel ≡ python reference on every campaign sample.
-
-    Runs the sample once under each ``REPRO_KERNEL`` setting and compares
-    the full result digest (words, singletons, assignments, counters) —
-    the same byte-identity contract ``tests/core/test_kernels.py`` pins
-    on the ITC99 corpus, here exercised against adversarial generated
-    designs.  Vacuously passes when numpy is absent (the array kernel is
-    gated off and both runs would take the python path).
-    """
-    from ..store import result_digest
-
-    if not _kernels.numpy_available():
-        return None
-    previous = os.environ.get(_kernels.KERNEL_ENV)
-    try:
-        os.environ[_kernels.KERNEL_ENV] = "array"
-        array = ctx.identify(
-            "kernel_array", ctx.sample.netlist, ctx.ours_config
-        )
-        os.environ[_kernels.KERNEL_ENV] = "python"
-        python = ctx.identify(
-            "kernel_python", ctx.sample.netlist, ctx.ours_config
-        )
-    finally:
-        if previous is None:
-            os.environ.pop(_kernels.KERNEL_ENV, None)
-        else:
-            os.environ[_kernels.KERNEL_ENV] = previous
-    if array.trace.kernel != "array":
-        return "REPRO_KERNEL=array did not select the array kernel"
-    if python.trace.kernel != "python":
-        return "REPRO_KERNEL=python did not select the python kernel"
-    if result_digest(array) != result_digest(python):
-        return "array kernel result digest differs from python reference"
-    if array.trace.counter_dict() != python.trace.counter_dict():
-        return "array kernel stage counters differ from python reference"
     return None
 
 
@@ -688,7 +642,6 @@ DEFAULT_ORACLES: Tuple[Tuple[str, Callable[[OracleContext], Optional[str]]], ...
     ("expectation", _check_expectation),
     ("ours_superset", _check_ours_superset),
     ("jobs", _check_jobs),
-    ("kernel", _check_kernel),
     ("backend", _check_backend),
     ("store", _check_store),
     ("cone_cache", _check_cone_cache),

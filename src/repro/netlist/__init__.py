@@ -34,13 +34,6 @@ from .cone import ConeNode, cone_gates, cone_nets, extract_cone
 from .verilog import VerilogError, parse_verilog, parse_verilog_file, write_verilog
 from .bench import BenchError, parse_bench, parse_bench_file, write_bench
 from .equiv import EquivalenceResult, check_equivalence
-from .graph import (
-    cone_overlap,
-    fanout_histogram,
-    from_networkx,
-    logic_levels,
-    to_networkx,
-)
 from .simulate import Simulator, evaluate_combinational, exhaustive_inputs, step
 from .validate import NetlistStats, ValidationReport, stats, validate
 
@@ -52,8 +45,6 @@ __all__ = [
     "VerilogError", "parse_verilog", "parse_verilog_file", "write_verilog",
     "BenchError", "parse_bench", "parse_bench_file", "write_bench",
     "EquivalenceResult", "check_equivalence",
-    "cone_overlap", "fanout_histogram", "from_networkx", "logic_levels",
-    "to_networkx",
     "Simulator", "evaluate_combinational", "exhaustive_inputs", "step",
     "NetlistStats", "ValidationReport", "stats", "validate",
 ]

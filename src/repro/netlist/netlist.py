@@ -91,10 +91,9 @@ class Netlist:
         # the store's body commit, so one request serializes once.  The
         # stamp, not a mutation hook, is what invalidates it.
         self._canonical_verilog: Optional[Tuple[int, str, str]] = None
-        # Monotonic structural revision, bumped by every mutation.  External
-        # derived-index caches (the array kernel's CSR tables) key on
-        # ``(netlist identity, revision)`` so a mutated netlist can never
-        # answer from a stale index.
+        # Monotonic structural revision, bumped by every mutation.  Derived
+        # caches (the canonical-text memo above) stamp it, so a mutated
+        # netlist never answers from a stale memo.
         self.revision: int = 0
 
     # ------------------------------------------------------------------

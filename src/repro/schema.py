@@ -39,10 +39,10 @@ __all__ = ["SCHEMA_VERSION", "PIPELINE_VERSION", "stamp"]
 #: the ``degraded``/``quarantined``/``quarantine_reasons`` aggregate
 #: fields, ``read_timeout_seconds`` on ``/healthz``, and ``store_mode``
 #: on ``/readyz``.
-#: v6: the ``kernel`` trace field (which signature-kernel implementation
-#: computed the run, see ``repro.core.kernels``) in ``--trace-json`` /
-#: report traces and stored result envelopes, plus the ``BENCH_serve``
-#: load-benchmark report (``scripts/serve_smoke.py --bench``).
+#: v6: the ``kernel`` trace field in ``--trace-json`` / report traces and
+#: stored result envelopes (a constant ``"python"`` since the signature
+#: stage has one implementation), plus the ``BENCH_serve`` load-benchmark
+#: report (``scripts/serve_smoke.py --bench``).
 #: v7: pluggable backends (``repro.core.backends``) — the ``backend``
 #: trace/provenance field in report traces, identify ``--json`` config
 #: blocks, batch rows, and stored result envelopes; the uniform serve

@@ -278,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "name one (see `repro identify --backend`, default %(default)s)",
     )
     parser.add_argument(
-        "--kernel", default=None,
-        help="default signature kernel: python|array|auto (default: "
-        "honour REPRO_KERNEL, else python)",
-    )
-    parser.add_argument(
         "--depth", type=int, default=4, help="fanin-cone depth (default 4)"
     )
     parser.add_argument(
@@ -332,7 +327,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             strict=args.strict,
             allow_partial=args.backend != "base",
             backend=args.backend,
-            kernel=args.kernel,
             # Match `repro identify`: preflight is in the store
             # fingerprint, so the served POST of a file's bytes hits the
             # cache entry a CLI run on that file committed.

@@ -90,9 +90,8 @@ def _field_diag(field: str, message: str) -> Dict[str, str]:
 
 
 _FORMATS = ("verilog", "bench")
-_KERNEL_NAMES = ("python", "array", "auto")
 #: Fields every analysis request may carry.
-_COMMON_FIELDS = ("deadline_s", "strict", "backend", "kernel")
+_COMMON_FIELDS = ("deadline_s", "strict", "backend")
 #: request-level field sets per endpoint, plus per-item fields for batch.
 _IDENTIFY_FIELDS = _COMMON_FIELDS + (
     "verilog", "digest", "base_digest", "format", "name",
@@ -169,13 +168,6 @@ def _validate_request(payload: Dict, endpoint: str):
                 f"unknown backend {backend!r}; registered backends: "
                 + ", ".join(backend_names()),
             ))
-    kernel = payload.get("kernel")
-    if kernel is not None and kernel not in _KERNEL_NAMES:
-        diags.append(_field_diag(
-            "kernel",
-            f"unknown kernel {kernel!r}; expected one of "
-            f"{list(_KERNEL_NAMES)}",
-        ))
     if endpoint == "identify":
         base_digest = payload.get("base_digest")
         if base_digest is not None:
@@ -237,10 +229,10 @@ class AnalysisService:
         The shared :class:`~repro.api.Session` (configuration + optional
         artifact store).  Every request without overrides runs under its
         config; requests carrying ``deadline_s`` / ``strict`` /
-        ``backend`` / ``kernel`` get a derived config over the *same*
-        store — deadline/strict/kernel leave cache keys unchanged (none
-        is in the store fingerprint), while ``backend`` addresses that
-        backend's own fingerprint space.
+        ``backend`` get a derived config over the *same* store —
+        deadline/strict leave cache keys unchanged (neither is in the
+        store fingerprint), while ``backend`` addresses that backend's
+        own fingerprint space.
     ``workers`` / ``queue_size``
         Admission bounds: concurrent analyses and waiting requests.
     ``default_deadline_s`` / ``strict``
@@ -522,22 +514,26 @@ class AnalysisService:
     def _request_session(self, payload: Dict) -> Session:
         """The session a request runs under (overrides share the store).
 
-        ``deadline_s``/``strict``/``kernel`` overrides leave cache keys
-        unchanged (none is in the store fingerprint); a ``backend``
-        override derives a config whose keys land in that backend's own
+        ``deadline_s``/``strict`` overrides leave cache keys unchanged
+        (neither is in the store fingerprint); a ``backend`` override
+        derives a config whose keys land in that backend's own
         fingerprint space, so per-request backends never cross-contaminate
-        the shared store.
+        the shared store.  A JSON ``null`` is "not set", as in
+        validation: the field keeps the server default.
         """
         base = self.session.config
-        deadline = payload.get("deadline_s", self.default_deadline_s)
-        strict = bool(payload.get("strict", self.strict))
-        backend = payload.get("backend", base.backend)
-        kernel = payload.get("kernel", base.kernel)
+        overrides = {
+            name: payload[name]
+            for name in _COMMON_FIELDS
+            if payload.get(name) is not None
+        }
+        deadline = overrides.get("deadline_s", self.default_deadline_s)
+        strict = bool(overrides.get("strict", self.strict))
+        backend = overrides.get("backend", base.backend)
         if (
             deadline == base.deadline_s
             and strict == base.strict
             and backend == base.backend
-            and kernel == base.kernel
         ):
             return self.session
         # An explicit backend picks its own partial-matching mode; the
@@ -545,7 +541,7 @@ class AnalysisService:
         # back to "base" and shadow the request on a baseline server.
         allow_partial = (
             backend != "base"
-            if "backend" in payload
+            if "backend" in overrides
             else base.allow_partial
         )
         config = replace(
@@ -553,7 +549,6 @@ class AnalysisService:
             deadline_s=deadline,
             strict=strict,
             backend=backend,
-            kernel=kernel,
             allow_partial=allow_partial,
         )
         derived = Session(config=config, store=self.session.store)

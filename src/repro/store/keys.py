@@ -70,10 +70,7 @@ __all__ = [
 #: PipelineConfig fields that affect a run's output, in fingerprint order.
 #: Adding a result-affecting knob to PipelineConfig must extend this tuple
 #: (tests/store/test_store.py pins the invalidation behaviour).
-#: ``backend`` selects which identification strategy runs, so it is here;
-#: ``kernel`` is deliberately absent — kernels are digest-blind (the
-#: differential kernel suite pins byte-identity), so a python-kernel run
-#: hits an entry an array-kernel run committed.
+#: ``backend`` selects which identification strategy runs, so it is here.
 FINGERPRINT_FIELDS = (
     "depth",
     "max_simultaneous",

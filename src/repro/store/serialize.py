@@ -25,6 +25,7 @@ import json
 from typing import Dict
 
 from ..core.words import (
+    SIGNATURE_KERNEL,
     CacheStats,
     ControlAssignment,
     IdentificationResult,
@@ -57,7 +58,7 @@ def _trace_to_dict(trace: StageTrace) -> Dict:
         "counters": trace.counter_dict(),
         "jobs": trace.jobs,
         "backend": trace.backend,
-        "kernel": trace.kernel,
+        "kernel": SIGNATURE_KERNEL,
         "stage_seconds": dict(trace.stage_seconds),
         "cache": trace.cache.as_dict(),
         "preflight": list(trace.preflight),
@@ -70,10 +71,10 @@ def _trace_from_dict(payload: Dict) -> StageTrace:
         if name in trace.counter_dict():
             setattr(trace, name, value)
     trace.jobs = payload.get("jobs", 1)
-    # Entries persisted before the backend/kernel fields existed were
-    # computed by the default technique on the python reference path.
+    # Entries persisted before the backend field existed were computed by
+    # the default technique.  A stored ``kernel`` field is ignored: every
+    # kernel a past version ran produced the same results.
     trace.backend = payload.get("backend", "ours")
-    trace.kernel = payload.get("kernel", "python")
     trace.stage_seconds = dict(payload.get("stage_seconds", {}))
     cache_fields = payload.get("cache", {})
     trace.cache = CacheStats(**{

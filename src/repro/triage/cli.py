@@ -1,6 +1,6 @@
 """``repro triage`` — rank a netlist's gates by Trojan-region anomaly.
 
-Runs word identification (any backend/kernel, store-accelerated), then
+Runs word identification (any backend, store-accelerated), then
 scores every gate against the recovered structure (DESIGN.md §16)::
 
     repro triage design.v                     # human-readable top 20
@@ -48,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="identification backend to triage against (default: ours)",
     )
     parser.add_argument(
-        "--kernel", choices=("python", "array"), default=None,
-        help="signature kernel implementation",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=1,
         help="parallel workers for the identification run",
     )
@@ -93,7 +89,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pipeline = PipelineConfig(
             allow_partial=args.backend != "base",
             backend=args.backend,
-            kernel=args.kernel,
             jobs=args.jobs,
             deadline_s=args.deadline,
             strict=args.strict,

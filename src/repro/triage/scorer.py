@@ -33,7 +33,7 @@ The weighted sum is then smoothed over the structural neighbourhood
 most anomalous fanin/fanout neighbour), so the quiet inner gates of a
 trigger tree rank with the loud ones.  Ties break by file position —
 never by name — and every float is rounded so the JSON payload is
-byte-stable across platforms, backends' pool modes, and kernels.
+byte-stable across platforms and serve pool modes.
 """
 
 from __future__ import annotations

@@ -9,15 +9,14 @@ Pins the contracts DESIGN.md §15 promises:
 - dispatch purity — resolving ``"ours"`` through the registry is
   byte-identical to running the staged engine directly;
 - fingerprint discipline — backend (name + version) is in the store
-  fingerprint, kernel is not, so store keys are disjoint across
-  backends and shared across kernels;
+  fingerprint, so store keys are disjoint across backends, while a
+  stored ``kernel`` stamp never splits the cache;
 - the ``regfeat`` aggregator's output shape (valid partition over the
-  candidate FF D nets, deterministic, provenance-stamped);
-- backend × kernel matrix parity for ``ours`` on ITC99 designs.
+  candidate FF D nets, deterministic, provenance-stamped).
 """
 
+import glob
 import json
-import os
 
 import pytest
 
@@ -29,7 +28,6 @@ from repro.core.backends import (
     register,
     resolve,
 )
-from repro.core.kernels import KERNEL_ENV, numpy_available, resolve_kernel
 from repro.core.pipeline import PipelineConfig, identify_words
 from repro.core.stages import AnalysisEngine
 from repro.store import ArtifactStore, result_digest
@@ -40,7 +38,6 @@ from repro.store.keys import (
     netlist_digest,
 )
 from repro.store.serialize import result_from_dict, result_to_dict
-from repro.synth.designs import BENCHMARKS
 
 import os as _os
 import sys as _sys
@@ -124,14 +121,6 @@ class TestConfigNormalization:
         with pytest.raises(ValueError, match="registered backends"):
             PipelineConfig(backend="nope")
 
-    def test_unknown_kernel_raises_value_error(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            PipelineConfig(kernel="cuda")
-
-    def test_valid_kernels_accepted(self):
-        for kernel in (None, "python", "auto"):
-            assert PipelineConfig(kernel=kernel).kernel == kernel
-
 
 class TestDispatchParity:
     def test_registry_ours_is_byte_identical_to_direct_engine(self, netlist):
@@ -204,10 +193,29 @@ class TestFingerprintDiscipline:
         assert fields["backend"] == "ours"
         assert fields["backend_version"] == resolve("ours").version
 
-    def test_kernel_is_fingerprint_neutral(self):
-        explicit = config_fingerprint(PipelineConfig(kernel="python"))
-        default = config_fingerprint(PipelineConfig())
-        assert explicit == default
+    def test_kernel_is_fingerprint_neutral(self, netlist, tmp_path):
+        """An entry committed by a version that ran the numpy array kernel
+        (its stored trace says ``"kernel": "array"``) is still a hit, with
+        the same digest and the constant ``kernel`` on the way out."""
+        root = tmp_path / "store"
+        store = ArtifactStore(str(root))
+        cold = identify_words(netlist, PipelineConfig(), store=store)
+        rewritten = 0
+        for path in glob.glob(str(root / "**" / "*.json"), recursive=True):
+            with open(path, encoding="utf-8") as handle:
+                envelope = json.load(handle)
+            if envelope.get("kind") != "result":
+                continue
+            assert envelope["result"]["trace"]["kernel"] == "python"
+            envelope["result"]["trace"]["kernel"] = "array"
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(envelope, handle, sort_keys=True)
+            rewritten += 1
+        assert rewritten == 1
+        warm = identify_words(netlist, PipelineConfig(), store=store)
+        assert warm.trace.cache_provenance["provenance"] == "hit"
+        assert result_digest(warm) == result_digest(cold)
+        assert warm.trace.as_dict()["kernel"] == "python"
 
     def test_store_keys_disjoint_across_backends(self, netlist, tmp_path):
         """One design, three backends, three distinct store entries."""
@@ -225,59 +233,3 @@ class TestFingerprintDiscipline:
             cached = store.probe(netlist, config)
             assert cached is not None
             assert cached.trace.backend == name
-
-
-#: Three small-but-real ITC99 designs for the matrix sweep.
-_MATRIX_DESIGNS = ("b03", "b04", "b13")
-
-
-class TestBackendKernelMatrix:
-    """``ours`` must be byte-identical across every kernel spelling."""
-
-    @pytest.mark.parametrize("design", _MATRIX_DESIGNS)
-    def test_ours_parity_across_kernel_selection(self, design):
-        if not numpy_available():
-            pytest.skip("array kernel needs numpy")
-        netlist = BENCHMARKS[design]()
-        digests = {}
-        previous = os.environ.get(KERNEL_ENV)
-        try:
-            # config-selected python / array (env cleared)
-            os.environ.pop(KERNEL_ENV, None)
-            for kernel in ("python", "array"):
-                result = identify_words(
-                    netlist, PipelineConfig(kernel=kernel)
-                )
-                assert result.trace.kernel == kernel
-                digests[f"config:{kernel}"] = result_digest(result)
-            # env-selected python / array (config silent)
-            for kernel in ("python", "array"):
-                os.environ[KERNEL_ENV] = kernel
-                result = identify_words(netlist, PipelineConfig())
-                assert result.trace.kernel == kernel
-                digests[f"env:{kernel}"] = result_digest(result)
-        finally:
-            if previous is None:
-                os.environ.pop(KERNEL_ENV, None)
-            else:
-                os.environ[KERNEL_ENV] = previous
-        assert len(set(digests.values())) == 1, digests
-
-    def test_config_kernel_beats_env(self):
-        netlist = BENCHMARKS["b03"]()
-        previous = os.environ.get(KERNEL_ENV)
-        try:
-            os.environ[KERNEL_ENV] = "array" if numpy_available() else "python"
-            result = identify_words(netlist, PipelineConfig(kernel="python"))
-            assert result.trace.kernel == "python"
-        finally:
-            if previous is None:
-                os.environ.pop(KERNEL_ENV, None)
-            else:
-                os.environ[KERNEL_ENV] = previous
-
-    def test_resolve_kernel_contract(self):
-        assert resolve_kernel("python") == "python"
-        assert resolve_kernel(None) in ("python", "array")
-        auto = resolve_kernel("auto")
-        assert auto == ("array" if numpy_available() else "python")

@@ -1,23 +1,23 @@
-"""Differential tests pinning the array signature kernel to the python path.
+"""The signature kernel: the bulk path against its per-net references.
 
-The array kernel (``repro.core.kernels``) re-implements the hot analysis
-passes — level-table precompute, bulk signatures, cone net-set
-intersection, reduction re-hash dirty flags — as vectorized passes over
-flat integer arrays.  Its whole correctness contract is *byte identity*:
-``REPRO_KERNEL=array`` must produce the same result digest (words,
-singletons, control assignments, stage counters) as
-``REPRO_KERNEL=python`` on every input.  This suite pins that contract
-three ways:
+The Section 2.3 step — per-bit fanin-cone hash keys and bit signatures —
+has one implementation, :class:`~repro.core.context.AnalysisContext`.
+The engine runs its bulk pass: :meth:`~AnalysisContext.precompute_keys`
+fills interned per-level key tables, then
+:meth:`~AnalysisContext.signatures` builds a whole group in one loop.
+That pass must equal the per-net reference
+(:meth:`AnalysisContext.signature` on the recursive key path) and the
+paper transcription (:class:`~repro.core.hashkey.SignatureIndex`) key for
+key, with the same cache counters.  This suite pins it three ways:
 
-1. differentially, on all twelve ITC99 designs;
-2. by re-running the ``jobs=N ≡ jobs=1`` and cache-on ≡ cache-off
-   determinism oracles under the array kernel;
-3. with Hypothesis properties on the kernel's building blocks — the CSR
-   table round-trips the driver index, bitset intersection agrees with
-   set semantics, dirty flags agree with the memoized ``support()``, and
-   level-key views agree with the recursive key path — on randomly
-   generated sequential designs (duplicate fanins included, which is
-   exactly where the subtree-interning fast path must back off).
+1. on all twelve ITC99 designs: bulk ≡ per-net ≡ ``SignatureIndex`` over
+   every candidate group, and each design's ``result_digest`` equals its
+   pinned value;
+2. the ``jobs=N ≡ jobs=1`` and cache-on ≡ cache-off determinism oracles;
+3. Hypothesis properties on random sequential designs — duplicate fanins
+   included, which is exactly where bulk subtree sharing must back off.
+
+``TestKernelSwitch`` pins that the removed ``kernel`` knob stays removed.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ import os
 
 import pytest
 
-pytest.importorskip("numpy")
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import kernels
 from repro.core.context import AnalysisContext
+from repro.core.grouping import group_by_adjacency
+from repro.core.hashkey import SignatureIndex
 from repro.core.pipeline import PipelineConfig, identify_words
 from repro.netlist.builder import NetlistBuilder
 from repro.store import ArtifactStore, result_digest
@@ -46,78 +46,95 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
-#: The big designs cost ~1 s per kernel; everything else is instant.
-_DIFFERENTIAL_DESIGNS = sorted(BENCHMARKS)
+#: ``result_digest`` of the default configuration on each ITC99 design;
+#: an intentional change to identification output must update them.
+ITC99_DIGESTS = {
+    "b03": "5db028c590dbe28a46a43cb9c74f38530d9dd2afad712d7c8f3632114ccd4eb8",
+    "b04": "5bd8ba132da01e68c089cb6c11b4e90297ef42d6e44f9073c310f70cf2fcec83",
+    "b05": "b7068916fb844574e51c68c63ee9da3feeca740ebc2e93ce54c1641c0a5bda76",
+    "b07": "69cee0b360ac18482a3879c312c243e1de9887aa8a8b60e0abeb5d4a65316fe8",
+    "b08": "8a5f88e7be162d6eb61c0620fd89e2a326950f5a991e31355630f655e8b692b3",
+    "b11": "f1a3a2f014d1a342eb9e9ffbca248f3fc3d5f287f490a23dd9454f8c14042902",
+    "b12": "cfac2727d361fcf21caa5f6e4fa813cca6707cc99c96eaae65c822f094cfe681",
+    "b13": "a5de6080723a6ba859af58b75684ed33939ed27a57b4d090e3041ccb18f30cdb",
+    "b14": "5f9c61c1cdfd68d2bb5a09c0f4d15b8862e6563dd6c7456c7a5ed28a393b3b13",
+    "b15": "6b16e46ca459734e02ebbc9da7bfbaa5dd1c4e311b9c9aec805480559d236870",
+    "b17": "7f9b687686a6b3b449736f56f8382769b08da71c31b071a1aa04d41035577ea4",
+    "b18": "5b2cb3d9651bcf2f14c3c369ba61816d5a6ec221818706a57d32b1194f89dff3",
+}
 
 
-def _context(netlist, kernel: str, depth: int = 4) -> AnalysisContext:
-    """An :class:`AnalysisContext` forced onto one kernel."""
-    previous = os.environ.get(kernels.KERNEL_ENV)
-    os.environ[kernels.KERNEL_ENV] = kernel
-    try:
-        return AnalysisContext(netlist, depth)
-    finally:
-        if previous is None:
-            os.environ.pop(kernels.KERNEL_ENV, None)
-        else:
-            os.environ[kernels.KERNEL_ENV] = previous
+def _assert_same_signatures(bulk, reference) -> None:
+    assert len(bulk) == len(reference)
+    for ours, theirs in zip(bulk, reference):
+        assert ours.net == theirs.net
+        assert ours.root_type == theirs.root_type
+        assert ours.sorted_keys == theirs.sorted_keys
+        assert [s.root_net for s in ours.subtrees] == [
+            s.root_net for s in theirs.subtrees
+        ]
+        assert [s.key for s in ours.subtrees] == [
+            s.key for s in theirs.subtrees
+        ]
+        # Within one signature the subtree objects must be distinct
+        # (Subgroup.finalize maps leftovers by id()).
+        assert len({id(s) for s in ours.subtrees}) == len(ours.subtrees)
+
+
+def _check_bulk(netlist, groups, depth: int = 4) -> None:
+    """Bulk signatures of ``groups`` ≡ per-net ≡ SignatureIndex, with the
+    counters of a per-net pass over the same precomputed tables."""
+    bulk_ctx = AnalysisContext(netlist, depth)
+    bulk_ctx.precompute_keys()
+    counted_ctx = AnalysisContext(netlist, depth)
+    counted_ctx.precompute_keys()
+    recursive_ctx = AnalysisContext(netlist, depth)
+    index = SignatureIndex(netlist, depth)
+    for group in groups:
+        bulk = bulk_ctx.signatures(group)
+        _assert_same_signatures(
+            bulk, [counted_ctx.signature(net) for net in group]
+        )
+        _assert_same_signatures(
+            bulk, [recursive_ctx.signature(net) for net in group]
+        )
+        _assert_same_signatures(bulk, [index.signature(net) for net in group])
+    assert bulk_ctx.stats == counted_ctx.stats
 
 
 class TestKernelSwitch:
-    def test_auto_prefers_array_when_numpy_imports(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        assert kernels.active_kernel() == "array"
+    """There is nothing left to switch: the trace stamps a constant, and a
+    kernel selection is refused rather than silently obeyed."""
 
-    def test_explicit_values(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
-        assert kernels.active_kernel() == "python"
-        monkeypatch.setenv(kernels.KERNEL_ENV, "array")
-        assert kernels.active_kernel() == "array"
+    def test_trace_records_the_kernel(self):
+        result = identify_words(BENCHMARKS["b03"](), PipelineConfig())
+        assert result.trace.as_dict()["kernel"] == "python"
+        # Provenance, not a result property: outside the digested counters.
+        assert "kernel" not in result.trace.counter_dict()
 
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "cuda")
-        with pytest.raises(kernels.KernelError, match="cuda"):
-            kernels.active_kernel()
-
-    def test_trace_records_the_kernel(self, monkeypatch):
-        netlist = BENCHMARKS["b03"]()
-        monkeypatch.setenv(kernels.KERNEL_ENV, "array")
-        arr = identify_words(netlist, PipelineConfig())
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
-        py = identify_words(netlist, PipelineConfig())
-        assert arr.trace.kernel == "array"
-        assert py.trace.kernel == "python"
-        assert "kernel" in arr.trace.as_dict()
-        # The kernel is provenance, not a result property: it must stay
-        # outside the digested counters.
-        assert "kernel" not in arr.trace.counter_dict()
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(TypeError):
+            PipelineConfig(kernel="array")
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("name", _DIFFERENTIAL_DESIGNS)
-    def test_byte_identical_on_itc99(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_byte_identical_on_itc99(self, name):
         netlist = BENCHMARKS[name]()
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
-        py = identify_words(netlist, PipelineConfig())
-        monkeypatch.setenv(kernels.KERNEL_ENV, "array")
-        arr = identify_words(netlist, PipelineConfig())
-        assert py.trace.kernel == "python"
-        assert arr.trace.kernel == "array"
-        assert result_digest(arr) == result_digest(py), (
-            f"array kernel diverged from python reference on {name}"
+        result = identify_words(netlist, PipelineConfig())
+        assert result_digest(result) == ITC99_DIGESTS[name], (
+            f"result digest of {name} moved"
         )
-        assert arr.trace.counter_dict() == py.trace.counter_dict()
+        _check_bulk(netlist, group_by_adjacency(netlist))
 
-    def test_jobs_parity_under_array_kernel(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "array")
+    def test_jobs_parity(self):
         netlist = BENCHMARKS["b12"]()
         serial = identify_words(netlist, PipelineConfig(jobs=1))
         parallel = identify_words(netlist, PipelineConfig(jobs=4))
         assert result_digest(parallel) == result_digest(serial)
         assert parallel.trace.counter_dict() == serial.trace.counter_dict()
 
-    def test_cache_parity_under_array_kernel(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "array")
+    def test_cache_parity(self, tmp_path):
         netlist = BENCHMARKS["b11"]()
         config = PipelineConfig()
         bare = identify_words(netlist, config)
@@ -132,7 +149,7 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
-# property tests over the kernel building blocks
+# properties on random designs
 # ----------------------------------------------------------------------
 
 _CELLS = ("inv", "and_", "nand", "or_", "nor", "xor")
@@ -143,9 +160,8 @@ def random_designs(draw):
     """Small random sequential netlists: ``(netlist, nets)``.
 
     Gates draw fanins with replacement, so the same net can feed one gate
-    twice — the case where the array kernel's subtree interning must fall
-    back to fresh objects.  A sprinkle of flip-flops exercises the cone
-    boundary (leafish) classification.
+    twice — the case where bulk subtree sharing must fall back to fresh
+    objects.  A sprinkle of flip-flops exercises the cone boundary.
     """
     b = NetlistBuilder("prop")
     nets = list(b.inputs("pa", "pb", "pc", "pd"))
@@ -167,129 +183,34 @@ def random_designs(draw):
     return netlist, nets
 
 
-class TestCSRProperties:
+class TestProperties:
+    @given(random_designs(), st.integers(min_value=1, max_value=5))
+    def test_bulk_signatures_match_per_net_signatures(self, design, depth):
+        netlist, nets = design
+        # D-pin nets (repeats when two registers share one), then every
+        # net: leaves, primary inputs and register outputs included.
+        groups = [netlist.register_input_nets(), nets]
+        _check_bulk(netlist, groups, depth)
+
     @given(random_designs())
-    def test_table_round_trips_the_driver_index(self, design):
+    def test_level_tables_match_recursive_keys(self, design):
         netlist, _ = design
+        depth = 4
+        ctx = AnalysisContext(netlist, depth)
+        ctx.precompute_keys()
+        index = SignatureIndex(netlist, depth)
         boundary = netlist.cone_leaf_nets()
-        table = kernels.NetTable.build(netlist, boundary)
-        # The table interns exactly the driver-reachable universe: every
-        # driven net plus every gate fanin, each exactly once.  (A primary
-        # input no gate consumes stays outside — no analysis pass can
-        # reach it, and the kernel's callers all probe via index.get.)
-        reachable = {net for net, _ in netlist.drivers()}
-        for gate in netlist.gates():
-            reachable.update(gate.inputs)
-        assert sorted(table.names) == sorted(reachable)
-        assert all(table.index[name] == i for i, name in enumerate(table.names))
-        # Driven rows reproduce the driving gate, fanin order preserved.
-        for net, gate in netlist.drivers():
-            i = table.index[net]
-            assert table.gate_of[i] is gate
-            assert table.cell_names[table.cell_of[i]] == gate.cell.name
-            assert [table.names[c] for c in table.children[i]] == list(
-                gate.inputs
-            )
-            assert table.leafish[i] == (gate.is_ff or net in boundary)
-        # Undriven nets are childless leaves with no cell.
-        for i, name in enumerate(table.names):
-            if netlist.driver(name) is None:
-                assert table.children[i] == ()
-                assert table.leafish[i]
-                assert table.cell_of[i] < 0
-        # Eligible rows are the precompute worklist, in drivers() order.
-        expected = [
+        eligible = {
             net
             for net, gate in netlist.drivers()
             if not gate.is_ff and net not in boundary
-        ]
-        assert [table.names[i] for i in table.eligible] == expected
-        # The CSR arrays flatten exactly the eligible children rows.
-        flat = [c for i in table.eligible for c in table.children[i]]
-        assert table.e_indices.tolist() == flat
-        counts = [len(table.children[i]) for i in table.eligible]
-        indptr = [0]
-        for count in counts:
-            indptr.append(indptr[-1] + count)
-        assert table.e_indptr.tolist() == indptr
-
-    @given(random_designs(), st.integers(min_value=0, max_value=4), st.data())
-    def test_bitset_intersection_matches_set_semantics(
-        self, design, levels, data
-    ):
-        netlist, nets = design
-        roots = data.draw(
-            st.lists(st.sampled_from(nets), min_size=1, max_size=4)
-        )
-        ctx_array = _context(netlist, "array")
-        ctx_python = _context(netlist, "python")
-        common = ctx_array.common_cone_nets(roots, levels)
-        assert common is not None, "every net is in the table index"
-        expected = set(ctx_python.cone_nets(roots[0], levels))
-        for root in roots[1:]:
-            expected &= ctx_python.cone_nets(root, levels)
-        assert common == expected
-
-    @given(random_designs(), st.integers(min_value=1, max_value=4), st.data())
-    def test_dirty_flags_match_support(self, design, depth, data):
-        netlist, nets = design
-        values = data.draw(
-            st.sets(st.sampled_from(nets), min_size=1, max_size=3)
-        )
-        ctx = _context(netlist, "python", depth=depth)
-        table = kernels.NetTable.build(netlist, netlist.cone_leaf_nets())
-        # Mirror production: assigned nets outside the table index feed no
-        # gate, so they cannot dirty any key and are dropped up front.
-        ids = [
-            i
-            for i in (table.index.get(net) for net in values)
-            if i is not None
-        ]
-        flags = kernels.dirty_flags(table, ids, depth)
-        assert len(flags) == depth + 1
-        for name in table.names:
-            i = table.index[name]
-            for level in range(depth + 1):
-                expected = not ctx.support(name, level).isdisjoint(values)
-                assert flags[level][i] == expected, (
-                    f"dirty flag for ({name}, {level}) with {sorted(values)}"
-                )
-
-    @given(random_designs())
-    def test_level_views_match_recursive_keys(self, design):
-        netlist, _ = design
-        depth = 4
-        ctx_array = _context(netlist, "array", depth=depth)
-        ctx_python = _context(netlist, "python", depth=depth)
-        ctx_array.precompute_keys()
+        }
         for level in range(1, depth):
-            view = ctx_array._level_keys[level]
-            assert type(view) is kernels.LevelKeyView
-            for name in netlist.nets():
-                in_view = view.get(name)
-                if in_view is not None:
-                    assert in_view == ctx_python.key(name, level)
-
-    @given(random_designs())
-    def test_bulk_signatures_match_python_signatures(self, design):
-        netlist, _ = design
-        candidates = netlist.register_input_nets()
-        ctx_array = _context(netlist, "array")
-        ctx_python = _context(netlist, "python")
-        ctx_array.precompute_keys()
-        bulk = ctx_array.signatures(candidates)
-        reference = [ctx_python.signature(net) for net in candidates]
-        assert len(bulk) == len(reference)
-        for ours, theirs in zip(bulk, reference):
-            assert ours.net == theirs.net
-            assert ours.root_type == theirs.root_type
-            assert ours.sorted_keys == theirs.sorted_keys
-            assert [s.root_net for s in ours.subtrees] == [
-                s.root_net for s in theirs.subtrees
-            ]
-            assert [s.key for s in ours.subtrees] == [
-                s.key for s in theirs.subtrees
-            ]
-            # Within one signature the subtree objects must be distinct
-            # (Subgroup.finalize maps leftovers by id()).
-            assert len({id(s) for s in ours.subtrees}) == len(ours.subtrees)
+            table = ctx._level_keys[level]
+            assert set(table) == eligible
+            for net, key in table.items():
+                assert key == index.key(net, level)
+            # One string object per shape: equal keys are identical.
+            assert len({id(key) for key in table.values()}) == len(
+                set(table.values())
+            )

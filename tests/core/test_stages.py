@@ -121,7 +121,7 @@ class TestEngineTrace:
             "cache_provenance",
         }
         assert dumped["jobs"] == 2
-        assert dumped["kernel"] in ("python", "array")
+        assert dumped["kernel"] == "python"
         assert dumped["cache_provenance"] == {}  # no store attached
         # A clean run carries an empty resilience record.
         assert dumped["degraded"] is False

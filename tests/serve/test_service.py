@@ -364,14 +364,15 @@ class TestValidation:
             assert name in diag["message"]
 
     def test_unknown_kernel_diagnostic(self, service, verilog_text):
+        # Signatures have one implementation: "kernel" is not a field.
         response = service.call(
             "POST", "/v1/identify",
-            {"verilog": verilog_text, "kernel": "cuda"},
+            {"verilog": verilog_text, "kernel": "python"},
         )
         assert response.status == 400
         (diag,) = response.json["diagnostics"]
         assert diag["field"] == "kernel"
-        assert "unknown kernel" in diag["message"]
+        assert diag["message"].startswith("unknown field")
 
     def test_bad_types_collected_not_shortcircuited(self, service,
                                                     verilog_text):
@@ -406,7 +407,7 @@ class TestValidation:
 
 
 class TestRequestBackend:
-    """Per-request backend/kernel selection on both POST endpoints."""
+    """Per-request backend selection on both POST endpoints."""
 
     def test_identify_backend_lands_in_response(self, service,
                                                 verilog_text):
@@ -456,15 +457,65 @@ class TestRequestBackend:
         assert response.status == 200
         assert response.json["rows"][0]["backend"] == "base"
 
-    def test_request_kernel_is_digest_neutral(self, service, verilog_text):
-        default = service.call(
-            "POST", "/v1/identify", {"verilog": verilog_text}
+
+class TestNullFields:
+    """A JSON ``null`` is "not set": the request runs under the server
+    default, exactly as if the field were omitted, on every POST
+    endpoint."""
+
+    @staticmethod
+    def _bodies(verilog_text):
+        return {
+            "/v1/identify": {"verilog": verilog_text},
+            "/v1/batch": {"netlists": [{"verilog": verilog_text}]},
+            "/v1/triage": {"verilog": verilog_text},
+        }
+
+    def test_null_deadline_and_strict_keep_server_defaults(
+        self, verilog_text
+    ):
+        from repro.core import PipelineConfig
+
+        # A strict server whose default deadline always fires: every
+        # request it runs under its defaults answers 408.
+        service = AnalysisService(
+            Session(config=PipelineConfig(deadline_s=1e-6, strict=True)),
+            workers=1, queue_size=2, default_deadline_s=1e-6, strict=True,
         )
-        pinned = service.call(
-            "POST", "/v1/identify",
-            {"verilog": verilog_text, "kernel": "python"},
+        try:
+            for path, body in self._bodies(verilog_text).items():
+                omitted = service.call("POST", path, body)
+                assert omitted.status == 408, path
+                for field in ("deadline_s", "strict"):
+                    nulled = service.call("POST", path, {**body, field: None})
+                    assert nulled.status == 408, (path, field)
+                    assert nulled.json["error"] == omitted.json["error"]
+        finally:
+            service.close()
+
+    def test_null_backend_keeps_server_default(self, verilog_text):
+        from repro.core import PipelineConfig
+
+        service = AnalysisService(
+            Session(config=PipelineConfig(backend="base")),
+            workers=1, queue_size=2,
         )
-        assert default.status == pinned.status == 200
-        assert (
-            default.json["result_digest"] == pinned.json["result_digest"]
-        )
+        try:
+            for path, body in self._bodies(verilog_text).items():
+                omitted = service.call("POST", path, body)
+                nulled = service.call(
+                    "POST", path, {**body, "backend": None}
+                )
+                assert omitted.status == nulled.status == 200, path
+                if path == "/v1/batch":
+                    omitted_row = omitted.json["rows"][0]
+                    nulled_row = nulled.json["rows"][0]
+                else:
+                    omitted_row, nulled_row = omitted.json, nulled.json
+                assert nulled_row["backend"] == "base", path
+                assert (
+                    nulled_row["result_digest"]
+                    == omitted_row["result_digest"]
+                ), path
+        finally:
+            service.close()

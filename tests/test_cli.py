@@ -136,13 +136,19 @@ class TestBackendFlag:
         assert "--baseline conflicts" in capsys.readouterr().err
 
     def test_unknown_kernel_exits_2(self, verilog_path, capsys):
-        assert main([verilog_path, "--kernel", "cuda"]) == 2
-        assert "unknown kernel" in capsys.readouterr().err
+        # Signatures have one implementation: no CLI takes --kernel.
+        from repro.batch import main as batch_main
+        from repro.serve.server import main as serve_main
+        from repro.triage.cli import main as triage_main
 
-    def test_kernel_flag_lands_in_report(self, verilog_path, capsys):
-        assert main(
-            [verilog_path, "--kernel", "python", "--json", "-"]
-        ) == 0
+        for entry in (main, batch_main, serve_main, triage_main):
+            with pytest.raises(SystemExit) as exited:
+                entry([verilog_path, "--kernel", "python"])
+            assert exited.value.code == 2, entry.__module__
+            assert "--kernel" in capsys.readouterr().err
+
+    def test_report_config_keeps_constant_kernel(self, verilog_path, capsys):
+        assert main([verilog_path, "--json", "-"]) == 0
         out = capsys.readouterr().out
         report = json.loads(out[out.index("{"):])
         assert report["config"]["kernel"] == "python"
