@@ -24,8 +24,9 @@ import platform
 import tempfile
 import time
 
+from repro.api import Session
 from repro.core.pipeline import PipelineConfig, identify_words
-from repro.store import ArtifactStore, result_digest
+from repro.store import result_digest
 from repro.synth.designs import BENCHMARKS
 
 
@@ -78,27 +79,28 @@ def run(design: str, repeats: int, jobs: int) -> dict:
 def _bench_store(netlist, config: PipelineConfig, repeats: int) -> dict:
     """Warm-vs-cold artifact-store numbers on a throwaway store.
 
-    ``cold_seconds`` includes the digest + commit overhead a caching run
-    pays on a miss; ``warm_seconds`` is the best probe-only rerun.  The
-    digests of both results are compared so the benchmark doubles as a
-    cache-correctness smoke check.
+    Both runs go through :class:`repro.api.Session`, the only code that
+    reads or writes results.  ``cold_seconds`` includes the digest +
+    commit overhead a caching run pays on a miss; ``warm_seconds`` is the
+    best probe-only rerun.  The digests of both results are compared so
+    the benchmark doubles as a cache-correctness smoke check.
     """
     with tempfile.TemporaryDirectory(prefix="bench-store-") as root:
-        store = ArtifactStore(root)
+        session = Session(config=config, store=root)
         start = time.perf_counter()
-        cold_result = identify_words(netlist, config, store=store)
+        cold_report = session.analyze(netlist)
         cold = time.perf_counter() - start
         warm = None
-        warm_result = None
+        warm_report = None
         for _ in range(max(repeats, 1)):
             start = time.perf_counter()
-            warm_result = identify_words(netlist, config, store=store)
+            warm_report = session.analyze(netlist)
             elapsed = time.perf_counter() - start
             if warm is None or elapsed < warm:
                 warm = elapsed
-        if warm_result.trace.cache_provenance.get("provenance") != "hit":
+        if warm_report.cache != "hit":
             raise AssertionError("warm rerun did not hit the store")
-        if result_digest(cold_result) != result_digest(warm_result):
+        if cold_report.result_digest != warm_report.result_digest:
             raise AssertionError("cached result differs from computed one")
         return {
             "cold_seconds": cold,

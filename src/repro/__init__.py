@@ -41,13 +41,9 @@ Quick start
     report = session.analyze("design.v")      # a path or a Netlist
     report.words, report.cache                # ..., "miss" ("hit" on rerun)
 
-The historical entry points ``repro.identify_words`` and
-``repro.shape_hashing`` are deprecated Session-backed shims slated for
-removal in repro 2.0 (the un-deprecated originals live on in
-:mod:`repro.core`).
+The store-less library entry points ``identify_words`` and
+``shape_hashing`` live in :mod:`repro.core`.
 """
-
-import warnings as _warnings
 
 from .api import AnalysisReport, Session
 from .core import (
@@ -59,7 +55,7 @@ from .eval import evaluate, extract_reference_words, run_benchmark
 from .netlist import Netlist, NetlistBuilder, parse_verilog, write_verilog
 from .store import ArtifactStore
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisReport",
@@ -68,8 +64,6 @@ __all__ = [
     "PipelineConfig",
     "Session",
     "Word",
-    "identify_words",
-    "shape_hashing",
     "evaluate",
     "extract_reference_words",
     "run_benchmark",
@@ -80,50 +74,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def identify_words(netlist, config=None, **kwargs):
-    """Deprecated Session-backed alias; removed in repro 2.0.
-
-    Runs through :class:`repro.api.Session` (so a ``store`` argument
-    gets the same caching and netlist-commit behaviour as the facade)
-    and returns the report's raw
-    :class:`~repro.core.words.IdentificationResult`, preserving the
-    historical return type.  Power-user keyword arguments (``context``,
-    ``cone_cache``) forward to :func:`repro.core.identify_words`, which
-    is the un-deprecated library entry point.
-    """
-    _warnings.warn(
-        "repro.identify_words is deprecated and will be removed in "
-        "repro 2.0; use repro.api.Session.analyze (or "
-        "repro.core.identify_words)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    store = kwargs.pop("store", None)
-    if kwargs:
-        from .core import identify_words as _core_identify_words
-
-        return _core_identify_words(netlist, config, store=store, **kwargs)
-    return Session(config=config, store=store).analyze(netlist).result
-
-
-def shape_hashing(netlist, config=None, store=None):
-    """Deprecated Session-backed alias; removed in repro 2.0.
-
-    Equivalent to ``Session(config=config, baseline=True)
-    .analyze(netlist).result``; a ``config`` with partial matching
-    enabled is rejected exactly as :func:`repro.core.shape_hashing`
-    rejects it.
-    """
-    _warnings.warn(
-        "repro.shape_hashing is deprecated and will be removed in "
-        "repro 2.0; use repro.api.Session(baseline=True).analyze (or "
-        "repro.core.shape_hashing)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return (
-        Session(config=config, store=store, baseline=True)
-        .analyze(netlist)
-        .result
-    )

@@ -21,20 +21,23 @@ refactored freely, but ``Session`` / ``AnalysisReport`` only change with
 a deprecation cycle, and their JSON forms only change with a
 ``schema_version`` bump.
 
-The old entry points (``repro.identify_words`` / ``repro.shape_hashing``
-at the package top level) still work but emit a ``DeprecationWarning``
-pointing here.
+``Session`` is also the only code that reads or writes identification
+results in the store (DESIGN.md §10).  Each request has one key: the
+``file:`` digest of the raw bytes for a path or source text, the
+canonical ``netlist:`` digest for a netlist built in memory.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import metrics as _metrics
 from .core.baseline import baseline_config
+from .core.conecache import process_cone_cache
 from .core.pipeline import PipelineConfig, identify_words
 from .core.words import IdentificationResult
 from .netlist.bench import parse_bench
@@ -45,7 +48,6 @@ from .store import (
     ArtifactStore,
     bytes_digest,
     cache_key,
-    file_digest,
     netlist_digest,
     result_digest,
 )
@@ -133,7 +135,8 @@ class IncrementalReport:
 
     ``base_digest`` names the previously analyzed design (any digest
     :meth:`~repro.store.ArtifactStore.probe_netlist` resolves);
-    ``digest`` is the edited design's canonical digest — pass it as the
+    ``digest`` is the edited design's digest (``file:`` for source text
+    or a path, ``netlist:`` for an in-memory netlist) — pass it as the
     next ``base_digest`` to chain edits.  The ``gates_*`` /
     ``dirty_*`` fields describe the structural diff and its forward
     closure through combinational logic (cones stop at flip-flops, so so
@@ -266,10 +269,11 @@ class Session:
     ``max_store_bytes``
         LRU cap forwarded when ``store`` is a path.
 
-    Sessions are cheap; hold one per configuration.  ``analyze`` accepts
-    either a filesystem path (cheapest: a warm store hit skips parsing
-    entirely, keyed on the raw file bytes) or an in-memory
-    :class:`Netlist` (keyed on its canonical structural form).
+    Sessions are cheap; hold one per configuration.  ``analyze``
+    accepts either a filesystem path (cheapest: a warm store hit skips
+    parsing entirely, keyed on the raw file bytes) or an in-memory
+    :class:`Netlist` (keyed on its canonical structural form — unless
+    :meth:`load_netlist` read it, in which case it keeps its file's key).
     """
 
     def __init__(
@@ -304,37 +308,15 @@ class Session:
     ) -> AnalysisReport:
         """Identify words in one design; cached when a store is attached."""
         if isinstance(source, Netlist):
-            return self._analyze_netlist(source)
-        return self._analyze_path(os.fspath(source), format)
-
-    def _analyze_netlist(
-        self, netlist: Netlist, source: Optional[str] = None
-    ) -> AnalysisReport:
-        digest = self._digest(netlist)
-        result = identify_words(netlist, self.config, store=self.store)
-        if self.store is not None:
-            # Persist the parsed body too, so this report's digest can be
-            # the base of a later analyze_incremental call.
-            self.store.commit_netlist(digest, netlist)
-        return self._report(netlist, digest, result, source)
-
-    def _digest(self, netlist: Netlist) -> str:
-        """:func:`~repro.store.netlist_digest`, keeping the canonical text
-        for this request's body commit only when a store will make one."""
-        digest = netlist_digest(netlist)
-        if self.store is None:
-            take_canonical_verilog(netlist)
-        return digest
-
-    def _analyze_path(
-        self, path: str, format: Optional[str]
-    ) -> AnalysisReport:
-        digest = file_digest(path)
-        cached = self._probe(digest, source=path, fallback_name=path)
-        if cached is not None:
-            return cached
-        netlist, _ = self._read_netlist(path, format, digest)
-        return self._analyze_fresh(netlist, digest, path)
+            return self._analyze(self._digest(source), lambda: source)
+        path = os.fspath(source)
+        digest, data = _read(path)
+        return self._analyze(
+            digest,
+            lambda: _parse(_decode(path, data), _format(path, format), digest),
+            source=path,
+            name=path,
+        )
 
     def analyze_text(
         self,
@@ -351,11 +333,117 @@ class Session:
         the cache before being parsed.
         """
         digest = bytes_digest(text.encode("utf-8"))
-        cached = self._probe(digest, source=None, fallback_name=name)
+        return self._analyze(
+            digest, lambda: _parse(text, format, digest), name=name
+        )
+
+    def _analyze(
+        self,
+        digest: str,
+        parse: Callable[[], Netlist],
+        source: Optional[str] = None,
+        name: Optional[str] = None,
+    ) -> AnalysisReport:
+        """The one analysis path: a store hit under ``digest``, or else
+        ``parse()`` the design, run the backend, and commit the result
+        and the parsed body under ``digest``.
+
+        The body makes ``digest`` a base for :meth:`analyze_incremental`
+        and answerable by :meth:`triage_digest`.  ``name`` labels a hit
+        report when the envelope carries no design name.
+        """
+        cached = self._probe(digest, source, name)
         if cached is not None:
             return cached
-        netlist = parse_bench(text) if format == "bench" else parse_verilog(text)
-        return self._analyze_fresh(netlist, digest, None)
+        netlist = parse()
+        store = self.store
+        tiers = None
+        if store is not None:
+            tiers = [process_cone_cache(), store.cone_tier()]
+        result = identify_words(netlist, self.config, cone_cache=tiers)
+        cache, key = "off", None
+        if store is not None:
+            cache = "miss"
+            key = store.commit_result(digest, self.config, result, netlist)
+            store.commit_netlist(digest, netlist)
+        return AnalysisReport(
+            design=netlist.name,
+            source=source,
+            digest=digest,
+            cache=cache,
+            key=key,
+            num_gates=netlist.num_gates,
+            num_nets=netlist.num_nets,
+            num_ffs=netlist.num_ffs,
+            words=tuple(w.bits for w in result.words),
+            singletons=tuple(result.singletons),
+            control_signals=result.control_signals,
+            diagnostics=tuple(result.trace.preflight),
+            trace=result.trace.as_dict(),
+            runtime_seconds=result.runtime_seconds,
+            result=result,
+        )
+
+    def _digest(self, netlist: Netlist) -> str:
+        """The key of an in-memory netlist.
+
+        The digest of the bytes this session parsed it from while it is
+        unchanged (see :meth:`load_netlist`); otherwise
+        :func:`~repro.store.netlist_digest`, keeping the canonical text
+        for the body commit only when a store will make one.
+        """
+        read = netlist._source_digest
+        if read is not None and read[:2] == (netlist.revision, netlist.name):
+            return read[2]
+        digest = netlist_digest(netlist)
+        if self.store is None:
+            take_canonical_verilog(netlist)
+        return digest
+
+    def _probe(
+        self,
+        digest: str,
+        source: Optional[str],
+        name: Optional[str],
+    ) -> Optional[AnalysisReport]:
+        """Build a hit report straight from the store, or ``None``."""
+        if self.store is None:
+            return None
+        hit = self.store.probe_result(digest, self.config)
+        if hit is None:
+            return None
+        cached, summary = hit
+        if name is not None:
+            fallback = _design_name(name)
+        else:
+            fallback = digest.split(":", 1)[-1][:12]
+        return AnalysisReport(
+            design=summary.get("name", fallback),
+            source=source,
+            digest=digest,
+            cache="hit",
+            key=cached.trace.cache_provenance["key"],
+            num_gates=summary.get("gates", 0),
+            num_nets=summary.get("nets", 0),
+            num_ffs=summary.get("flip_flops", 0),
+            words=tuple(w.bits for w in cached.words),
+            singletons=tuple(cached.singletons),
+            control_signals=cached.control_signals,
+            diagnostics=tuple(cached.trace.preflight),
+            trace=cached.trace.as_dict(),
+            runtime_seconds=cached.runtime_seconds,
+            result=cached,
+        )
+
+    def analyze_digest(self, digest: str) -> Optional[AnalysisReport]:
+        """The cached report for an already-known content digest, if any.
+
+        Returns ``None`` on a store miss (there is nothing to compute
+        from) or when the session has no store.  This is the serve fast
+        path: a client that knows its design's digest skips shipping the
+        netlist body entirely.
+        """
+        return self._probe(digest, None, None)
 
     # ------------------------------------------------------------------
     # Trojan-region triage
@@ -375,14 +463,13 @@ class Session:
         change is O(read one JSON file) even across backends and pools.
         """
         if isinstance(source, Netlist):
-            netlist = source
-            digest = self._digest(netlist)
-            path = None
+            netlist, path = source, None
         else:
             path = os.fspath(source)
-            digest = file_digest(path)
-            netlist, _ = self._read_netlist(path, format, digest)
-        return self._triage_netlist(netlist, digest, triage_config, path)
+            netlist = self.load_netlist(path, format)
+        return self._triage_netlist(
+            netlist, self._digest(netlist), triage_config, path
+        )
 
     def triage_text(
         self,
@@ -398,9 +485,28 @@ class Session:
         """
         del name  # the netlist's own name labels the report
         digest = bytes_digest(text.encode("utf-8"))
-        netlist = (
-            parse_bench(text) if format == "bench" else parse_verilog(text)
-        )
+        netlist = _parse(text, format, digest)
+        return self._triage_netlist(netlist, digest, triage_config, None)
+
+    def triage_digest(
+        self,
+        digest: str,
+        triage_config: Optional[TriageConfig] = None,
+    ) -> Optional[TriageReport]:
+        """:meth:`triage` for an already-stored content digest, if any.
+
+        The serve fast path: a client that knows its design's digest
+        skips shipping the netlist body.  Unlike :meth:`analyze_digest`
+        this needs the parsed *body* (triage reads structure the cached
+        result alone does not pin), so it answers ``None`` unless the
+        store holds the netlist itself — which every store-backed
+        analysis commits.
+        """
+        if self.store is None:
+            return None
+        netlist = self.store.probe_netlist(digest)
+        if netlist is None:
+            return None
         return self._triage_netlist(netlist, digest, triage_config, None)
 
     def _triage_netlist(
@@ -411,19 +517,10 @@ class Session:
         source: Optional[str],
     ) -> TriageReport:
         triage_config = triage_config or TriageConfig()
-        # Mirror _analyze_path: probe the byte-level digest first, run
-        # fresh otherwise.  Either way the analysis report carries the
-        # *byte-level* digest (not the canonical ``netlist:`` one), so
-        # triage rows digest-match their plain-analysis counterparts and
-        # the parsed body is committed for digest-only /v1/triage calls.
-        analysis = self._probe(digest, source=source, fallback_name=source)
-        if analysis is None:
-            analysis = self._analyze_fresh(netlist, digest, source)
-        elif self.store is not None:
-            # A result cached before this design ever went through the
-            # byte-digest path may lack the body alias — commit it so
-            # Session.triage_digest can find the structure later.
-            self.store.commit_netlist(digest, netlist)
+        # The identification goes through the one analysis path under
+        # the request's own digest, so triage rows digest-match their
+        # plain-analysis counterparts.
+        analysis = self._analyze(digest, lambda: netlist, source, source)
         rd = analysis.result_digest
         key = None
         cache = "off"
@@ -476,6 +573,9 @@ class Session:
             triage=triage,
         )
 
+    # ------------------------------------------------------------------
+    # incremental re-analysis
+    # ------------------------------------------------------------------
     def analyze_incremental(
         self,
         base_digest: str,
@@ -515,7 +615,7 @@ class Session:
         bits = edited.register_input_nets()
         dirty_bits = sum(1 for net in bits if net in dirty)
 
-        report = self._analyze_netlist(edited)
+        report = self._analyze(self._digest(edited), lambda: edited)
         digest = report.digest
         cache = report.result.trace.cache
         incremental = IncrementalReport(
@@ -557,149 +657,8 @@ class Session:
         if isinstance(source, str) and (
             "\n" in source or not os.path.exists(source)
         ):
-            return (
-                parse_bench(source)
-                if format == "bench"
-                else parse_verilog(source)
-            )
+            return _parse(source, format, bytes_digest(source.encode("utf-8")))
         return self.load_netlist(source, format)
-
-    def triage_digest(
-        self,
-        digest: str,
-        triage_config: Optional[TriageConfig] = None,
-    ) -> Optional[TriageReport]:
-        """:meth:`triage` for an already-stored content digest, if any.
-
-        The serve fast path: a client that knows its design's digest
-        skips shipping the netlist body.  Unlike :meth:`analyze_digest`
-        this needs the parsed *body* (triage reads structure the cached
-        result alone does not pin), so it answers ``None`` unless the
-        store holds the netlist itself — which every store-backed
-        analyze/triage run commits.
-        """
-        if self.store is None:
-            return None
-        netlist = self.store.probe_netlist(digest)
-        if netlist is None:
-            return None
-        return self._triage_netlist(netlist, digest, triage_config, None)
-
-    def analyze_digest(self, digest: str) -> Optional[AnalysisReport]:
-        """The cached report for an already-known content digest, if any.
-
-        Returns ``None`` on a store miss (there is nothing to compute
-        from) or when the session has no store.  This is the serve fast
-        path: a client that knows its design's digest skips shipping the
-        netlist body entirely.
-        """
-        if self.store is None:
-            return None
-        return self._probe(digest, source=None, fallback_name=None)
-
-    def _probe(
-        self,
-        digest: str,
-        source: Optional[str],
-        fallback_name: Optional[str],
-    ) -> Optional[AnalysisReport]:
-        """Build a hit report straight from the store, or ``None``."""
-        if self.store is None:
-            return None
-        cached = self.store.probe_result(digest, self.config)
-        if cached is None:
-            return None
-        key = cached.trace.cache_provenance["key"]
-        envelope = self.store.get(key)
-        summary = (envelope or {}).get("netlist", {})
-        if fallback_name is not None:
-            fallback = _design_name(fallback_name)
-        else:
-            fallback = digest.split(":", 1)[-1][:12]
-        return AnalysisReport(
-            design=summary.get("name", fallback),
-            source=source,
-            digest=digest,
-            cache="hit",
-            key=key,
-            num_gates=summary.get("gates", 0),
-            num_nets=summary.get("nets", 0),
-            num_ffs=summary.get("flip_flops", 0),
-            words=tuple(w.bits for w in cached.words),
-            singletons=tuple(cached.singletons),
-            control_signals=cached.control_signals,
-            diagnostics=tuple(cached.trace.preflight),
-            trace=cached.trace.as_dict(),
-            runtime_seconds=cached.runtime_seconds,
-            result=cached,
-        )
-
-    def _analyze_fresh(
-        self, netlist: Netlist, digest: str, source: Optional[str]
-    ) -> AnalysisReport:
-        """Run the engine and commit the result under ``digest``.
-
-        The engine gets the store too: it probes/commits the canonical
-        ``netlist:`` digest, so a design already analyzed through the
-        engine hook (``repro identify --store``, ``repro batch``) is a
-        hit here even though the raw bytes were never seen before.  The
-        result is then alias-committed under the byte-level ``digest``
-        so the *next* request on these bytes skips parsing entirely.
-        """
-        result = identify_words(netlist, self.config, store=self.store)
-        key = None
-        cache = "off"
-        if self.store is not None:
-            # Read the engine's probe/commit outcome before the alias
-            # commit below overwrites the provenance with its own.
-            cache = result.trace.cache_provenance.get("provenance", "miss")
-            # Persist the parsed body under the byte-level digest too, so
-            # a text-analyzed design can later serve as the base of an
-            # analyze_incremental call.
-            self.store.commit_netlist(digest, netlist)
-            key = self.store.commit_result(
-                digest,
-                self.config,
-                result,
-                netlist_summary={
-                    "name": netlist.name,
-                    "gates": netlist.num_gates,
-                    "nets": netlist.num_nets,
-                    "flip_flops": netlist.num_ffs,
-                },
-            )
-        return self._report(netlist, digest, result, source, cache, key)
-
-    def _report(
-        self,
-        netlist: Netlist,
-        digest: str,
-        result: IdentificationResult,
-        source: Optional[str] = None,
-        cache: Optional[str] = None,
-        key: Optional[str] = None,
-    ) -> AnalysisReport:
-        if cache is None:
-            provenance = result.trace.cache_provenance
-            cache = provenance.get("provenance", "off")
-            key = provenance.get("key")
-        return AnalysisReport(
-            design=netlist.name,
-            source=source,
-            digest=digest,
-            cache=cache,
-            key=key,
-            num_gates=netlist.num_gates,
-            num_nets=netlist.num_nets,
-            num_ffs=netlist.num_ffs,
-            words=tuple(w.bits for w in result.words),
-            singletons=tuple(result.singletons),
-            control_signals=result.control_signals,
-            diagnostics=tuple(result.trace.preflight),
-            trace=result.trace.as_dict(),
-            runtime_seconds=result.runtime_seconds,
-            result=result,
-        )
 
     # ------------------------------------------------------------------
     # corpus analysis
@@ -753,34 +712,50 @@ class Session:
     def load_netlist(
         self, path: PathLike, format: Optional[str] = None
     ) -> Netlist:
-        """Parse a netlist file, going through the store's parse cache."""
-        path = os.fspath(path)
-        digest = file_digest(path)
-        netlist, parsed = self._read_netlist(path, format, digest)
-        if parsed and self.store is not None:
-            self.store.commit_netlist(digest, netlist)
-        return netlist
+        """Read and parse a netlist file.
 
-    def _read_netlist(
-        self, path: str, format: Optional[str], digest: str
-    ) -> Tuple[Netlist, bool]:
-        """The netlist at ``path`` (file digest ``digest``), and whether it
-        was parsed rather than reloaded from the store's parse cache.
-
-        Commits nothing: analysis and triage commit the body under the
-        same digest at the end of the request, from the canonical text
-        their digest produced.
+        The netlist keeps the ``file:`` digest of the bytes it was parsed
+        from while it is unchanged, so analyzing or triaging it keys by
+        those bytes: ``repro identify --store`` and a served request for
+        the same file share one store entry, and the file is parsed once.
         """
-        if self.store is not None:
-            cached = self.store.probe_netlist(digest)
-            if cached is not None:
-                return cached, False
-        if format is None:
-            format = "bench" if path.endswith(".bench") else "verilog"
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        netlist = parse_bench(text) if format == "bench" else parse_verilog(text)
-        return netlist, True
+        path = os.fspath(path)
+        digest, data = _read(path)
+        return _parse(_decode(path, data), _format(path, format), digest)
+
+
+def _read(path: str) -> Tuple[str, bytes]:
+    """A netlist file's ``file:`` digest and its bytes, from one read."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return bytes_digest(data), data
+
+
+def _decode(path: str, data: bytes) -> str:
+    """A netlist file's text.  Bytes that are not UTF-8 make the file
+    unreadable: an :class:`OSError`, reported like a missing file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(
+            errno.EILSEQ,
+            f"not UTF-8 text (byte {exc.start}: {exc.reason})",
+            path,
+        ) from None
+
+
+def _format(path: str, format: Optional[str]) -> str:
+    if format is None:
+        return "bench" if path.endswith(".bench") else "verilog"
+    return format
+
+
+def _parse(text: str, format: Optional[str], digest: str) -> Netlist:
+    """Parse netlist source text; the netlist keeps ``digest``, the
+    digest of the bytes, as its key (see :meth:`Session._digest`)."""
+    netlist = parse_bench(text) if format == "bench" else parse_verilog(text)
+    netlist._source_digest = (netlist.revision, netlist.name, digest)
+    return netlist
 
 
 def _gate_diff(

@@ -2,24 +2,25 @@
 
 This is the tool a downstream user actually runs::
 
-    repro-identify design.v                      # structural Verilog
-    repro-identify design.bench --format bench   # ISCAS .bench
-    repro-identify design.v --baseline           # shape hashing only
-    repro-identify design.v --backend regfeat    # feature-vector backend
-    repro-identify design.v --json report.json   # machine-readable output
-    repro-identify design.v --depth 5 --max-simultaneous 3
-    repro-identify design.v --jobs 4             # parallel subgroup search
-    repro-identify design.v --trace              # stage timings + caches
-    repro-identify design.v --trace-json t.json  # machine-readable trace
-    repro-identify design.v --propagate          # + word propagation
-    repro-identify design.v --score              # vs golden register names
-    repro-identify design.v --deadline 30        # wall-clock budget (s)
-    repro-identify design.v --budget 500         # assignments per subgroup
-    repro-identify design.v --strict             # degradations become errors
-    repro-identify design.v --store .repro-cache # reuse cached results
+    repro identify design.v                      # structural Verilog
+    repro identify design.bench --format bench   # ISCAS .bench
+    repro identify design.v --baseline           # shape hashing only
+    repro identify design.v --backend regfeat    # feature-vector backend
+    repro identify design.v --json report.json   # machine-readable output
+    repro identify design.v --depth 5 --max-simultaneous 3
+    repro identify design.v --jobs 4             # parallel subgroup search
+    repro identify design.v --trace              # stage timings + caches
+    repro identify design.v --trace-json t.json  # machine-readable trace
+    repro identify design.v --propagate          # + word propagation
+    repro identify design.v --score              # vs golden register names
+    repro identify design.v --deadline 30        # wall-clock budget (s)
+    repro identify design.v --budget 500         # assignments per subgroup
+    repro identify design.v --strict             # degradations become errors
+    repro identify design.v --store .repro-cache # reuse cached results
 
-Also reachable as ``repro identify ...`` via the umbrella entry point
-(:mod:`repro.main`); both spellings share this exact code path.
+The file is read and parsed once, through :class:`repro.api.Session`;
+with ``--store`` the result is keyed by the file's bytes, the same key
+``repro serve`` uses for a request carrying those bytes.
 
 Exit code 0 on success — including degraded runs, where a deadline or
 budget fired, or a subgroup worker was quarantined, and the partial words
@@ -37,14 +38,14 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .core import PipelineConfig, identify_words
+from .api import Session
+from .core import PipelineConfig
 from .core.modules import identify_operators
 from .core.propagation import propagate_words
 from .core.resilience import BudgetExceeded, PreflightError
 from .core.words import SIGNATURE_KERNEL, IdentificationResult
 from .eval import evaluate, extract_reference_words
 from .exitcodes import EXIT_CHECK_FAILED, EXIT_OK, EXIT_STRICT, EXIT_USAGE
-from .netlist import parse_bench, parse_verilog
 from .netlist.bench import BenchError
 from .netlist.verilog import VerilogError
 from .schema import stamp
@@ -54,7 +55,7 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-identify",
+        prog="repro identify",
         description="Word-level identification in a gate-level netlist "
         "(Tashjian & Davoodi, DAC 2015)",
     )
@@ -180,16 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, fmt: Optional[str]):
-    if fmt is None:
-        fmt = "bench" if path.endswith(".bench") else "verilog"
-    with open(path) as handle:
-        text = handle.read()
-    if fmt == "bench":
-        return parse_bench(text)
-    return parse_verilog(text)
-
-
 def _result_digest(result: IdentificationResult) -> str:
     """Digest of the deterministic result subset (see repro.store).
 
@@ -261,15 +252,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        netlist = _load(args.netlist, args.format)
-    except OSError as exc:
-        print(f"error: cannot read {args.netlist}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (VerilogError, BenchError) as exc:
-        print(f"error: cannot parse {args.netlist}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
     backend = args.backend
     if args.baseline:
         if backend not in ("ours", "base"):
@@ -295,13 +277,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    store = None
-    if args.store is not None:
-        from .store import ArtifactStore
-
-        store = ArtifactStore(args.store)
+    session = Session(config=config, store=args.store)
     try:
-        result = identify_words(netlist, config, store=store)
+        netlist = session.load_netlist(args.netlist, args.format)
+    except OSError as exc:
+        print(f"error: cannot read {args.netlist}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (VerilogError, BenchError) as exc:
+        print(f"error: cannot parse {args.netlist}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        result = session.analyze(netlist).result
     except (BudgetExceeded, PreflightError) as exc:
         print(f"error (strict): {exc}", file=sys.stderr)
         return EXIT_STRICT

@@ -12,13 +12,6 @@ stages the paper motivates are implemented as well: :mod:`propagation`
 from .baseline import baseline_config, shape_hashing
 from .context import AnalysisContext
 from .control import ControlSignalCandidate, find_control_signals
-from .explain import ControlExplanation, explain_control_signal, explain_controls
-from .functional import (
-    FunctionalRefinement,
-    functional_signature,
-    refine_result,
-    refine_words,
-)
 from .grouping import group_by_adjacency, group_register_inputs, root_type_of
 from .hashkey import BitSignature, SignatureIndex, Subtree, hash_key, signature_of
 from .matching import (
@@ -56,9 +49,6 @@ __all__ = [
     "BitSignature", "SignatureIndex", "Subtree", "hash_key", "signature_of",
     "MatchKind", "PairMatch", "Subgroup", "compare_bits", "form_subgroups",
     "full_match_runs", "CacheStats",
-    "ControlExplanation", "explain_control_signal", "explain_controls",
-    "FunctionalRefinement", "functional_signature", "refine_result",
-    "refine_words",
     "OperatorMatch", "identify_operators",
     "PipelineConfig", "identify_words",
     "PropagationResult", "propagate_words",

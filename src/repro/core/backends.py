@@ -74,13 +74,13 @@ class BackendSpec:
     ``runner`` is the backend's entry point with the exact
     :func:`~repro.core.pipeline.identify_words` contract::
 
-        runner(netlist, config, context=None, store=None, cone_cache=None)
+        runner(netlist, config, context=None, cone_cache=None)
             -> IdentificationResult
 
     It must be deterministic (two runs on the same inputs byte-identical
-    on words, singletons, assignments, and trace counters), must honor
-    the store probe/commit protocol when ``store`` is given, and must
-    stamp ``result.trace.backend`` with its own name.
+    on words, singletons, assignments, and trace counters) and must
+    stamp ``result.trace.backend`` with its own name.  It never touches
+    the artifact store: :class:`repro.api.Session` caches results.
 
     ``version`` joins every store fingerprint alongside the name; bump it
     whenever the backend's output can change, exactly like
@@ -100,13 +100,10 @@ class BackendSpec:
     fingerprint_fields: Tuple[str, ...]
     runner: Callable = field(repr=False, compare=False)
 
-    def run(
-        self, netlist, config, context=None, store=None, cone_cache=None
-    ):
+    def run(self, netlist, config, context=None, cone_cache=None):
         """Run this backend with the ``identify_words`` contract."""
         return self.runner(
-            netlist, config, context=context, store=store,
-            cone_cache=cone_cache,
+            netlist, config, context=context, cone_cache=cone_cache
         )
 
 
@@ -148,7 +145,7 @@ def resolve(name: object) -> BackendSpec:
 # built-in backends
 # ----------------------------------------------------------------------
 
-def _run_staged(netlist, config, context=None, store=None, cone_cache=None):
+def _run_staged(netlist, config, context=None, cone_cache=None):
     """The staged Figure-2 engine — shared by ``ours`` and ``base``.
 
     Deliberately identical to the pre-registry call path (the ``backend``
@@ -157,17 +154,15 @@ def _run_staged(netlist, config, context=None, store=None, cone_cache=None):
     """
     from .stages import AnalysisEngine
 
-    return AnalysisEngine(config, store=store, cone_cache=cone_cache).run(
+    return AnalysisEngine(config, cone_cache=cone_cache).run(
         netlist, context=context
     )
 
 
-def _run_regfeat(netlist, config, context=None, store=None, cone_cache=None):
+def _run_regfeat(netlist, config, context=None, cone_cache=None):
     from .regfeat import run_regfeat
 
-    return run_regfeat(
-        netlist, config, context=context, store=store, cone_cache=cone_cache
-    )
+    return run_regfeat(netlist, config, context=context, cone_cache=cone_cache)
 
 
 #: Knobs steering the staged engine (== store FINGERPRINT_FIELDS minus

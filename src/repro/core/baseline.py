@@ -44,14 +44,8 @@ def baseline_config(
 def shape_hashing(
     netlist: Netlist,
     config: Optional[PipelineConfig] = None,
-    store=None,
 ) -> IdentificationResult:
-    """Identify words by full structural matching only (the Base column).
-
-    ``store`` is forwarded to :func:`identify_words`; baseline results are
-    cached under their own keys because ``allow_partial`` is part of the
-    configuration fingerprint.
-    """
+    """Identify words by full structural matching only (the Base column)."""
     if config is None:
         config = baseline_config()
     elif config.allow_partial:
@@ -59,4 +53,4 @@ def shape_hashing(
             "shape_hashing requires allow_partial=False; "
             "use baseline_config() to build one"
         )
-    return identify_words(netlist, config, store=store)
+    return identify_words(netlist, config)

@@ -174,7 +174,6 @@ def identify_words(
     netlist: Netlist,
     config: Optional[PipelineConfig] = None,
     context: Optional[AnalysisContext] = None,
-    store=None,
     cone_cache=None,
 ) -> IdentificationResult:
     """Run the word-identification flow ``config.backend`` selects.
@@ -191,25 +190,19 @@ def identify_words(
     service queries) share cone and hash-key caches; by default a fresh
     context is created per call.
 
-    ``store`` — an optional :class:`repro.store.ArtifactStore` (or any
-    object with its ``probe``/``commit`` protocol).  The store is probed
-    before analysis — a hit returns the persisted result without running
-    any stage — and committed to after a clean (non-degraded) run, keyed
-    by the netlist's content digest, the result-affecting configuration
-    fields, and :data:`PIPELINE_VERSION`.  Cached and uncached results are
-    byte-identical on words, partitions, assignments, and counters; only
-    ``trace.cache_provenance`` records which path produced them.
-
-    ``cone_cache`` — cone-level memoization below the whole-result store
-    (DESIGN.md §12).  ``None`` (default) enables the process table plus
-    the store's cone tier when ``store`` is attached; ``False`` disables;
-    a :class:`~repro.core.conecache.ConeCacheTier` (or sequence of tiers)
+    ``cone_cache`` — cone-level memoization (DESIGN.md §12).  ``None``
+    (default) or ``False`` disables it; a
+    :class:`~repro.core.conecache.ConeCacheTier` (or sequence of tiers)
     is used verbatim.  Cone-cached runs are byte-identical to uncached
     ones on everything the determinism oracles compare.
+
+    This function always computes.  Caching whole results in an
+    artifact store is :class:`repro.api.Session`'s job: it keys the
+    request, probes, and commits around this call.
     """
     config = config or PipelineConfig()
     from .backends import resolve
 
     return resolve(config.backend).run(
-        netlist, config, context=context, store=store, cone_cache=cone_cache
+        netlist, config, context=context, cone_cache=cone_cache
     )

@@ -33,16 +33,16 @@ cannot collapse into one giant word.  No randomness, no similarity
 requirement, no reduction: the output is a plain partition of the
 candidate bits into words and singletons.
 
-Like every backend the runner honors the store probe/commit protocol
-and is deterministic — two runs are byte-identical on words, singletons,
-and trace counters.  ``cone_cache`` is accepted for contract parity and
-ignored (regfeat performs no reduction search).
+Like every backend the runner is deterministic — two runs are
+byte-identical on words, singletons, and trace counters.  ``cone_cache``
+is accepted for contract parity and ignored (regfeat performs no
+reduction search).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..netlist.netlist import Netlist
 from .words import IdentificationResult, Word
@@ -233,7 +233,6 @@ def run_regfeat(
     netlist: Netlist,
     config,
     context=None,
-    store=None,
     cone_cache=None,
 ) -> IdentificationResult:
     """Aggregate FF words by feature similarity (the ``regfeat`` backend).
@@ -246,10 +245,6 @@ def run_regfeat(
     emitted clusters, ``num_subgroups`` the scored pairs, and
     ``num_fully_matched_subgroups`` the accepted merges.
     """
-    if store is not None:
-        cached = store.probe(netlist, config)
-        if cached is not None:
-            return cached
     started = perf_counter()
     result = IdentificationResult()
     result.trace.backend = REGFEAT_NAME
@@ -296,6 +291,4 @@ def run_regfeat(
     from .stages import AnalysisEngine
 
     AnalysisEngine._publish_metrics(result)
-    if store is not None:
-        store.commit(netlist, config, result)
     return result

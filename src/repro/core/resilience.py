@@ -199,7 +199,7 @@ class SubgroupFailure:
     ``"error"`` (a worker exception survived its retry), ``"deadline"``,
     ``"assignments"``, ``"cone_gates"`` or ``"aborted"``.  ``retried``
     records whether the serial retry ran before quarantine.  The dict form
-    is the ``failures`` entry schema of ``repro-identify --trace-json``
+    is the ``failures`` entry schema of ``repro identify --trace-json``
     (documented in DESIGN.md §8).
     """
 

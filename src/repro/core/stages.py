@@ -56,7 +56,6 @@ from .conecache import (
     ConeCacheTier,
     canonicalize_subgroup,
     cone_fingerprint,
-    process_cone_cache,
     valid_cone_entry,
 )
 from .context import AnalysisContext
@@ -652,25 +651,20 @@ def default_stages() -> Tuple[Stage, ...]:
 class AnalysisEngine:
     """Run the stage graph over a netlist, timing every stage.
 
-    ``store`` — an optional artifact store (anything implementing the
-    ``probe(netlist, config)`` / ``commit(netlist, config, result)``
-    protocol of :class:`repro.store.ArtifactStore`).  ``run`` probes it
-    before executing any stage and returns the cached
-    :class:`IdentificationResult` on a hit; on a miss the freshly computed
-    result is committed back.  Probing is lockless and commit is atomic,
-    so many engines (threads or processes) can share one store.
+    The engine computes; it never reads or writes identification
+    results.  :class:`repro.api.Session` owns the store key and the
+    result commit, and hands the engine only cone-cache tiers
+    (``cone_cache``, DESIGN.md §12).
     """
 
     def __init__(
         self,
         config: "PipelineConfig",  # noqa: F821
         stages: Optional[Sequence[Stage]] = None,
-        store=None,
         cone_cache=None,
     ):
         self.config = config
         self.stages: Tuple[Stage, ...] = tuple(stages or default_stages())
-        self.store = store
         self.cone_tiers = self._resolve_cone_tiers(cone_cache)
 
     def _resolve_cone_tiers(
@@ -678,39 +672,23 @@ class AnalysisEngine:
     ) -> Optional[List[ConeCacheTier]]:
         """Resolve the ``cone_cache`` argument into a tier sequence.
 
-        ``None`` (the default) enables the shared process table plus the
-        store's cone tier when a store is attached — but only on clean
-        configurations: a ``fault_hook`` injects failures that must not
-        leak into (or be masked by) any cache, so it always disables
-        cone caching.  ``False`` disables explicitly; a single
-        :class:`ConeCacheTier` or a sequence of tiers is used verbatim.
+        ``None`` or ``False`` disables cone caching; a single
+        :class:`ConeCacheTier` or a sequence of tiers is used verbatim —
+        but only on clean configurations: a ``fault_hook`` injects
+        failures that must not leak into (or be masked by) any cache, so
+        it always disables cone caching.
         """
-        if self.config.fault_hook is not None or cone_cache is False:
+        if (
+            self.config.fault_hook is not None
+            or cone_cache is None
+            or cone_cache is False
+        ):
             return None
-        if cone_cache is None:
-            tiers: List[ConeCacheTier] = []
-            if self.store is not None and hasattr(self.store, "cone_tier"):
-                tiers = [process_cone_cache(), self.store.cone_tier()]
-            return tiers or None
         if isinstance(cone_cache, ConeCacheTier):
             return [cone_cache]
         return list(cone_cache) or None
 
     def run(
-        self,
-        netlist: Netlist,
-        context: Optional[AnalysisContext] = None,
-    ) -> IdentificationResult:
-        if self.store is not None:
-            cached = self.store.probe(netlist, self.config)
-            if cached is not None:
-                return cached
-        result = self._run_stages(netlist, context)
-        if self.store is not None:
-            self.store.commit(netlist, self.config, result)
-        return result
-
-    def _run_stages(
         self,
         netlist: Netlist,
         context: Optional[AnalysisContext] = None,

@@ -178,7 +178,7 @@ class StageTrace:
     layer: per-stage wall-clock (``stage_seconds``, keyed by stage name in
     execution order), cache hit/miss statistics (``cache``), and
     assignment-search statistics.  ``as_dict`` is the machine-readable
-    schema dumped by ``repro-identify --trace-json``.
+    schema dumped by ``repro identify --trace-json``.
     """
 
     num_candidate_nets: int = 0

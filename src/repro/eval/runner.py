@@ -5,13 +5,13 @@ control-signal technique ("Ours") on the same synthesized netlist, scores
 both against the golden reference words, and assembles a
 :class:`~repro.eval.table.BenchmarkRow`.
 
-Run it as a script (or via the ``repro-table1`` console entry point)::
+Run it as ``repro table1`` (or ``python -m repro.eval.runner``)::
 
-    python -m repro.eval.runner            # all 12 benchmarks
-    python -m repro.eval.runner b03 b12    # a subset
-    python -m repro.eval.runner --jobs 4 --trace   # parallel + stage trace
-    python -m repro.eval.runner --journal t1.jsonl # checkpoint each row
-    python -m repro.eval.runner --resume           # continue a killed sweep
+    repro table1                    # all 12 benchmarks
+    repro table1 b03 b12            # a subset
+    repro table1 --jobs 4 --trace   # parallel + stage trace
+    repro table1 --journal t1.jsonl # checkpoint each row
+    repro table1 --resume           # continue a killed sweep
 
 Checkpointing: with ``--journal`` every completed benchmark's row is
 appended (and fsynced) to a JSONL journal as soon as it finishes, so a
@@ -107,8 +107,9 @@ def run_benchmark(
     """Evaluate Base and Ours on one netlist against its golden words.
 
     ``store`` — an optional :class:`repro.store.ArtifactStore`; Base and
-    Ours results are cached under their own keys (``allow_partial`` is in
-    the fingerprint), so a repeat sweep loads both from disk.
+    Ours then run through :class:`repro.api.Session` and are cached under
+    their own keys (``allow_partial`` is in the fingerprint), so a repeat
+    sweep loads both from disk.
     """
     config = config or PipelineConfig()
     reference = extract_reference_words(netlist)
@@ -121,8 +122,14 @@ def run_benchmark(
         max_cone_gates=config.max_cone_gates,
         strict=config.strict,
     )
-    base_result = shape_hashing(netlist, base_config, store=store)
-    ours_result = identify_words(netlist, config, store=store)
+    if store is None:
+        base_result = shape_hashing(netlist, base_config)
+        ours_result = identify_words(netlist, config)
+    else:
+        from ..api import Session
+
+        base_result = Session(base_config, store).analyze(netlist).result
+        ours_result = Session(config, store).analyze(netlist).result
     return BenchmarkRun(
         netlist=netlist,
         reference=reference,
@@ -246,7 +253,8 @@ def run_table1(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Reproduce Table 1 of Tashjian & Davoodi, DAC 2015"
+        prog="repro table1",
+        description="Reproduce Table 1 of Tashjian & Davoodi, DAC 2015",
     )
     parser.add_argument(
         "benchmarks",

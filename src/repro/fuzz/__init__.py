@@ -18,7 +18,7 @@ unbounded corpus:
     technique; every control-signal reduction must preserve circuit
     function under simulation; serialization must round-trip.
 :mod:`harness`
-    The corpus runner behind the ``repro-fuzz`` CLI: seed-driven sample
+    The corpus runner behind the ``repro fuzz`` CLI: seed-driven sample
     loop, greedy failure shrinking, reproducer emission and wall-clock
     budgets from :mod:`repro.core.resilience`.
 :mod:`mutations`

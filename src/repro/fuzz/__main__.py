@@ -1,4 +1,4 @@
-"""``python -m repro.fuzz`` — alias for the ``repro-fuzz`` CLI."""
+"""``python -m repro.fuzz`` — the same CLI as ``repro fuzz``."""
 
 import sys
 

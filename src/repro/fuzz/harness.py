@@ -1,4 +1,4 @@
-"""The corpus runner behind the ``repro-fuzz`` CLI.
+"""The corpus runner behind the ``repro fuzz`` CLI.
 
 A campaign is fully determined by ``(seed, samples, generator config)``:
 per-sample seeds come from :func:`repro.fuzz.generator.sample_seed`, so
@@ -20,7 +20,7 @@ sample is emitted as a reproducer directory::
         report.json  # seeds, verdicts, original + shrunk plans
 
 Re-running a reproducer needs no corpus state:
-``repro-fuzz --seed <campaign> --index <index>``.
+``repro fuzz --seed <campaign> --index <index>``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """One campaign's knobs (see ``repro-fuzz --help``)."""
+    """One campaign's knobs (see ``repro fuzz --help``)."""
 
     seed: int = 0
     samples: int = 50
@@ -247,7 +247,7 @@ def _emit_reproducer(
             "shrunk_gates": record.shrunk_gates,
             "shrink_builds": record.shrink_builds,
             "rerun": (
-                f"repro-fuzz --seed {campaign_seed} "
+                f"repro fuzz --seed {campaign_seed} "
                 f"--index {record.sample.index}"
             ),
         },
@@ -315,7 +315,7 @@ def run_campaign(
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-fuzz",
+        prog="repro fuzz",
         description=(
             "Seeded metamorphic fuzzing of the word-identification "
             "pipeline on generated ground-truth netlists."

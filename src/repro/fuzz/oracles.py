@@ -447,7 +447,7 @@ def _check_store(ctx: OracleContext) -> Optional[str]:
     """
     import tempfile
 
-    from ..store import ArtifactStore, result_digest
+    from ..store import ArtifactStore, netlist_digest, result_digest
 
     serial = ctx.ours
 
@@ -462,14 +462,18 @@ def _check_store(ctx: OracleContext) -> Optional[str]:
             result.trace.counter_dict(),
         )
 
+    digest = netlist_digest(ctx.sample.netlist)
     with tempfile.TemporaryDirectory(prefix="fuzz-store-") as root:
         store = ArtifactStore(root)
-        key = store.commit(ctx.sample.netlist, ctx.ours_config, serial)
+        key = store.commit_result(
+            digest, ctx.ours_config, serial, ctx.sample.netlist
+        )
         if key is None:
             return "store refused to commit a clean result"
-        cached = store.probe(ctx.sample.netlist, ctx.ours_config)
-    if cached is None:
+        hit = store.probe_result(digest, ctx.ours_config)
+    if hit is None:
         return "committed result did not probe back (miss after commit)"
+    cached, _ = hit
     if canon(cached) != canon(serial):
         return "cached result differs from the computed one"
     if result_digest(cached) != result_digest(serial):

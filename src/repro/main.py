@@ -1,17 +1,15 @@
-"""The ``repro`` umbrella command: one entry point, four subcommands.
+"""The ``repro`` command: the package's one console script.
 
 ::
 
-    repro identify design.v --score        # == repro-identify design.v --score
-    repro table1 b03 b12 --jobs 4          # == repro-table1 b03 b12 --jobs 4
-    repro fuzz --seed 0 --samples 8        # == repro-fuzz --seed 0 --samples 8
-    repro batch designs/*.v --store .cache # corpus analysis (new in this CLI)
+    repro identify design.v --score
+    repro table1 b03 b12 --jobs 4
+    repro fuzz --seed 0 --samples 8
+    repro batch designs/*.v --store .cache
 
-Each subcommand dispatches to the exact ``main`` the historical script
-entry points call, so ``repro identify ...`` and ``repro-identify ...``
-are the same code path with the same output and the same exit codes (the
-alias scripts remain installed for back compatibility).  Subcommand
-modules are imported lazily; ``repro --help`` stays instant.
+Each subcommand dispatches to its module's ``main`` (``repro identify``
+is :func:`repro.cli.main`, which ``python -m repro.cli`` also runs).
+Subcommand modules are imported lazily; ``repro --help`` stays instant.
 """
 
 from __future__ import annotations
@@ -68,24 +66,15 @@ def _triage_main():
 
 #: Subcommand name -> (one-line help, loader returning its ``main``).
 COMMANDS: Dict[str, Tuple[str, Callable[[], Callable]]] = {
-    "identify": (
-        "identify words in one netlist (alias: repro-identify)",
-        _identify_main,
-    ),
-    "table1": (
-        "reproduce the paper's Table 1 sweep (alias: repro-table1)",
-        _table1_main,
-    ),
-    "fuzz": (
-        "run a metamorphic fuzzing campaign (alias: repro-fuzz)",
-        _fuzz_main,
-    ),
+    "identify": ("identify words in one netlist", _identify_main),
+    "table1": ("reproduce the paper's Table 1 sweep", _table1_main),
+    "fuzz": ("run a metamorphic fuzzing campaign", _fuzz_main),
     "batch": (
         "analyze a corpus with shared caching and worker processes",
         _batch_main,
     ),
     "serve": (
-        "run the long-lived analysis HTTP service (alias: repro-serve)",
+        "run the long-lived analysis HTTP service",
         _serve_main,
     ),
     "scoreboard": (

@@ -91,9 +91,14 @@ class Netlist:
         # the store's body commit, so one request serializes once.  The
         # stamp, not a mutation hook, is what invalidates it.
         self._canonical_verilog: Optional[Tuple[int, str, str]] = None
+        # ``(revision, name, digest)``: the ``file:`` digest of the bytes
+        # ``repro.api.Session`` parsed this netlist from, so analyzing it
+        # keys by those bytes.  Stale, like the memo above, once the
+        # revision or name moves.
+        self._source_digest: Optional[Tuple[int, str, str]] = None
         # Monotonic structural revision, bumped by every mutation.  Derived
-        # caches (the canonical-text memo above) stamp it, so a mutated
-        # netlist never answers from a stale memo.
+        # caches (the two stamps above) record it, so a mutated netlist
+        # never answers from a stale one.
         self.revision: int = 0
 
     # ------------------------------------------------------------------

@@ -435,5 +435,8 @@ def write_verilog(netlist: Netlist) -> str:
             f"  {_sized_cell_name(gate)} {esc(gate.name)} "
             f"({', '.join(conns)});"
         )
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+    # The trailing newline rides on the last line: appending it to the
+    # joined text would copy the whole file (7 MB on b18) at the peak of
+    # a request, when the store commits the body after the analysis.
+    lines.append("endmodule\n")
+    return "\n".join(lines)

@@ -245,7 +245,7 @@ class ServeClient:
     def identify_path(self, path: str, **kwargs) -> Tuple[int, Dict]:
         """Identify a netlist file (ships its exact bytes as text, so the
         server-side store key equals the CLI's ``file:`` digest)."""
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
         format = "bench" if str(path).endswith(".bench") else "verilog"
         return self.identify(verilog=text, format=format, **kwargs)

@@ -14,10 +14,10 @@ entries into misses, and an optional LRU byte cap bounds disk use.  See
 :mod:`repro.store.disk` for the concurrency model and
 :mod:`repro.store.keys` for key derivation and invalidation rules.
 
-Entry points: :class:`ArtifactStore` plugs into
-:func:`repro.core.pipeline.identify_words` (``store=``), the
-:class:`repro.api.Session` facade, and the ``repro batch`` corpus
-orchestrator.
+Entry point: :class:`repro.api.Session` is the only code that reads or
+writes identification results, one key per request; every other caller
+(``repro identify``, ``repro batch``, ``repro serve``, ``repro table1
+--store``) goes through it.  The engine sees only the store's cone tier.
 """
 
 from .cones import StoreConeTier

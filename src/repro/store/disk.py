@@ -41,10 +41,10 @@ from ..core.words import IdentificationResult
 from ..netlist.netlist import Netlist
 from ..netlist.verilog import write_verilog
 from ..schema import SCHEMA_VERSION, stamp
-from .keys import (
+from .keys import (  # noqa: F401
     cache_key,
     config_fingerprint,
-    netlist_digest,
+    netlist_digest,  # unused here, but perfbench/tracer.py patches it
     take_canonical_verilog,
 )
 from .serialize import UnserializableResult, result_from_dict, result_to_dict
@@ -524,32 +524,15 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # identification results
     # ------------------------------------------------------------------
-    def probe(
-        self, netlist: Netlist, config: PipelineConfig
-    ) -> Optional[IdentificationResult]:
-        """Engine hook: the cached result for ``(netlist, config)``."""
-        return self.probe_result(netlist_digest(netlist), config)
-
-    def commit(
-        self,
-        netlist: Netlist,
-        config: PipelineConfig,
-        result: IdentificationResult,
-    ) -> Optional[str]:
-        """Engine hook: persist a freshly computed result."""
-        return self.commit_result(
-            netlist_digest(netlist),
-            config,
-            result,
-            netlist_summary=_netlist_summary(netlist),
-        )
-
     def probe_result(
         self, digest: str, config: PipelineConfig
-    ) -> Optional[IdentificationResult]:
-        """The cached result under an already-computed content digest.
+    ) -> Optional[Tuple[IdentificationResult, Dict]]:
+        """The cached result under a content digest, with the summary of
+        the netlist it was computed from (``{"name", "gates", "nets",
+        "flip_flops"}``).
 
-        On a hit the result's ``trace.cache_provenance`` records
+        One envelope read, one ``hits``/``misses`` count.  On a hit the
+        result's ``trace.cache_provenance`` records
         ``{"provenance": "hit", "key": <key>}``.
         """
         key = cache_key(digest, config, kind="result")
@@ -562,21 +545,23 @@ class ArtifactStore:
             self._heal(self._path(key))
             return None
         result.trace.cache_provenance = {"provenance": "hit", "key": key}
-        return result
+        return result, envelope.get("netlist") or {}
 
     def commit_result(
         self,
         digest: str,
         config: PipelineConfig,
         result: IdentificationResult,
-        netlist_summary: Optional[Dict] = None,
+        netlist: Netlist,
     ) -> Optional[str]:
         """Persist a result; returns its key, or ``None`` if uncacheable.
 
-        Degraded results and runs with a ``fault_hook`` installed are
-        refused — both describe the run environment, not the design.  On
-        a successful commit the result's ``trace.cache_provenance``
-        records ``{"provenance": "miss", "key": <key>}``.
+        ``netlist`` is summarized into the envelope so a hit can report
+        the design without parsing it.  Degraded results and runs with a
+        ``fault_hook`` installed are refused — both describe the run
+        environment, not the design.  On a successful commit the result's
+        ``trace.cache_provenance`` records ``{"provenance": "miss", "key":
+        <key>}``.
         """
         if config.fault_hook is not None:
             return None
@@ -591,7 +576,7 @@ class ArtifactStore:
             {
                 "digest": digest,
                 "config": config_fingerprint(config),
-                "netlist": dict(netlist_summary or {}),
+                "netlist": _netlist_summary(netlist),
                 "result": serialized,
             },
         )
@@ -620,7 +605,7 @@ class ArtifactStore:
 
         Reparsing the canonical form is cheaper than the original source
         (comments and formatting are gone) and, more importantly, it is
-        format-independent: a ``.bench`` file's parse is cached the same
+        format-independent: a ``.bench`` file's parse is stored the same
         way as a Verilog one.  The body is the canonical text this
         request's :func:`netlist_digest` already produced, when there is
         one; committing it ends that memo's life.
@@ -644,11 +629,9 @@ class ArtifactStore:
     # canonical cone entries
     # ------------------------------------------------------------------
     def cone_tier(self):
-        """This store's :class:`~repro.store.cones.StoreConeTier`.
-
-        The presence of this method is what opts a store into the
-        engine's default cone-cache tier chain (DESIGN.md §12).
-        """
+        """This store's :class:`~repro.store.cones.StoreConeTier`, which
+        :class:`repro.api.Session` chains behind the process table for
+        every store-attached analysis (DESIGN.md §12)."""
         from .cones import StoreConeTier
 
         return StoreConeTier(self)

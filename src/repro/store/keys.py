@@ -15,7 +15,10 @@ with NUL separators::
     :func:`file_digest` hashes the raw bytes instead — which lets a warm
     probe skip parsing entirely.  The two digest spaces are disjoint by
     construction (distinct prefixes), so a raw-file entry can never
-    shadow a canonical-netlist entry.
+    shadow a canonical-netlist entry.  :class:`repro.api.Session` alone
+    picks one digest per request: the bytes for a path or source text
+    (and for a netlist it parsed from them), the canonical form only for
+    a netlist built in memory.
 
     Within one request the canonical text is serialized once: it is
     memoized on the netlist (validated by ``Netlist.revision`` and name,

@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.api import Session
 from repro.core import backends
 from repro.core.backends import (
     BackendSpec,
@@ -199,7 +200,8 @@ class TestFingerprintDiscipline:
         the same digest and the constant ``kernel`` on the way out."""
         root = tmp_path / "store"
         store = ArtifactStore(str(root))
-        cold = identify_words(netlist, PipelineConfig(), store=store)
+        session = Session(store=store)
+        cold = session.analyze(netlist).result
         rewritten = 0
         for path in glob.glob(str(root / "**" / "*.json"), recursive=True):
             with open(path, encoding="utf-8") as handle:
@@ -212,7 +214,7 @@ class TestFingerprintDiscipline:
                 json.dump(envelope, handle, sort_keys=True)
             rewritten += 1
         assert rewritten == 1
-        warm = identify_words(netlist, PipelineConfig(), store=store)
+        warm = session.analyze(netlist).result
         assert warm.trace.cache_provenance["provenance"] == "hit"
         assert result_digest(warm) == result_digest(cold)
         assert warm.trace.as_dict()["kernel"] == "python"
@@ -224,12 +226,12 @@ class TestFingerprintDiscipline:
         keys = {}
         for name in backend_names():
             config = PipelineConfig(backend=name)
-            identify_words(netlist, config, store=store)
+            Session(config=config, store=store).analyze(netlist)
             keys[name] = cache_key(digest, config)
         assert len(set(keys.values())) == len(keys)
         # and each backend's probe answers with its own words
         for name in backend_names():
             config = PipelineConfig(backend=name)
-            cached = store.probe(netlist, config)
-            assert cached is not None
-            assert cached.trace.backend == name
+            hit = store.probe_result(digest, config)
+            assert hit is not None
+            assert hit[0].trace.backend == name

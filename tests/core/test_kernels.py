@@ -30,6 +30,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Session
 from repro.core.context import AnalysisContext
 from repro.core.grouping import group_by_adjacency
 from repro.core.hashkey import SignatureIndex
@@ -139,8 +140,9 @@ class TestDifferential:
         config = PipelineConfig()
         bare = identify_words(netlist, config)
         store = ArtifactStore(str(tmp_path / "store"))
-        cold = identify_words(netlist, config, store=store)
-        warm = identify_words(netlist, config, store=store)
+        session = Session(config=config, store=store)
+        cold = session.analyze(netlist).result
+        warm = session.analyze(netlist).result
         assert warm.trace.cache_provenance.get("provenance") == "hit"
         digests = {
             result_digest(bare), result_digest(cold), result_digest(warm)

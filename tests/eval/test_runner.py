@@ -113,13 +113,3 @@ class TestCli:
     def test_budget_flags_degrade_instead_of_crashing(self, capsys):
         assert main(["b03", "--budget", "0", "--deadline", "3600"]) == 0
         assert "b03" in capsys.readouterr().out
-
-    def test_console_script_registered(self):
-        import tomllib
-
-        with open("pyproject.toml", "rb") as handle:
-            project = tomllib.load(handle)
-        assert (
-            project["project"]["scripts"]["repro-table1"]
-            == "repro.eval.runner:main"
-        )

@@ -64,7 +64,7 @@ class TestCampaign:
         payload = json.loads((record.reproducer / "report.json").read_text())
         assert payload["campaign_seed"] == 0
         assert payload["failed_oracles"]
-        assert payload["rerun"].startswith("repro-fuzz --seed 0 --index 0")
+        assert payload["rerun"].startswith("repro fuzz --seed 0 --index 0")
         assert record.shrunk_gates <= record.sample.num_gates
 
 

@@ -117,6 +117,4 @@ class TestPublicApi:
     def test_top_level_imports(self):
         import repro
 
-        assert callable(repro.identify_words)
-        assert callable(repro.shape_hashing)
         assert repro.__version__

@@ -82,6 +82,29 @@ def verilog_text():
     return write_verilog(netlist)
 
 
+class TestClientKey:
+    def test_identify_path_ships_the_files_exact_bytes(
+        self, tmp_path, verilog_text, monkeypatch
+    ):
+        """The served key is the CLI's ``file:`` digest, CRLF files too."""
+        from repro.store import bytes_digest, file_digest
+
+        design = tmp_path / "crlf.v"
+        design.write_bytes(verilog_text.replace("\n", "\r\n").encode())
+        client = ServeClient()
+        sent = {}
+
+        def identify(**payload):
+            sent.update(payload)
+            return 200, {}
+
+        monkeypatch.setattr(client, "identify", identify)
+        client.identify_path(str(design))
+        assert bytes_digest(sent["verilog"].encode("utf-8")) == file_digest(
+            str(design)
+        )
+
+
 class TestSocketRoundTrip:
     def test_identify_over_tcp_matches_the_library(self, tmp_path,
                                                    verilog_text):

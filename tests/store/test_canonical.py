@@ -1,6 +1,7 @@
-"""One canonical serialization per request: the ``netlist:`` digest, the
-engine's probe and commit, and the stored body all share one
-``write_verilog`` text, which the body commit releases."""
+"""One key and one result entry per request, and one canonical
+serialization: ``Session`` alone probes and commits results, under the
+``file:`` digest of the bytes for paths and text, and the stored body
+reuses the ``write_verilog`` text a ``netlist:`` digest produced."""
 
 import hashlib
 import os
@@ -8,8 +9,12 @@ import sys
 
 import pytest
 
+import repro.api as api
+import repro.store.disk as disk
 import repro.store.keys as keys
 from repro.api import Session
+from repro.cli import main as identify_main
+from repro.core import PipelineConfig
 from repro.fuzz import generate, sample_seed
 from repro.netlist import AND, parse_verilog, write_verilog
 from repro.store import ArtifactStore, cache_key, netlist_digest
@@ -32,8 +37,6 @@ GOLDEN_WRITE_SHA256 = {
 @pytest.fixture()
 def writes(monkeypatch):
     """Counts ``write_verilog`` calls made by the store layer."""
-    import repro.store.disk as disk
-
     calls = []
     for module in (keys, disk):
         original = module.write_verilog
@@ -89,6 +92,105 @@ class TestOneWritePerRequest:
         ).hexdigest()
         assert digest == netlist_digest(parse_verilog(text))
         assert body["verilog"] == write_verilog(parse_verilog(text))
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts the calls a request makes into the key and store layers,
+    patched where their callers look them up."""
+    counts = {}
+
+    def count(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[label] = counts.get(label, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(api, "netlist_digest", "netlist_digest")
+    count(disk, "netlist_digest", "netlist_digest")
+    count(api, "parse_verilog", "parse_verilog")
+    count(ArtifactStore, "probe_result", "probe_result")
+    count(ArtifactStore, "commit_result", "commit_result")
+    return counts
+
+
+def _kinds(store):
+    kinds = {}
+    for key in store.keys():
+        kind = store.get(key)["kind"]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return kinds
+
+
+class TestOneEntryPerRequest:
+    def test_cold_text_request_keys_once_and_commits_once(
+        self, tmp_path, text, calls
+    ):
+        store = ArtifactStore(str(tmp_path / "store"))
+        report = Session(store=store).analyze_text(text)
+        assert report.cache == "miss"
+        assert report.digest.startswith("file:")
+        assert calls.get("netlist_digest", 0) == 0
+        assert (calls["probe_result"], calls["commit_result"]) == (1, 1)
+        kinds = _kinds(store)
+        assert (kinds["result"], kinds["netlist"]) == (1, 1)
+        assert set(kinds) <= {"result", "netlist", "cone"}
+
+    def test_warm_triage_text_writes_nothing(self, tmp_path, text, writes):
+        store = ArtifactStore(str(tmp_path / "store"))
+        session = Session(store=store)
+        assert session.triage_text(text).cache == "miss"
+        puts, written = store.stats.puts, len(writes)
+        warm = session.triage_text(text)
+        assert (warm.cache, warm.analysis.cache) == ("hit", "hit")
+        assert store.stats.puts == puts
+        assert len(writes) == written
+
+    def test_cli_primed_store_answers_text_without_parsing(
+        self, tmp_path, text, calls, capsys
+    ):
+        path = tmp_path / "fig1.v"
+        path.write_text(text)
+        store = str(tmp_path / "store")
+        assert identify_main([str(path), "--store", store]) == 0
+        capsys.readouterr()
+        assert calls["parse_verilog"] == 1  # the CLI parses its file once
+        session = Session(config=PipelineConfig(preflight=True), store=store)
+        report = session.analyze_text(text)
+        assert report.cache == "hit"
+        assert report.design == "fig1"
+        assert calls["parse_verilog"] == 1
+
+    @pytest.mark.parametrize("entry", ["analyze_text", "analyze_digest"])
+    def test_warm_hit_reads_its_entry_once(self, tmp_path, text, entry):
+        """Regression: a hit loaded its envelope twice and counted two
+        hits (``repro_store_hits_total`` double-counted)."""
+        store = ArtifactStore(str(tmp_path / "store"))
+        session = Session(store=store)
+        cold = session.analyze_text(text)
+        hits = store.stats.hits
+        if entry == "analyze_text":
+            warm = session.analyze_text(text)
+        else:
+            warm = session.analyze_digest(cold.digest)
+        assert warm.cache == "hit"
+        assert warm.num_gates == cold.num_gates
+        assert store.stats.hits == hits + 1
+
+    def test_loaded_netlist_keeps_its_file_key_until_mutated(self, tmp_path):
+        netlist = figure1_netlist()[0]
+        path = tmp_path / "fig1.v"
+        path.write_text(write_verilog(netlist))
+        session = Session(store=str(tmp_path / "store"))
+        loaded = session.load_netlist(str(path))
+        assert session.analyze(loaded).digest == session.analyze(
+            str(path)
+        ).digest
+        _edit(loaded, "gate")
+        assert session.analyze(loaded).digest == netlist_digest(loaded)
 
 
 class TestMemoLifetime:

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from repro.api import Session
 from repro.core import PipelineConfig, identify_words
 from repro.core.conecache import ProcessConeCache, cone_fingerprint
 from repro.store import (
@@ -214,7 +215,7 @@ class TestEngineStoreIntegration:
         assert result_digest(a) == result_digest(b)
 
     def test_store_attaches_the_cone_tier_by_default(self, store):
-        """identify_words(store=...) wires [process, store] tiers: a
+        """A store-attached Session wires [process, store] tiers: a
         fresh process (simulated with a cold private chain) still hits
         the entries a previous run persisted."""
         from repro.core.conecache import process_cone_cache
@@ -223,7 +224,7 @@ class TestEngineStoreIntegration:
         netlist, _ = figure1_netlist()
         config = PipelineConfig()
         plain = identify_words(netlist, config)
-        cold = identify_words(netlist, config, store=store)
+        cold = Session(config=config, store=store).analyze(netlist).result
         assert cold.trace.cache.cone_tier_commits > 0
 
         # New process: an empty process tier, the same store.

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.api import Session
 from repro.core import PipelineConfig, identify_words
 from repro.store import (
     ArtifactStore,
@@ -32,6 +33,23 @@ def netlist():
 @pytest.fixture()
 def store(tmp_path):
     return ArtifactStore(str(tmp_path / "store"))
+
+
+def _analyze(netlist, config, store):
+    """One store-attached analysis: ``Session`` probes and commits."""
+    return Session(config=config, store=store).analyze(netlist).result
+
+
+def _probe(store, netlist, config):
+    hit = store.probe_result(netlist_digest(netlist), config)
+    return None if hit is None else hit[0]
+
+
+def _result_keys(store):
+    """Keys of the ``result`` entries (Session also commits the body)."""
+    return [
+        key for key in store.keys() if store.get(key)["kind"] == "result"
+    ]
 
 
 class TestKeys:
@@ -97,38 +115,33 @@ class TestSerialize:
 class TestStoreBasics:
     def test_probe_miss_then_commit_then_hit(self, store, netlist):
         config = PipelineConfig()
-        assert store.probe(netlist, config) is None
-        result = identify_words(netlist, config, store=store)
+        assert _probe(store, netlist, config) is None
+        result = _analyze(netlist, config, store)
         assert result.trace.cache_provenance["provenance"] == "miss"
-        cached = identify_words(netlist, config, store=store)
+        cached = _analyze(netlist, config, store)
         assert cached.trace.cache_provenance["provenance"] == "hit"
         assert result_digest(cached) == result_digest(result)
         assert cached.trace.counter_dict() == result.trace.counter_dict()
 
     def test_changing_depth_must_miss(self, store, netlist):
-        identify_words(netlist, PipelineConfig(depth=4), store=store)
-        other = identify_words(netlist, PipelineConfig(depth=5), store=store)
+        _analyze(netlist, PipelineConfig(depth=4), store)
+        other = _analyze(netlist, PipelineConfig(depth=5), store)
         assert other.trace.cache_provenance["provenance"] == "miss"
-        # One result entry per depth (cone entries ride along in their
-        # own `cone` kind and don't collide with the result space).
-        results = [
-            key for key in store.keys()
-            if store.get(key)["kind"] == "result"
-        ]
-        assert len(results) == 2
+        # One result entry per depth (cone entries and the body ride
+        # along in their own kinds and don't collide with the result
+        # space).
+        assert len(_result_keys(store)) == 2
 
     def test_jobs_hits_the_serial_entry(self, store, netlist):
-        identify_words(netlist, PipelineConfig(jobs=1), store=store)
-        parallel = identify_words(
-            netlist, PipelineConfig(jobs=4), store=store
-        )
+        _analyze(netlist, PipelineConfig(jobs=1), store)
+        parallel = _analyze(netlist, PipelineConfig(jobs=4), store)
         assert parallel.trace.cache_provenance["provenance"] == "hit"
 
     def test_degraded_run_is_not_committed(self, store, netlist):
         config = PipelineConfig(deadline_s=1e-9)
-        degraded = identify_words(netlist, config, store=store)
+        degraded = _analyze(netlist, config, store)
         assert degraded.trace.degraded
-        assert len(store) == 0
+        assert _result_keys(store) == []
 
     def test_netlist_artifact_roundtrip(self, store, netlist):
         digest = netlist_digest(netlist)
@@ -139,36 +152,36 @@ class TestStoreBasics:
 
 class TestSelfHealing:
     def _single_entry_path(self, store):
-        (key,) = store.keys()
+        (key,) = _result_keys(store)
         return store._path(key), key
 
     def test_truncated_entry_is_a_miss_and_healed(self, store, netlist):
         config = PipelineConfig()
-        identify_words(netlist, config, store=store)
+        _analyze(netlist, config, store)
         path, _key = self._single_entry_path(store)
         payload = open(path, encoding="utf-8").read()
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(payload[: len(payload) // 2])  # torn write
-        assert store.probe(netlist, config) is None
+        assert _probe(store, netlist, config) is None
         assert store.stats.healed == 1
         assert not os.path.exists(path)
         # The next analysis recomputes and rewrites the entry.
-        rewritten = identify_words(netlist, config, store=store)
+        rewritten = _analyze(netlist, config, store)
         assert rewritten.trace.cache_provenance["provenance"] == "miss"
-        assert store.probe(netlist, config) is not None
+        assert _probe(store, netlist, config) is not None
 
     def test_garbage_json_is_a_miss_and_healed(self, store, netlist):
         config = PipelineConfig()
-        identify_words(netlist, config, store=store)
+        _analyze(netlist, config, store)
         path, _ = self._single_entry_path(store)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        assert store.probe(netlist, config) is None
+        assert _probe(store, netlist, config) is None
         assert not os.path.exists(path)
 
     def test_wrong_key_content_is_rejected(self, store, netlist):
         config = PipelineConfig()
-        identify_words(netlist, config, store=store)
+        _analyze(netlist, config, store)
         path, key = self._single_entry_path(store)
         envelope = json.loads(open(path, encoding="utf-8").read())
         envelope["key"] = "0" * 64  # foreign entry copied into place
@@ -178,7 +191,7 @@ class TestSelfHealing:
 
     def test_pipeline_version_mismatch_is_a_miss(self, store, netlist):
         config = PipelineConfig()
-        identify_words(netlist, config, store=store)
+        _analyze(netlist, config, store)
         path, key = self._single_entry_path(store)
         envelope = json.loads(open(path, encoding="utf-8").read())
         envelope["pipeline_version"] = "0.0.1"
@@ -294,8 +307,9 @@ class TestConcurrency:
         config = PipelineConfig()
         from repro.store import file_digest as fdigest
 
-        cached = session_store.probe_result(fdigest(str(path)), config)
-        assert cached is not None
+        assert session_store.probe_result(
+            fdigest(str(path)), config
+        ) is not None
 
 
 def _analyze_in_child(root: str, path: str) -> None:

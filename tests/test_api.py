@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-import repro
 from repro.api import AnalysisReport, Session
 from repro.core import PipelineConfig
 from repro.core.baseline import shape_hashing as core_shape_hashing
@@ -150,29 +149,6 @@ class TestAnalyzeMany:
     def test_rejects_bad_jobs(self, design_path):
         with pytest.raises(ValueError):
             Session().analyze_many([design_path], jobs=0)
-
-
-class TestDeprecatedShims:
-    def test_identify_words_warns_and_delegates(self, netlist):
-        with pytest.warns(DeprecationWarning, match="Session.analyze"):
-            result = repro.identify_words(netlist)
-        assert result_digest(result) == result_digest(
-            core_identify_words(netlist)
-        )
-
-    def test_shape_hashing_warns_and_delegates(self, netlist):
-        with pytest.warns(DeprecationWarning, match="baseline=True"):
-            result = repro.shape_hashing(netlist)
-        assert result_digest(result) == result_digest(
-            core_shape_hashing(netlist)
-        )
-
-    def test_core_originals_do_not_warn(self, netlist, recwarn):
-        core_identify_words(netlist)
-        core_shape_hashing(netlist)
-        assert not [
-            w for w in recwarn if w.category is DeprecationWarning
-        ]
 
 
 class TestAnalyzeIncremental:

@@ -1,4 +1,4 @@
-"""Tests for the repro-identify command-line interface."""
+"""Tests for the ``repro identify`` command-line interface."""
 
 import json
 
@@ -87,6 +87,17 @@ class TestErrors:
         bad.write_text("this is not verilog")
         assert main([str(bad)]) == 2
         assert "cannot parse" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
+        """Regression: one non-UTF-8 byte, even inside a comment, used to
+        escape as a UnicodeDecodeError traceback with exit 1."""
+        bad = tmp_path / "latin1.v"
+        text = write_verilog(BENCHMARKS["b03"]())
+        bad.write_bytes(b"// caf\xe9\n" + text.encode("utf-8"))
+        assert main([str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_config_flags_forwarded(self, verilog_path, capsys):
         assert main([verilog_path, "--depth", "3",

@@ -1,4 +1,4 @@
-"""Tests for the ``repro`` umbrella CLI and its alias equivalence."""
+"""Tests for the ``repro`` command and its subcommand dispatch."""
 
 import json
 import os
@@ -48,7 +48,8 @@ class TestDispatch:
         assert "unknown command" in capsys.readouterr().err
 
     def test_subcommands_are_the_alias_entry_points(self):
-        """`repro X` and `repro-X` literally share one `main` function."""
+        """`repro X` runs module X's own `main` (so `python -m repro.cli`
+        and `repro identify` are one code path)."""
         assert COMMANDS["identify"][1]() is repro.cli.main
         assert COMMANDS["table1"][1]() is repro.eval.runner.main
         assert COMMANDS["fuzz"][1]() is repro.fuzz.harness.main
@@ -60,18 +61,17 @@ class TestDispatch:
 
         pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
         text = pyproject.read_text()
-        assert 'repro = "repro.main:main"' in text
-        for alias in (
-            "repro-identify", "repro-table1", "repro-fuzz", "repro-serve"
-        ):
-            assert alias in text
+        section = text.split("[project.scripts]\n", 1)[1].split("\n\n")[0]
+        # One console script: the repro-<command> aliases are gone.
+        assert section.strip().splitlines() == ['repro = "repro.main:main"']
 
 
 class TestAliasEquivalence:
     def test_identify_spellings_byte_identical(
         self, design_path, tmp_path, capsys
     ):
-        """Warm store runs of both spellings print identical reports."""
+        """Warm store runs of `python -m repro.cli` and `repro identify`
+        print identical reports."""
         store = str(tmp_path / "store")
         assert repro.cli.main([design_path, "--store", store]) == 0
         capsys.readouterr()  # discard the priming (cold) run

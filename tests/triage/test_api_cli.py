@@ -103,3 +103,12 @@ class TestCli:
 
     def test_unreadable_file_is_a_usage_error(self, tmp_path):
         assert triage_main([str(tmp_path / "missing.v")]) == EXIT_USAGE
+
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, design, capsys):
+        bad = tmp_path / "latin1.v"
+        with open(design, "rb") as handle:
+            bad.write_bytes(b"// caf\xe9\n" + handle.read())
+        assert triage_main([str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert len(err.strip().splitlines()) == 1
