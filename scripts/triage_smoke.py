@@ -7,8 +7,10 @@ For each of two ITC99 benchmarks (b04, b13):
 2. run ``repro triage --json`` and assert **every** injected gate lands
    in the top decile of the ranking;
 3. POST the same bytes to ``/v1/triage`` (the in-process service — the
-   same handler code the socket path runs) and assert the response is
-   byte-identical to the CLI payload, including the triage digest.
+   same handler code the socket path runs), then POST only the CLI
+   report's ``digest``, and assert each response is byte-identical to
+   the CLI payload, including the triage digest;
+4. assert neither served call writes to the store the CLI warmed.
 
 Run from the repository root::
 
@@ -23,6 +25,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.api import Session  # noqa: E402
+from repro.core import PipelineConfig  # noqa: E402
 from repro.netlist import write_verilog  # noqa: E402
 from repro.serve.service import AnalysisService  # noqa: E402
 from repro.synth import insert_trojan  # noqa: E402
@@ -64,24 +67,34 @@ def check_design(name: str, tmp: str) -> None:
     # Serve identity: same bytes in, byte-identical payload out.
     with open(design, encoding="utf-8") as handle:
         text = handle.read()
-    service = AnalysisService(
-        Session(store=store), workers=1, queue_size=1
-    )
+    # Configured as `repro serve` configures its session: preflight is
+    # in the store fingerprint, and the CLI run above used it.
+    session = Session(config=PipelineConfig(preflight=True), store=store)
+    service = AnalysisService(session, workers=1, queue_size=1)
+    canonical = json.dumps(cli, sort_keys=True).encode("utf-8")
     try:
-        response = service.call("POST", "/v1/triage", {"verilog": text})
+        for body in ({"verilog": text}, {"digest": cli["digest"]}):
+            request = next(iter(body))
+            puts = session.store.stats.puts
+            response = service.call("POST", "/v1/triage", body)
+            assert response.status == 200, (
+                f"{name}: serve answered {response.status} to {request}"
+            )
+            assert response.body == canonical, (
+                f"{name}: /v1/triage by {request} differs from "
+                f"repro triage --json"
+            )
+            assert session.store.stats.puts == puts, (
+                f"{name}: warm /v1/triage by {request} wrote to the store"
+            )
     finally:
         service.close()
-    assert response.status == 200, f"{name}: serve answered {response.status}"
-    canonical = json.dumps(cli, sort_keys=True).encode("utf-8")
-    assert response.body == canonical, (
-        f"{name}: /v1/triage response differs from repro triage --json"
-    )
-    assert response.json["triage_digest"] == cli["triage_digest"]
 
     print(
         f"{name}: {len(ranking)} gates ranked, {len(injected)} trojan "
         f"gates all within top decile (worst rank {worst}), "
-        f"serve == CLI ({cli['triage_digest'][:23]}...)"
+        f"serve by text and by digest == CLI "
+        f"({cli['triage_digest'][:23]}...), no store writes"
     )
 
 

@@ -30,6 +30,7 @@ canonical ``netlist:`` digest for a netlist built in memory.
 from __future__ import annotations
 
 import errno
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -310,13 +311,8 @@ class Session:
         if isinstance(source, Netlist):
             return self._analyze(self._digest(source), lambda: source)
         path = os.fspath(source)
-        digest, data = _read(path)
-        return self._analyze(
-            digest,
-            lambda: _parse(_decode(path, data), _format(path, format), digest),
-            source=path,
-            name=path,
-        )
+        digest, parse = _read(path, format)
+        return self._analyze(digest, parse, source=path, name=path)
 
     def analyze_text(
         self,
@@ -461,15 +457,16 @@ class Session:
         the ranking itself is additionally cached under the *result*
         digest, so re-triaging a design whose identification did not
         change is O(read one JSON file) even across backends and pools.
+        A path is keyed by its bytes, as in :meth:`analyze`, and parsed
+        only when one of the two entries misses.
         """
         if isinstance(source, Netlist):
-            netlist, path = source, None
-        else:
-            path = os.fspath(source)
-            netlist = self.load_netlist(path, format)
-        return self._triage_netlist(
-            netlist, self._digest(netlist), triage_config, path
-        )
+            return self._triage(
+                self._digest(source), lambda: source, triage_config
+            )
+        path = os.fspath(source)
+        digest, parse = _read(path, format)
+        return self._triage(digest, parse, triage_config, path, path)
 
     def triage_text(
         self,
@@ -482,11 +479,13 @@ class Session:
 
         Shares digests with :meth:`triage` on a file of the same bytes,
         so served triage requests warm — and are warmed by — CLI runs.
+        ``name`` labels the report as in :meth:`analyze_text`.
         """
-        del name  # the netlist's own name labels the report
         digest = bytes_digest(text.encode("utf-8"))
-        netlist = _parse(text, format, digest)
-        return self._triage_netlist(netlist, digest, triage_config, None)
+        return self._triage(
+            digest, lambda: _parse(text, format, digest), triage_config,
+            name=name,
+        )
 
     def triage_digest(
         self,
@@ -496,31 +495,46 @@ class Session:
         """:meth:`triage` for an already-stored content digest, if any.
 
         The serve fast path: a client that knows its design's digest
-        skips shipping the netlist body.  Unlike :meth:`analyze_digest`
-        this needs the parsed *body* (triage reads structure the cached
-        result alone does not pin), so it answers ``None`` unless the
-        store holds the netlist itself — which every store-backed
-        analysis commits.
+        skips shipping the netlist body.  A warm request reads the
+        identification and the ranking and nothing else.  When either
+        misses, triage needs the parsed *body* (it reads structure the
+        cached result alone does not pin), so the answer is ``None``
+        unless the store holds the netlist itself — which every
+        store-backed analysis commits.
         """
-        if self.store is None:
+        store = self.store
+        if store is None:
             return None
-        netlist = self.store.probe_netlist(digest)
-        if netlist is None:
-            return None
-        return self._triage_netlist(netlist, digest, triage_config, None)
 
-    def _triage_netlist(
+        def body() -> Netlist:
+            netlist = store.probe_netlist(digest)
+            if netlist is None:
+                raise _NoBody(digest)
+            return netlist
+
+        try:
+            return self._triage(digest, body, triage_config)
+        except _NoBody:
+            return None
+
+    def _triage(
         self,
-        netlist: Netlist,
         digest: str,
+        parse: Callable[[], Netlist],
         triage_config: Optional[TriageConfig],
-        source: Optional[str],
+        source: Optional[str] = None,
+        name: Optional[str] = None,
     ) -> TriageReport:
+        """The one triage path, shaped like :meth:`_analyze`: the
+        identification and then the ranking are read from the store
+        under ``digest``, and ``parse()`` runs at most once, only when
+        one of them misses."""
         triage_config = triage_config or TriageConfig()
+        netlist = functools.cache(parse)
         # The identification goes through the one analysis path under
         # the request's own digest, so triage rows digest-match their
         # plain-analysis counterparts.
-        analysis = self._analyze(digest, lambda: netlist, source, source)
+        analysis = self._analyze(digest, netlist, source, name)
         rd = analysis.result_digest
         key = None
         cache = "off"
@@ -541,7 +555,7 @@ class Session:
                 except (KeyError, TypeError, ValueError):
                     triage = None
         if triage is None:
-            triage = triage_netlist(netlist, analysis.result, triage_config)
+            triage = triage_netlist(netlist(), analysis.result, triage_config)
             if self.store is not None:
                 if analysis.result.trace.degraded:
                     # A degraded identification is an environment
@@ -560,10 +574,14 @@ class Session:
         registry = _metrics.current()
         if registry is not None:
             registry.counter(
-                "repro_triage_runs_total", "Completed triage rankings"
-            ).inc()
+                "repro_triage_runs_total",
+                "Completed triage rankings, by triage cache outcome",
+                labelnames=("cache",),
+            ).inc(cache=cache)
+        # On a hit the design name comes from the result envelope, which
+        # recorded the parsed netlist's name.
         return TriageReport(
-            design=netlist.name,
+            design=analysis.design,
             source=source,
             digest=digest,
             result_digest=rd,
@@ -719,16 +737,25 @@ class Session:
         those bytes: ``repro identify --store`` and a served request for
         the same file share one store entry, and the file is parsed once.
         """
-        path = os.fspath(path)
-        digest, data = _read(path)
-        return _parse(_decode(path, data), _format(path, format), digest)
+        _, parse = _read(os.fspath(path), format)
+        return parse()
 
 
-def _read(path: str) -> Tuple[str, bytes]:
-    """A netlist file's ``file:`` digest and its bytes, from one read."""
+class _NoBody(Exception):
+    """Internal: :meth:`Session.triage_digest` found no stored body."""
+
+
+def _read(
+    path: str, format: Optional[str]
+) -> Tuple[str, Callable[[], Netlist]]:
+    """A netlist file's ``file:`` digest, and a callable that parses the
+    bytes the digest was taken from (one read; parsed only on demand)."""
     with open(path, "rb") as handle:
         data = handle.read()
-    return bytes_digest(data), data
+    digest = bytes_digest(data)
+    return digest, lambda: _parse(
+        _decode(path, data), _format(path, format), digest
+    )
 
 
 def _decode(path: str, data: bytes) -> str:

@@ -36,6 +36,7 @@ With ``jobs > 1`` the per-subgroup searches run on a thread pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -162,8 +163,12 @@ class PipelineConfig:
             object.__setattr__(self, "allow_partial", False)
         elif self.backend == "ours" and not self.allow_partial:
             object.__setattr__(self, "backend", "base")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
+        if self.deadline_s is not None:
+            # A NaN deadline never expires: reject it, do not run unbounded.
+            if not math.isfinite(self.deadline_s):
+                raise ValueError("deadline_s must be a finite number")
+            if self.deadline_s <= 0:
+                raise ValueError("deadline_s must be > 0")
         if self.max_assignments is not None and self.max_assignments < 0:
             raise ValueError("max_assignments must be >= 0")
         if self.max_cone_gates is not None and self.max_cone_gates < 1:

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.baseline import baseline_config, shape_hashing
 from ..core.pipeline import PipelineConfig, identify_words
 from ..core.words import IdentificationResult
+from ..exitcodes import EXIT_USAGE
 from ..netlist.netlist import Netlist
 from .metrics import EvaluationMetrics, evaluate
 from .reference import ReferenceWord, average_word_size, extract_reference_words
@@ -333,14 +334,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     journal = args.journal
     if args.resume and journal is None:
         journal = DEFAULT_JOURNAL
-    config = PipelineConfig(
-        depth=args.depth,
-        max_simultaneous=args.max_simultaneous,
-        jobs=args.jobs,
-        deadline_s=args.deadline,
-        max_assignments=args.budget,
-        strict=args.strict,
-    )
+    try:
+        config = PipelineConfig(
+            depth=args.depth,
+            max_simultaneous=args.max_simultaneous,
+            jobs=args.jobs,
+            deadline_s=args.deadline,
+            max_assignments=args.budget,
+            strict=args.strict,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     def print_trace(name: str, run: BenchmarkRun) -> None:
         print(f"--- {name} ---")

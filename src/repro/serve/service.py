@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -108,6 +109,19 @@ _ENDPOINT_FIELDS = {
 }
 
 
+def _number_error(value) -> Optional[str]:
+    """Why ``value`` is not a finite JSON number, or ``None``.  Stdlib
+    ``json`` parses ``NaN`` and ``Infinity``: neither is a usable
+    deadline or threshold, and echoing one back is not strict JSON."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    return None if finite else "must be a finite number"
+
+
 def _validate_source(item: Dict, diags, prefix: str = "") -> None:
     """Shared checks for anything naming a design (request or batch item)."""
     digest = item.get("digest")
@@ -149,12 +163,11 @@ def _validate_request(payload: Dict, endpoint: str):
         ))
     deadline = payload.get("deadline_s")
     if deadline is not None:
-        if isinstance(deadline, bool) or not isinstance(
-            deadline, (int, float)
-        ):
-            diags.append(_field_diag("deadline_s", "must be a number"))
-        elif deadline <= 0:
-            diags.append(_field_diag("deadline_s", "must be > 0"))
+        error = _number_error(deadline)
+        if error is None and deadline <= 0:
+            error = "must be > 0"
+        if error is not None:
+            diags.append(_field_diag("deadline_s", error))
     strict = payload.get("strict")
     if strict is not None and not isinstance(strict, bool):
         diags.append(_field_diag("strict", "must be a boolean"))
@@ -192,11 +205,10 @@ def _validate_request(payload: Dict, endpoint: str):
             elif top < 0:
                 diags.append(_field_diag("top", "must be >= 0"))
         threshold = payload.get("threshold")
-        if threshold is not None and (
-            isinstance(threshold, bool)
-            or not isinstance(threshold, (int, float))
-        ):
-            diags.append(_field_diag("threshold", "must be a number"))
+        if threshold is not None:
+            error = _number_error(threshold)
+            if error is not None:
+                diags.append(_field_diag("threshold", error))
         _validate_source(payload, diags)
     else:
         items = payload.get("netlists")

@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..core.words import IdentificationResult
@@ -71,6 +73,9 @@ class TriageConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number")
         for name in (
             "weight_mix", "weight_span", "weight_outside", "weight_control",
         ):
@@ -117,13 +122,21 @@ class GateScore:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriageResult:
-    """Deterministic gate ranking (most anomalous first)."""
+    """Deterministic gate ranking (most anomalous first).
 
-    scores: List[GateScore] = field(default_factory=list)
+    Immutable — frozen, with the ranking a tuple — so :meth:`digest`
+    serializes and hashes the ranking at most once per result and the
+    memo can never go stale.
+    """
+
+    scores: Tuple[GateScore, ...] = ()
     backend: str = "ours"
     config: TriageConfig = field(default_factory=TriageConfig)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scores", tuple(self.scores))
 
     @property
     def num_gates(self) -> int:
@@ -142,7 +155,7 @@ class TriageResult:
                 return index + 1
         return None
 
-    def top(self, n: int) -> List[GateScore]:
+    def top(self, n: int) -> Tuple[GateScore, ...]:
         return self.scores[: max(0, n)]
 
     def as_dict(self, top: Optional[int] = None) -> Dict:
@@ -161,22 +174,22 @@ class TriageResult:
 
     def digest(self) -> str:
         """Content digest over the full ranking (independent of ``top``)."""
-        blob = json.dumps(
-            [
-                [s.gate, s.position, s.score, list(s.features)]
-                for s in self.scores
-            ],
-            sort_keys=True, separators=(",", ":"),
-        )
-        return "triage:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        return _ranking_digest(self.scores)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "TriageResult":
         """Rebuild a result from :meth:`as_dict` output (full payloads
         only — a ``top``-truncated payload cannot reproduce its digest,
-        so reconstruction from one raises :class:`ValueError`)."""
+        so reconstruction from one raises :class:`ValueError`).
+
+        The stored ``triage_digest`` is checked against the rebuilt
+        ranking, which computes the result's one digest."""
         result = cls(
-            scores=[
+            scores=tuple(
                 GateScore(
                     gate=entry["gate"],
                     position=entry["position"],
@@ -184,13 +197,22 @@ class TriageResult:
                     features=tuple(sorted(entry["features"].items())),
                 )
                 for entry in data["gates"]
-            ],
+            ),
             backend=data["backend"],
             config=TriageConfig.from_dict(data["config"]),
         )
         if result.digest() != data["triage_digest"]:
             raise ValueError("triage payload digest mismatch")
         return result
+
+
+def _ranking_digest(scores: Tuple[GateScore, ...]) -> str:
+    """``triage:`` plus the SHA-256 of a full ranking's canonical JSON."""
+    blob = json.dumps(
+        [[s.gate, s.position, s.score, list(s.features)] for s in scores],
+        sort_keys=True, separators=(",", ":"),
+    )
+    return "triage:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _round(value: float) -> float:

@@ -174,11 +174,14 @@ class TestJournalResumeAfterKill:
             "batch.worker.hang:always,match=b03,delay=60",
             state_dir=str(tmp_path / "fault-state"),
         )
+        # Its own process group, so the kill below also reaches the
+        # pool workers (one of them hangs for a minute on b03).
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.batch", *corpus, "--jobs", "2",
              "--store", store, "--journal", journal, "--quiet"],
             env=_fault_env(plan),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120
@@ -191,7 +194,7 @@ class TestJournalResumeAfterKill:
             else:
                 pytest.fail("journal never saw the fast rows")
         finally:
-            process.send_signal(signal.SIGKILL)
+            os.killpg(process.pid, signal.SIGKILL)
             process.wait(timeout=30)
 
         completed_before = load_journal_entries(journal, key="path")

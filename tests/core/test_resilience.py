@@ -122,6 +122,9 @@ class TestPrimitives:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(deadline_s=0)
+        for deadline in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                PipelineConfig(deadline_s=deadline)
         with pytest.raises(ValueError):
             PipelineConfig(max_assignments=-1)
         with pytest.raises(ValueError):

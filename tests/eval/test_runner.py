@@ -113,3 +113,8 @@ class TestCli:
     def test_budget_flags_degrade_instead_of_crashing(self, capsys):
         assert main(["b03", "--budget", "0", "--deadline", "3600"]) == 0
         assert "b03" in capsys.readouterr().out
+
+    def test_invalid_deadline_exits_two(self, capsys):
+        for deadline in ("0", "nan"):
+            assert main(["b03", "--deadline", deadline]) == 2
+            assert capsys.readouterr().err.startswith("error: deadline_s")

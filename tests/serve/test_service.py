@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro import metrics
 from repro.api import Session
 from repro.metrics import MetricsRegistry
 from repro.netlist import write_verilog
@@ -205,6 +206,29 @@ class TestRouting:
         latency = registry.get("repro_serve_request_seconds")
         assert latency.count(endpoint="/v1/identify") == 1
 
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_triage_runs_count_their_cache_outcome(
+        self, verilog_text, tmp_path, pool
+    ):
+        """A re-sent triage skips the scorer; /metrics must show it."""
+        registry = metrics.install(MetricsRegistry())
+        service = AnalysisService(
+            Session(store=str(tmp_path / "store")), workers=1,
+            queue_size=1, registry=registry, pool=pool,
+        )
+        try:
+            for _ in range(2):
+                response = service.call(
+                    "POST", "/v1/triage", {"verilog": verilog_text}
+                )
+                assert response.status == 200
+            text = service.call("GET", "/metrics").body.decode("utf-8")
+        finally:
+            service.close()
+            metrics.uninstall()
+        assert 'repro_triage_runs_total{cache="miss"} 1' in text
+        assert 'repro_triage_runs_total{cache="hit"} 1' in text
+
 
 class TestAdmissionControl:
     def test_burst_beyond_capacity_sheds_429_never_500(self, tmp_path,
@@ -386,6 +410,34 @@ class TestValidation:
         assert body["detail"] == "2 invalid field(s)"
         fields = {d["field"] for d in body["diagnostics"]}
         assert fields == {"deadline_s", "strict"}
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 10 ** 400],
+        ids=["nan", "inf", "huge-int"],
+    )
+    def test_non_finite_numbers_are_field_level_400s(
+        self, service, verilog_text, value
+    ):
+        """Stdlib ``json`` reads ``NaN``/``Infinity``: a NaN deadline
+        would never expire, and a NaN threshold would be echoed back as
+        invalid JSON.  An integer beyond the float range is no usable
+        number either."""
+        bodies = {
+            "/v1/identify": {"verilog": verilog_text},
+            "/v1/batch": {"netlists": [{"verilog": verilog_text}]},
+            "/v1/triage": {"verilog": verilog_text},
+        }
+        for path, body in bodies.items():
+            fields = ["deadline_s"] + (
+                ["threshold"] if path == "/v1/triage" else []
+            )
+            for field in fields:
+                response = service.call("POST", path, {**body, field: value})
+                assert response.status == 400, (path, field)
+                assert response.json["diagnostics"] == [{
+                    "field": field, "severity": "error",
+                    "message": "must be a finite number",
+                }]
 
     def test_batch_item_diagnostics_carry_the_item_prefix(self, service,
                                                           verilog_text):

@@ -4,14 +4,17 @@ serialization: ``Session`` alone probes and commits results, under the
 reuses the ``write_verilog`` text a ``netlist:`` digest produced."""
 
 import hashlib
+import json
 import os
 import sys
 
 import pytest
 
 import repro.api as api
+import repro.netlist.verilog as verilog
 import repro.store.disk as disk
 import repro.store.keys as keys
+import repro.triage.scorer as scorer
 from repro.api import Session
 from repro.cli import main as identify_main
 from repro.core import PipelineConfig
@@ -112,6 +115,8 @@ def calls(monkeypatch):
     count(api, "netlist_digest", "netlist_digest")
     count(disk, "netlist_digest", "netlist_digest")
     count(api, "parse_verilog", "parse_verilog")
+    # ArtifactStore.probe_netlist imports parse_verilog at call time.
+    count(verilog, "parse_verilog", "parse_verilog")
     count(ArtifactStore, "probe_result", "probe_result")
     count(ArtifactStore, "commit_result", "commit_result")
     return counts
@@ -191,6 +196,99 @@ class TestOneEntryPerRequest:
         ).digest
         _edit(loaded, "gate")
         assert session.analyze(loaded).digest == netlist_digest(loaded)
+
+
+class TestWarmTriage:
+    """A triage reads the identification, then the ranking, and parses
+    the design only when one of them misses."""
+
+    @pytest.fixture()
+    def primed(self, tmp_path, text):
+        path = tmp_path / "fig1.v"
+        path.write_text(text)
+        store = ArtifactStore(str(tmp_path / "store"))
+        session = Session(store=store)
+        cold = session.triage(str(path))
+        assert (cold.cache, cold.analysis.cache) == ("miss", "miss")
+        return session, str(path), cold
+
+    @pytest.mark.parametrize(
+        "entry", ["triage_text", "triage", "triage_digest"]
+    )
+    def test_warm_triage_parses_nothing_and_writes_nothing(
+        self, primed, text, calls, entry
+    ):
+        session, path, cold = primed
+        parses, puts = calls.get("parse_verilog", 0), session.store.stats.puts
+        if entry == "triage_text":
+            warm = session.triage_text(text)
+        elif entry == "triage":
+            warm = session.triage(path)
+        else:
+            warm = session.triage_digest(cold.digest)
+        assert (warm.cache, warm.analysis.cache) == ("hit", "hit")
+        assert calls.get("parse_verilog", 0) == parses
+        assert session.store.stats.puts == puts
+        assert warm.design == cold.design == "fig1"
+        assert warm.as_dict() == cold.as_dict()
+
+    @pytest.mark.parametrize("entry", ["triage_text", "triage_digest"])
+    def test_ranking_miss_parses_once(self, tmp_path, text, calls, entry):
+        session = Session(store=str(tmp_path / "store"))
+        analysis = session.analyze_text(text)
+        parses = calls["parse_verilog"]
+        if entry == "triage_text":
+            report = session.triage_text(text)
+        else:
+            report = session.triage_digest(analysis.digest)
+        assert (report.cache, report.analysis.cache) == ("miss", "hit")
+        assert calls["parse_verilog"] == parses + 1
+
+    def test_cold_triage_parses_once(self, tmp_path, text, calls):
+        session = Session(store=str(tmp_path / "store"))
+        report = session.triage_text(text)
+        assert (report.cache, report.analysis.cache) == ("miss", "miss")
+        assert calls["parse_verilog"] == 1
+
+    def test_warm_triage_hashes_the_ranking_once(
+        self, primed, text, monkeypatch
+    ):
+        session, _, cold = primed
+        hashed = []
+        original = scorer._ranking_digest
+
+        def counted(scores):
+            hashed.append(len(scores))
+            return original(scores)
+
+        monkeypatch.setattr(scorer, "_ranking_digest", counted)
+        warm = session.triage_text(text)
+        assert warm.as_dict() == cold.as_dict()
+        assert warm.triage_digest == cold.triage_digest
+        assert hashed == [cold.triage.num_gates]
+
+    def test_stale_ranking_digest_is_a_miss_that_rewrites_the_entry(
+        self, primed, text
+    ):
+        session, _, cold = primed
+        store = session.store
+        envelope = store.get(cold.key)
+        stored = json.dumps(envelope["triage"], sort_keys=True)
+        envelope["triage"]["gates"][0]["score"] += 0.5
+        store.put(cold.key, "triage", {
+            field: envelope[field]
+            for field in ("digest", "result_digest", "config", "triage")
+        })
+        puts = store.stats.puts
+        warm = session.triage_text(text)
+        assert (warm.cache, warm.analysis.cache) == ("miss", "hit")
+        assert store.stats.puts == puts + 1
+        assert json.dumps(
+            store.get(cold.key)["triage"], sort_keys=True
+        ) == stored
+        assert json.dumps(warm.as_dict(), sort_keys=True) == json.dumps(
+            cold.as_dict(), sort_keys=True
+        )
 
 
 class TestMemoLifetime:

@@ -242,8 +242,10 @@ class TestResilienceFlags:
         assert "error (strict)" in capsys.readouterr().err
 
     def test_invalid_deadline_exits_two(self, verilog_path, capsys):
-        assert main([verilog_path, "--deadline", "0"]) == 2
-        assert "error" in capsys.readouterr().err
+        # A NaN deadline never expires: it must not run unbounded.
+        for deadline in ("0", "nan", "inf"):
+            assert main([verilog_path, "--deadline", deadline]) == 2
+            assert "error" in capsys.readouterr().err
 
     def test_failures_land_in_trace_json(self, verilog_path, capsys):
         assert main([verilog_path, "--budget", "0",

@@ -1,5 +1,6 @@
 """Unit tests for the Trojan-triage anomaly scorer (DESIGN.md §16)."""
 
+import dataclasses
 import os
 import sys
 
@@ -85,6 +86,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="neighbor_rounds"):
             TriageConfig(neighbor_rounds=-1)
 
+    @pytest.mark.parametrize("field", ["weight_mix", "threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            TriageConfig(**{field: value})
+
     def test_threshold_drives_num_flagged(self, figure1_triage):
         netlist, result, _ = figure1_triage
         triage = triage_netlist(
@@ -103,6 +110,16 @@ class TestPayload:
         rebuilt = TriageResult.from_dict(triage.as_dict())
         assert rebuilt.digest() == triage.digest()
         assert rebuilt.as_dict() == triage.as_dict()
+
+    def test_result_is_immutable(self, figure1_triage):
+        """The digest is computed once per result, so the ranking it
+        covers must not change after construction."""
+        _, _, triage = figure1_triage
+        rebuilt = TriageResult(scores=list(triage.scores))
+        assert isinstance(rebuilt.scores, tuple)
+        assert rebuilt.digest() == triage.digest()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rebuilt.scores = ()
 
     def test_truncated_payload_refuses_reconstruction(self, figure1_triage):
         _, _, triage = figure1_triage
