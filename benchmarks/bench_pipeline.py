@@ -10,7 +10,7 @@ so the perf trajectory of the engine is recorded per commit.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--design b12]
-        [--repeats 5] [--jobs 1] [--output BENCH_pipeline.json]
+        [--repeats 5] [--output BENCH_pipeline.json]
 
 The reported timing is the *minimum* over the repeats — the most
 contention-robust estimator on shared CI runners.
@@ -46,9 +46,9 @@ def _timed_runs(netlist, config: PipelineConfig, repeats: int):
     return best, times, best_result
 
 
-def run(design: str, repeats: int, jobs: int) -> dict:
+def run(design: str, repeats: int) -> dict:
     netlist = BENCHMARKS[design]()
-    config = PipelineConfig(jobs=jobs)
+    config = PipelineConfig()
     best, times, best_result = _timed_runs(netlist, config, repeats)
     best_trace = best_result.trace
     cache = best_trace.cache
@@ -57,7 +57,6 @@ def run(design: str, repeats: int, jobs: int) -> dict:
         "design": design,
         "gates": netlist.num_gates,
         "flip_flops": netlist.num_ffs,
-        "jobs": jobs,
         "repeats": repeats,
         "python": platform.python_version(),
         "result_digest": result_digest(best_result),
@@ -115,10 +114,9 @@ def main() -> int:
         "--design", default="b12", choices=sorted(BENCHMARKS)
     )
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--output", default="BENCH_pipeline.json")
     args = parser.parse_args()
-    payload = run(args.design, args.repeats, args.jobs)
+    payload = run(args.design, args.repeats)
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

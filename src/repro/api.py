@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import metrics as _metrics
 from .core.baseline import baseline_config
-from .core.conecache import process_cone_cache
 from .core.pipeline import PipelineConfig, identify_words
 from .core.words import IdentificationResult
 from .netlist.bench import parse_bench
@@ -141,10 +140,8 @@ class IncrementalReport:
     next ``base_digest`` to chain edits.  The ``gates_*`` /
     ``dirty_*`` fields describe the structural diff and its forward
     closure through combinational logic (cones stop at flip-flops, so so
-    does the closure); the ``cone_*`` fields are the edited run's
-    cone-cache traffic.  ``report`` is byte-identical to a from-scratch
-    analysis of the edited design — incrementality changes where answers
-    come from, never what they are.
+    does the closure).  ``report`` is the plain analysis of the edited
+    design, byte-identical to a from-scratch one.
     """
 
     base_digest: str
@@ -156,9 +153,6 @@ class IncrementalReport:
     dirty_nets: int
     dirty_bits: int
     total_bits: int
-    cone_hits: int
-    cone_misses: int
-    cone_commits: int
 
     @property
     def num_edits(self) -> int:
@@ -167,16 +161,6 @@ class IncrementalReport:
             + len(self.gates_removed)
             + len(self.gates_changed)
         )
-
-    @property
-    def cone_reuse_rate(self) -> float:
-        """Fraction of subgroup searches answered from the cone cache.
-
-        ``1.0`` when nothing had to be probed at all — a whole-result
-        store hit is total reuse, not zero reuse.
-        """
-        total = self.cone_hits + self.cone_misses
-        return self.cone_hits / total if total else 1.0
 
     def as_dict(self) -> Dict:
         """Versioned JSON-ready form (``schema_version`` stamped)."""
@@ -190,12 +174,6 @@ class IncrementalReport:
                 "dirty_nets": self.dirty_nets,
                 "dirty_bits": self.dirty_bits,
                 "total_bits": self.total_bits,
-            },
-            "cone_cache": {
-                "hits": self.cone_hits,
-                "misses": self.cone_misses,
-                "commits": self.cone_commits,
-                "reuse_rate": self.cone_reuse_rate,
             },
             "report": self.report.as_dict(),
         })
@@ -353,10 +331,7 @@ class Session:
             return cached
         netlist = parse()
         store = self.store
-        tiers = None
-        if store is not None:
-            tiers = [process_cone_cache(), store.cone_tier()]
-        result = identify_words(netlist, self.config, cone_cache=tiers)
+        result = identify_words(netlist, self.config)
         cache, key = "off", None
         if store is not None:
             cache = "miss"
@@ -608,13 +583,11 @@ class Session:
         ``edited_source`` is the edited design as a :class:`Netlist`, a
         path, or netlist source text.
 
-        The edited design runs through the full six-stage pipeline with
-        the session's cone-cache tiers warm — content addressing *is*
-        the invalidation: every cone the edit did not reach keeps its
-        canonical digest and replays from the cache, only dirtied cones
-        are re-searched.  The result is therefore byte-identical to a
-        from-scratch analysis; the base is used solely to report the
-        structural diff and its dirty closure.
+        The edited design runs through the one analysis path
+        (:meth:`_analyze`: a store hit, or the six-stage pipeline), so the
+        result is byte-identical to a from-scratch analysis by
+        construction; the base is used solely to report the structural
+        diff and its dirty closure.
 
         Raises :class:`ValueError` when the session has no store and
         :class:`KeyError` when ``base_digest`` is unknown to it.
@@ -622,7 +595,7 @@ class Session:
         if self.store is None:
             raise ValueError(
                 "analyze_incremental requires a store "
-                "(the base design and the cone cache live there)"
+                "(the base design lives there)"
             )
         base = self.store.probe_netlist(base_digest)
         if base is None:
@@ -634,11 +607,9 @@ class Session:
         dirty_bits = sum(1 for net in bits if net in dirty)
 
         report = self._analyze(self._digest(edited), lambda: edited)
-        digest = report.digest
-        cache = report.result.trace.cache
         incremental = IncrementalReport(
             base_digest=base_digest,
-            digest=digest,
+            digest=report.digest,
             report=report,
             gates_added=added,
             gates_removed=removed,
@@ -646,11 +617,6 @@ class Session:
             dirty_nets=len(dirty),
             dirty_bits=dirty_bits,
             total_bits=len(bits),
-            cone_hits=(
-                cache.cone_tier_process_hits + cache.cone_tier_store_hits
-            ),
-            cone_misses=cache.cone_tier_misses,
-            cone_commits=cache.cone_tier_commits,
         )
         registry = _metrics.current()
         if registry is not None:

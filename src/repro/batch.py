@@ -114,21 +114,6 @@ def _itc99_names() -> List[str]:
     ]
 
 
-def _cone_cache_summary(report: AnalysisReport) -> Dict:
-    """One design's cone-tier traffic (DESIGN.md §12), for its row."""
-    cache = report.trace.get("cache", {})
-    hits = int(cache.get("cone_tier_process_hits", 0)) + int(
-        cache.get("cone_tier_store_hits", 0)
-    )
-    misses = int(cache.get("cone_tier_misses", 0))
-    return {
-        "hits": hits,
-        "misses": misses,
-        "commits": int(cache.get("cone_tier_commits", 0)),
-        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-    }
-
-
 def _triage_summary(treport, top: int = 10) -> Dict:
     """One design's Trojan-triage digest for its corpus row.
 
@@ -169,7 +154,6 @@ def _row_from_report(
         "singletons": list(report.singletons),
         "control_signals": list(report.control_signals),
         "counters": dict(report.trace.get("counters", {})),
-        "cone_cache": _cone_cache_summary(report),
         "result_digest": report.result_digest,
         "runtime_seconds": report.runtime_seconds,
         "wall_seconds": wall_seconds,
@@ -278,17 +262,6 @@ def _publish_row(row: Dict) -> None:
         "repro_batch_row_seconds",
         "Wall-clock seconds per corpus design (orchestrator view)",
     ).observe(float(row.get("wall_seconds", 0.0)))
-    cone = row.get("cone_cache") or {}
-    if cone.get("hits"):
-        registry.counter(
-            "repro_batch_cone_tier_hits_total",
-            "Cone-cache hits across all corpus designs",
-        ).inc(int(cone["hits"]))
-    if cone.get("misses"):
-        registry.counter(
-            "repro_batch_cone_tier_misses_total",
-            "Cone-cache misses across all corpus designs",
-        ).inc(int(cone["misses"]))
 
 
 def _aggregate(rows: Sequence[Dict], wall_seconds: float) -> Dict:
@@ -296,14 +269,6 @@ def _aggregate(rows: Sequence[Dict], wall_seconds: float) -> Dict:
     rows = [row for row in rows if not row.get("quarantined")]
     hits = sum(1 for row in rows if row["cache"] == "hit")
     misses = sum(1 for row in rows if row["cache"] == "miss")
-    # Cone-tier traffic summed across rows; .get() tolerates journal rows
-    # written before the cone cache existed.
-    cone_hits = sum(
-        int((row.get("cone_cache") or {}).get("hits", 0)) for row in rows
-    )
-    cone_misses = sum(
-        int((row.get("cone_cache") or {}).get("misses", 0)) for row in rows
-    )
     digest = hashlib.sha256()
     for row in sorted(rows, key=lambda r: (r["design"], r["digest"])):
         digest.update(
@@ -319,13 +284,6 @@ def _aggregate(rows: Sequence[Dict], wall_seconds: float) -> Dict:
         "quarantined": len(quarantined),
         "quarantine_reasons": sorted(
             {str(row["reason"]["type"]) for row in quarantined}
-        ),
-        "cone_tier_hits": cone_hits,
-        "cone_tier_misses": cone_misses,
-        "cone_tier_hit_rate": (
-            cone_hits / (cone_hits + cone_misses)
-            if cone_hits + cone_misses
-            else 0.0
         ),
         "total_words": sum(row["num_words"] for row in rows),
         "analysis_seconds": sum(row["runtime_seconds"] for row in rows),

@@ -8,7 +8,6 @@ This is the tool a downstream user actually runs::
     repro identify design.v --backend regfeat    # feature-vector backend
     repro identify design.v --json report.json   # machine-readable output
     repro identify design.v --depth 5 --max-simultaneous 3
-    repro identify design.v --jobs 4             # parallel subgroup search
     repro identify design.v --trace              # stage timings + caches
     repro identify design.v --trace-json t.json  # machine-readable trace
     repro identify design.v --propagate          # + word propagation
@@ -23,11 +22,11 @@ with ``--store`` the result is keyed by the file's bytes, the same key
 ``repro serve`` uses for a request carrying those bytes.
 
 Exit code 0 on success — including degraded runs, where a deadline or
-budget fired, or a subgroup worker was quarantined, and the partial words
+budget fired, or a subgroup search was quarantined, and the partial words
 were still emitted (the degradation reason lands in ``--trace`` /
 ``--trace-json``).  Exit 2 on unreadable/unparseable input or when
 ``--score`` finds no golden register names to score against, and 3 when
-``--strict`` turned a budget violation, pre-flight diagnostic, or worker
+``--strict`` turned a budget violation, pre-flight diagnostic, or search
 failure into an error.
 """
 
@@ -103,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--score",
         action="store_true",
         help="score against golden words from *_reg_<i> register names",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads for the per-subgroup assignment search "
-        "(default 1; any value yields identical results)",
     )
     parser.add_argument(
         "--deadline",
@@ -215,7 +207,6 @@ def _report(
             "kernel": SIGNATURE_KERNEL,
             "depth": args.depth,
             "max_simultaneous": args.max_simultaneous,
-            "jobs": args.jobs,
             "deadline_s": args.deadline,
             "max_assignments": args.budget,
             "max_cone_gates": args.max_cone_gates,
@@ -249,9 +240,6 @@ def _report(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     backend = args.backend
     if args.baseline:
         if backend not in ("ours", "base"):
@@ -267,7 +255,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_simultaneous=args.max_simultaneous,
             allow_partial=backend != "base",
             backend=backend,
-            jobs=args.jobs,
             deadline_s=args.deadline,
             max_assignments=args.budget,
             max_cone_gates=args.max_cone_gates,

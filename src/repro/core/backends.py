@@ -74,8 +74,7 @@ class BackendSpec:
     ``runner`` is the backend's entry point with the exact
     :func:`~repro.core.pipeline.identify_words` contract::
 
-        runner(netlist, config, context=None, cone_cache=None)
-            -> IdentificationResult
+        runner(netlist, config, context=None) -> IdentificationResult
 
     It must be deterministic (two runs on the same inputs byte-identical
     on words, singletons, assignments, and trace counters) and must
@@ -100,11 +99,9 @@ class BackendSpec:
     fingerprint_fields: Tuple[str, ...]
     runner: Callable = field(repr=False, compare=False)
 
-    def run(self, netlist, config, context=None, cone_cache=None):
+    def run(self, netlist, config, context=None):
         """Run this backend with the ``identify_words`` contract."""
-        return self.runner(
-            netlist, config, context=context, cone_cache=cone_cache
-        )
+        return self.runner(netlist, config, context=context)
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
@@ -145,7 +142,7 @@ def resolve(name: object) -> BackendSpec:
 # built-in backends
 # ----------------------------------------------------------------------
 
-def _run_staged(netlist, config, context=None, cone_cache=None):
+def _run_staged(netlist, config, context=None):
     """The staged Figure-2 engine — shared by ``ours`` and ``base``.
 
     Deliberately identical to the pre-registry call path (the ``backend``
@@ -154,15 +151,13 @@ def _run_staged(netlist, config, context=None, cone_cache=None):
     """
     from .stages import AnalysisEngine
 
-    return AnalysisEngine(config, cone_cache=cone_cache).run(
-        netlist, context=context
-    )
+    return AnalysisEngine(config).run(netlist, context=context)
 
 
-def _run_regfeat(netlist, config, context=None, cone_cache=None):
+def _run_regfeat(netlist, config, context=None):
     from .regfeat import run_regfeat
 
-    return run_regfeat(netlist, config, context=context, cone_cache=cone_cache)
+    return run_regfeat(netlist, config, context=context)
 
 
 #: Knobs steering the staged engine (== store FINGERPRINT_FIELDS minus
@@ -184,8 +179,7 @@ register(BackendSpec(
     version="1.0.0",
     description="control-signal technique (Tashjian & Davoodi, DAC 2015)",
     capabilities=(
-        "partial-matching", "control-signals", "reduction", "cone-cache",
-        "incremental",
+        "partial-matching", "control-signals", "reduction", "incremental",
     ),
     fingerprint_fields=_STAGED_FIELDS,
     runner=_run_staged,

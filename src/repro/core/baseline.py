@@ -23,20 +23,17 @@ __all__ = ["shape_hashing", "baseline_config"]
 
 
 def baseline_config(
-    depth: int = 4, grouping: str = "adjacency", jobs: int = 1
+    depth: int = 4, grouping: str = "adjacency"
 ) -> PipelineConfig:
     """Pipeline configuration matching the Base technique of Table 1.
 
-    The baseline runs on the same staged engine (and shares its
-    :class:`~repro.core.context.AnalysisContext` caches), so ``jobs`` is
-    accepted here too — though with reduction disabled there is little
-    per-subgroup work to parallelize.
+    The baseline runs on the same staged engine and shares its
+    :class:`~repro.core.context.AnalysisContext` caches.
     """
     return PipelineConfig(
         depth=depth,
         allow_partial=False,
         grouping=grouping,
-        jobs=jobs,
         backend="base",
     )
 

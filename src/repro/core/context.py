@@ -48,7 +48,6 @@ from .hashkey import (
     LEAF_TOKEN,
     BitSignature,
     Subtree,
-    cone_digest,
     fast_signature,
     fast_subtree,
 )
@@ -183,20 +182,6 @@ class AnalysisContext:
             result = f"({''.join(parts)}{driver.cell.name})"
         self._keys[memo_key] = result
         return result
-
-    def cone_digest(self, net: str, levels: Optional[int] = None) -> str:
-        """Serializable canonical digest of ``net``'s cone (``cone:`` space).
-
-        The digest is a fixed-width, versioned fold of the memoized hash
-        key (:func:`~repro.core.hashkey.cone_digest`): independent of net
-        names and file order, stable across processes and designs, and
-        therefore usable as a persistent cache address — unlike the raw
-        key, which grows with cone size, and unlike identity memos, which
-        die with this context.
-        """
-        if levels is None:
-            levels = self.depth
-        return cone_digest(self.key(net, levels))
 
     def precompute_keys(self) -> None:
         """Fill the per-level key tables bottom-up for every eligible net

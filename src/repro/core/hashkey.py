@@ -22,7 +22,6 @@ re-hash after reduction) that production-scale runs need.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -31,8 +30,6 @@ from ..netlist.netlist import Netlist
 
 __all__ = [
     "hash_key",
-    "cone_digest",
-    "CONE_DIGEST_VERSION",
     "Subtree",
     "BitSignature",
     "signature_of",
@@ -46,29 +43,6 @@ DEFAULT_DEPTH = 4
 #: Token for cone leaves (PIs, register outputs, depth frontier).  Leaf net
 #: *names* never appear in hash keys — matching is purely structural.
 LEAF_TOKEN = "$"
-
-#: Version of the serializable canonical digest space derived from hash
-#: keys (:func:`cone_digest`) and of the subgroup envelopes built on it
-#: (:mod:`repro.core.conecache`).  Bump whenever the canonical encoding
-#: changes — every persisted ``cone:`` entry is orphaned by the bump,
-#: exactly like :data:`~repro.core.stages.PIPELINE_VERSION` orphans
-#: whole-result entries.
-CONE_DIGEST_VERSION = "1"
-
-
-def cone_digest(key: str) -> str:
-    """Serializable, versioned sibling of :func:`hash_key`.
-
-    Hash keys are already canonical — name-free, fanin-permutation
-    invariant, file-order independent — but they grow with cone size.
-    ``cone_digest`` folds a key into a fixed-width digest in the
-    ``cone:`` digest space (disjoint by prefix from the store's
-    ``netlist:`` / ``file:`` spaces), suitable as a persistent cache
-    address shared across designs.
-    """
-    material = f"{CONE_DIGEST_VERSION}\0{key}"
-    return "cone:" + hashlib.sha256(material.encode("utf-8")).hexdigest()
-
 
 def hash_key(node: ConeNode) -> str:
     """Canonical post-order string of an expanded cone subtree.

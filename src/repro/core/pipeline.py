@@ -24,14 +24,12 @@ aggregates cache statistics into the result's
    subtrees an assignment actually touched are rehashed
    (:meth:`~repro.core.context.AnalysisContext.signatures_after_reduction`),
    instead of rebuilding a signature index per reduced netlist.
-6. *Emission*: per-subgroup outcomes are merged in deterministic subgroup
-   order, so results are identical for any ``jobs`` setting.
+6. *Emission*: per-subgroup outcomes are merged in subgroup order.
 
 Reduction runs on the subcircuit induced by the subgroup's fanin cones:
 everything the hash keys can observe lives there, so simplifying the whole
 netlist (as the paper phrases it) and simplifying the cone union are
 equivalent for the re-check, and the latter keeps per-subgroup cost small.
-With ``jobs > 1`` the per-subgroup searches run on a thread pool.
 """
 
 from __future__ import annotations
@@ -42,23 +40,10 @@ from typing import Callable, Optional
 
 from ..netlist.netlist import Netlist
 from .context import AnalysisContext
-from .stages import (
-    PIPELINE_VERSION,
-    AnalysisEngine,
-    _assignments,
-    _emit_partition,
-    _full_match_partition,
-    _partition_score,
-)
+from .stages import PIPELINE_VERSION
 from .words import IdentificationResult
 
 __all__ = ["PIPELINE_VERSION", "PipelineConfig", "identify_words"]
-
-# Re-exported for callers of the pre-stage API (tests, notebooks).
-_assignments = _assignments
-_emit_partition = _emit_partition
-_full_match_partition = _full_match_partition
-_partition_score = _partition_score
 
 
 @dataclass(frozen=True)
@@ -84,10 +69,6 @@ class PipelineConfig:
         Enabling this extension also keeps the best partial unification
         seen — more words grouped, at the cost of extra control signals
         spent on non-word structures (evaluated in the ablation bench).
-    ``jobs``
-        Worker threads for the per-subgroup reduction search.  Results
-        and trace counters are byte-identical for any value; 1 (default)
-        runs fully serial.
     ``backend``
         Which registered identification strategy runs
         (:mod:`repro.core.backends`): ``"ours"`` (default, the paper's
@@ -113,7 +94,7 @@ class PipelineConfig:
         oversized subgroup skips the reduction search entirely.
     ``strict``
         ``True`` re-raises budget violations, pre-flight errors, and
-        worker exceptions instead of quarantining them (the default
+        search exceptions instead of quarantining them (the default
         degrades gracefully and records the reason on the trace).
     ``preflight``
         Run the netlist validator before analysis and record its
@@ -123,7 +104,7 @@ class PipelineConfig:
         Test-only fault-injection point: called with each partial
         subgroup's :class:`~repro.core.stages.SubgroupTask` at the start
         of its reduction search; anything it raises exercises the
-        worker's retry/quarantine path.
+        search's retry/quarantine path.
     """
 
     depth: int = 4
@@ -132,7 +113,6 @@ class PipelineConfig:
     grouping: str = "adjacency"
     max_control_signals: int = 8
     accept_partial_heals: bool = False
-    jobs: int = 1
     backend: str = "ours"
     deadline_s: Optional[float] = None
     max_assignments: Optional[int] = None
@@ -150,8 +130,6 @@ class PipelineConfig:
             raise ValueError("max_simultaneous must be >= 1")
         if self.grouping not in ("adjacency", "registers"):
             raise ValueError(f"unknown grouping {self.grouping!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         from .backends import resolve
 
         resolve(self.backend)  # raises UnknownBackendError (a ValueError)
@@ -179,7 +157,6 @@ def identify_words(
     netlist: Netlist,
     config: Optional[PipelineConfig] = None,
     context: Optional[AnalysisContext] = None,
-    cone_cache=None,
 ) -> IdentificationResult:
     """Run the word-identification flow ``config.backend`` selects.
 
@@ -195,12 +172,6 @@ def identify_words(
     service queries) share cone and hash-key caches; by default a fresh
     context is created per call.
 
-    ``cone_cache`` — cone-level memoization (DESIGN.md §12).  ``None``
-    (default) or ``False`` disables it; a
-    :class:`~repro.core.conecache.ConeCacheTier` (or sequence of tiers)
-    is used verbatim.  Cone-cached runs are byte-identical to uncached
-    ones on everything the determinism oracles compare.
-
     This function always computes.  Caching whole results in an
     artifact store is :class:`repro.api.Session`'s job: it keys the
     request, probes, and commits around this call.
@@ -208,6 +179,4 @@ def identify_words(
     config = config or PipelineConfig()
     from .backends import resolve
 
-    return resolve(config.backend).run(
-        netlist, config, context=context, cone_cache=cone_cache
-    )
+    return resolve(config.backend).run(netlist, config, context=context)

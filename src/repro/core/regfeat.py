@@ -34,9 +34,7 @@ requirement, no reduction: the output is a plain partition of the
 candidate bits into words and singletons.
 
 Like every backend the runner is deterministic — two runs are
-byte-identical on words, singletons, and trace counters.  ``cone_cache``
-is accepted for contract parity and ignored (regfeat performs no
-reduction search).
+byte-identical on words, singletons, and trace counters.
 """
 
 from __future__ import annotations
@@ -233,14 +231,12 @@ def run_regfeat(
     netlist: Netlist,
     config,
     context=None,
-    cone_cache=None,
 ) -> IdentificationResult:
     """Aggregate FF words by feature similarity (the ``regfeat`` backend).
 
     Implements the :func:`~repro.core.pipeline.identify_words` contract.
-    ``context`` and ``cone_cache`` are accepted for parity with the
-    staged backends and unused — regfeat has no signature index and no
-    reduction search.  Trace counters are repurposed deterministically:
+    ``context`` is accepted for parity with the staged backends and
+    unused — regfeat has no signature index and no reduction search.  Trace counters are repurposed deterministically:
     ``num_candidate_nets`` counts candidate FFs, ``num_groups`` the
     emitted clusters, ``num_subgroups`` the scored pairs, and
     ``num_fully_matched_subgroups`` the accepted merges.
@@ -248,7 +244,6 @@ def run_regfeat(
     started = perf_counter()
     result = IdentificationResult()
     result.trace.backend = REGFEAT_NAME
-    result.trace.jobs = config.jobs
 
     stage_started = perf_counter()
     features = _extract_features(netlist, config.depth)

@@ -9,20 +9,20 @@ production run needs three cooperative limits:
 * a **subcircuit size cap** (``PipelineConfig.max_cone_gates``).
 
 All three are *cooperative*: the engine checks them at stage boundaries,
-the reduction workers at assignment boundaries, and
+the reduction search at assignment boundaries, and
 :class:`~repro.core.context.AnalysisContext` between precompute levels.
 When nothing is configured every check short-circuits to a no-op, which
 preserves the engine's byte-identical determinism guarantee.
 
-A budget that fires — or a subgroup worker that crashes — degrades one
-subgroup, never the run: the worker's best partition so far (falling back
+A budget that fires — or a subgroup search that crashes — degrades one
+subgroup, never the run: the search's best partition so far (falling back
 to the unreduced full-match partition) is still emitted, and the reason is
 quarantined into a :class:`SubgroupFailure` on the
 :class:`~repro.core.words.StageTrace`.  ``strict=True`` re-raises instead.
 
-:class:`RunBudget` also carries the run's ``abort`` event: Ctrl-C (or any
-worker crash in strict mode) sets it, and every in-flight worker stops at
-its next assignment boundary instead of finishing a long search.
+:class:`RunBudget` also carries the run's ``abort`` event: setting it
+(from another thread, say) stops the run at its next stage or assignment
+boundary instead of after a long search.
 """
 
 from __future__ import annotations
@@ -122,8 +122,7 @@ class RunBudget:
 
     The engine builds one per :meth:`AnalysisEngine.run` from the
     ``PipelineConfig`` and threads it through the stage artifacts; every
-    stage and worker consults the same instance, so a deadline seen by one
-    worker is seen by all.
+    stage and subgroup search consults the same instance.
     """
 
     __slots__ = ("deadline", "max_assignments", "max_cone_gates", "abort")
@@ -167,7 +166,7 @@ class RunBudget:
     ) -> Optional[str]:
         """The first limit that has fired, or ``None`` to keep going.
 
-        This is the per-assignment check of the reduction workers; it
+        This is the per-assignment check of the reduction search; it
         costs one event probe when no limit is configured.
         """
         if self.abort.is_set():
@@ -196,9 +195,9 @@ class SubgroupFailure:
 
     ``index`` is the subgroup task index (``-1`` for a stage-level event
     such as a deadline firing between stages); ``kind`` is one of
-    ``"error"`` (a worker exception survived its retry), ``"deadline"``,
+    ``"error"`` (a search exception survived its retry), ``"deadline"``,
     ``"assignments"``, ``"cone_gates"`` or ``"aborted"``.  ``retried``
-    records whether the serial retry ran before quarantine.  The dict form
+    records whether the retry ran before quarantine.  The dict form
     is the ``failures`` entry schema of ``repro identify --trace-json``
     (documented in DESIGN.md §8).
     """

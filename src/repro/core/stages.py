@@ -4,7 +4,7 @@ The paper's Figure 2 flow is decomposed into six explicit stages, each a
 small object consuming and producing typed artifacts on a shared
 :class:`StageArtifacts` record:
 
-======================  ============================================to=====
+======================  ===================================================
 stage                   artifact produced
 ======================  ===================================================
 :class:`GroupingStage`  ``groups`` — first-level candidate groups (Sec 2.2)
@@ -14,34 +14,31 @@ stage                   artifact produced
                         (Sec 2.3)
 :class:`ControlStage`   per-task control-signal candidates (Sec 2.4)
 :class:`ReductionStage` per-task :class:`SubgroupOutcome` from the
-                        assignment search (Sec 2.5) — the only parallel
-                        stage (``PipelineConfig.jobs``)
+                        assignment search (Sec 2.5), one subgroup at a
+                        time in task order
 :class:`EmissionStage`  the final :class:`IdentificationResult`
 ======================  ===================================================
 
 The engine (:class:`AnalysisEngine`) times every stage into
 ``StageTrace.stage_seconds`` and merges per-task cache statistics in task
-order, so results *and* trace counters are byte-identical for any ``jobs``
-value: parallelism only reorders execution, never observation.  Worker
-tasks each own a sub-:class:`AnalysisContext` (parent = the shared
-context) and only read shared state, so the thread pool needs no locks.
+order.  Each reduction search owns a sub-:class:`AnalysisContext`
+(parent = the shared context) whose memos live for that search only.
 
 Resilience (DESIGN.md §8): the engine builds one
 :class:`~repro.core.resilience.RunBudget` per run and checks it at every
-stage boundary; the reduction workers check it at every assignment
-boundary.  A budget that fires or a worker that crashes degrades one
+stage boundary; the reduction search checks it at every assignment
+boundary.  A budget that fires or a search that crashes degrades one
 subgroup (quarantined as a :class:`~repro.core.resilience.SubgroupFailure`
-on the trace, after one serial retry for crashes) — the rest of the run
+on the trace, after one retry for crashes) — the rest of the run
 completes and emits the partial words.  ``PipelineConfig.strict`` turns
 every degradation into a raised exception.  Failure records are attached
-to outcomes and merged in task order at emission, so degraded runs stay
-deterministic for any ``jobs`` value too.
+to outcomes and merged in task order at emission, so degraded runs are as
+deterministic as clean ones.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -50,14 +47,6 @@ from .. import metrics as _metrics
 from ..netlist.cone import extract_subcircuit
 from ..netlist.netlist import Netlist
 from ..netlist.validate import diagnose
-from .conecache import (
-    CanonicalCone,
-    ConeCacheChain,
-    ConeCacheTier,
-    canonicalize_subgroup,
-    cone_fingerprint,
-    valid_cone_entry,
-)
 from .context import AnalysisContext
 from .control import ControlSignalCandidate, find_control_signals
 from .grouping import group_by_adjacency, group_register_inputs
@@ -94,7 +83,7 @@ __all__ = [
 #: change that can alter the words, partitions, counters, or assignments a
 #: run produces MUST bump this constant — that is what invalidates every
 #: previously cached result.  Pure performance work that provably keeps
-#: output byte-identical (the ``jobs`` contract) does not bump it.
+#: output byte-identical does not bump it.
 PIPELINE_VERSION = "2.0.0"
 
 
@@ -111,13 +100,6 @@ class SubgroupTask:
     (degenerate or partial matching disabled — emitted as its full-match
     partition), or ``"partial"`` (partially matched — goes through control
     discovery and reduction search).
-
-    The trailing fields belong to the cone-cache fast path (DESIGN.md
-    §12) and are filled by the reduction stage's batched pre-pass:
-    ``subcircuit`` (extracted once, reused by the search), ``canonical``
-    (the task's canonical envelope), ``cached_entry`` (a tier hit to
-    replay instead of searching), and ``fresh_entry`` (a clean outcome
-    staged for the batched commit).
     """
 
     index: int
@@ -125,10 +107,6 @@ class SubgroupTask:
     kind: str
     candidates: List[ControlSignalCandidate] = field(default_factory=list)
     outcome: Optional["SubgroupOutcome"] = None
-    subcircuit: Optional[Netlist] = field(default=None, repr=False)
-    canonical: Optional[CanonicalCone] = field(default=None, repr=False)
-    cached_entry: Optional[Dict] = field(default=None, repr=False)
-    fresh_entry: Optional[Dict] = field(default=None, repr=False)
 
 
 @dataclass
@@ -136,7 +114,7 @@ class SubgroupOutcome:
     """What the reduction search decided for one partial subgroup.
 
     ``failure`` is the quarantined degradation record when the search was
-    cut short (budget fired, worker crashed twice) — the ``partition`` is
+    cut short (budget fired, search crashed twice) — the ``partition`` is
     still the best one seen, so the subgroup degrades instead of
     disappearing.  It is merged onto the trace in task order at emission.
     """
@@ -162,8 +140,6 @@ class StageArtifacts:
     groups: List[List[str]] = field(default_factory=list)
     group_signatures: List[List[BitSignature]] = field(default_factory=list)
     tasks: List[SubgroupTask] = field(default_factory=list)
-    # Per-run cone-cache chain (None = cone caching off for this run).
-    cone_cache: Optional[ConeCacheChain] = None
 
     @property
     def trace(self):
@@ -263,148 +239,22 @@ class ControlStage(Stage):
 class ReductionStage(Stage):
     """Assign values / simplify circuit / re-check (Section 2.5).
 
-    Each partial subgroup is searched independently; with
-    ``config.jobs > 1`` the searches run on a thread pool.  Results are
-    attached to the tasks and later merged in task order, so the output is
-    deterministic regardless of scheduling.
-
-    Workers are fault-isolated: an exception in one subgroup's search is
-    retried once serially and otherwise quarantined into the outcome's
+    Each partial subgroup is searched on its own, in task order.  A
+    search is fault-isolated: an exception is retried once and otherwise
+    quarantined into the outcome's
     :class:`~repro.core.resilience.SubgroupFailure`, with the unreduced
     full-match partition as the fallback result — sibling subgroups are
     untouched.  The run budget is checked at every assignment boundary, so
-    a deadline (or Ctrl-C, which sets the budget's abort event) stops every
-    in-flight worker promptly instead of after its full quadratic search.
+    a deadline (or the budget's abort event) stops the search promptly
+    instead of after its full quadratic enumeration.
     """
 
     name = "reduction"
 
     def run(self, art: StageArtifacts) -> None:
-        tasks = [t for t in art.tasks if t.kind == "partial"]
-        if art.cone_cache is not None and tasks:
-            self._probe_cone_cache(art, tasks)
-        jobs = min(art.config.jobs, len(tasks)) or 1
-        if jobs > 1:
-            outcomes = self._run_parallel(art, tasks, jobs)
-        else:
-            outcomes = [self.guarded_search(art, task) for task in tasks]
-        for task, outcome in zip(tasks, outcomes):
-            task.outcome = outcome
-        if art.cone_cache is not None:
-            self._commit_cone_cache(art, tasks)
-
-    def _probe_cone_cache(
-        self, art: StageArtifacts, tasks: List[SubgroupTask]
-    ) -> None:
-        """Batched tier probe: extract, canonicalize, and look up every
-        searchable subgroup in one round trip per tier.
-
-        Subcircuits are extracted here (the search reuses them), so the
-        cone-gate cap can be applied *before* any probe: a capped
-        subgroup degrades identically with the cache on or off, and its
-        envelope is never probed nor committed.  Tasks past a fired
-        budget are left untouched — the drain path never pays for
-        extraction, exactly as without a cache.
-        """
-        config = art.config
-        budget = art.budget
-        eligible: List[SubgroupTask] = []
-        for task in tasks:
-            if not task.candidates:
-                continue
-            if budget.stop_reason() is not None:
-                break
-            subcircuit = extract_subcircuit(
-                art.netlist,
-                task.subgroup.bits,
-                config.depth,
-                boundary=art.context.boundary,
-            )
-            task.subcircuit = subcircuit
-            if (
-                budget.max_cone_gates is not None
-                and subcircuit.num_gates > budget.max_cone_gates
-            ):
-                continue
-            task.canonical = canonicalize_subgroup(
-                subcircuit, task.subgroup.bits, task.candidates
-            )
-            if task.canonical is not None:
-                eligible.append(task)
-        if not eligible:
-            return
-        hits = art.cone_cache.probe_many(
-            [task.canonical.digest for task in eligible]
-        )
-        for task in eligible:
-            entry = hits.get(task.canonical.digest)
-            if entry is not None and valid_cone_entry(
-                entry, len(task.subgroup.bits)
-            ):
-                task.cached_entry = entry
-
-    def _commit_cone_cache(
-        self, art: StageArtifacts, tasks: List[SubgroupTask]
-    ) -> None:
-        """Batched write-through of every fresh, clean outcome."""
-        entries = {
-            task.canonical.digest: task.fresh_entry
-            for task in tasks
-            if task.fresh_entry is not None and task.canonical is not None
-        }
-        art.cone_cache.commit_many(entries)
-
-    @staticmethod
-    def _replay(task: SubgroupTask, outcome: SubgroupOutcome) -> SubgroupOutcome:
-        """Reconstruct a search outcome from a cone-cache entry.
-
-        The cached partition is stored as run lengths over the bit order;
-        emission only ever reads ``sig.net`` from partition runs, so the
-        runs are rebuilt from the subgroup's *unreduced* signatures at
-        the same indices — byte-identical words, singletons, and
-        counters to the fresh search (``outcome.cache`` stays ``None``:
-        sub-context statistics describe work that was skipped, and cache
-        statistics are outside the determinism contract).
-        """
-        entry = task.cached_entry
-        signatures = task.subgroup.signatures
-        partition: List[List[BitSignature]] = []
-        position = 0
-        for length in entry["runs"]:
-            partition.append(list(signatures[position:position + length]))
-            position += length
-        outcome.partition = partition
-        assignment = entry.get("assignment")
-        if assignment is not None:
-            net_of = task.canonical.net_of
-            outcome.assignment = ControlAssignment.of(
-                {net_of[cid]: int(val) for cid, val in assignment.items()}
-            )
-        outcome.assignments_tried = entry["tried"]
-        outcome.infeasible = entry["infeasible"]
-        return outcome
-
-    def _run_parallel(
-        self, art: StageArtifacts, tasks: List[SubgroupTask], jobs: int
-    ) -> List[SubgroupOutcome]:
-        # Managed by hand instead of a `with` block: the context manager's
-        # shutdown(wait=True) made Ctrl-C hang until every queued search
-        # finished.  On any raise (KeyboardInterrupt, strict-mode failure)
-        # we set the abort event — in-flight workers notice at their next
-        # assignment boundary — cancel everything still queued, and return
-        # without waiting.
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        futures = [
-            pool.submit(self.guarded_search, art, task) for task in tasks
-        ]
-        try:
-            outcomes = [future.result() for future in futures]
-        except BaseException:
-            art.budget.abort.set()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
-        return outcomes
+        for task in art.tasks:
+            if task.kind == "partial":
+                task.outcome = self.guarded_search(art, task)
 
     def guarded_search(
         self, art: StageArtifacts, task: SubgroupTask
@@ -413,14 +263,14 @@ class ReductionStage(Stage):
 
         Budget stops are handled inside :meth:`search` (they keep the best
         partition found so far); this wrapper handles *crashes*: retry the
-        whole search once serially, then quarantine with the unreduced
-        fallback partition.  In strict mode a crash aborts the run instead.
+        whole search once, then quarantine with the unreduced fallback
+        partition.  In strict mode a crash aborts the run instead.
         """
         budget = art.budget
         reason = budget.stop_reason()
         if reason is not None:
             # The run is already over (deadline passed / aborted): drain
-            # the queue without paying for subcircuit extraction.
+            # the remaining tasks without paying for subcircuit extraction.
             if art.config.strict:
                 raise BudgetExceeded(reason, f"subgroup {task.index}")
             return SubgroupOutcome(
@@ -430,13 +280,10 @@ class ReductionStage(Stage):
         try:
             return self.search(art, task)
         except BudgetExceeded:
-            # Raised by search only in strict mode; abort siblings and
-            # let the engine propagate it.
-            budget.abort.set()
+            # Raised by search only in strict mode; never retried.
             raise
-        except Exception as exc:
+        except Exception:
             if art.config.strict:
-                budget.abort.set()
                 raise
             try:
                 return self.search(art, task)
@@ -485,11 +332,9 @@ class ReductionStage(Stage):
         if not task.candidates:
             return outcome
 
-        subcircuit = task.subcircuit
-        if subcircuit is None:
-            subcircuit = extract_subcircuit(
-                art.netlist, bits, config.depth, boundary=art.context.boundary
-            )
+        subcircuit = extract_subcircuit(
+            art.netlist, bits, config.depth, boundary=art.context.boundary
+        )
         outcome.subcircuits = 1
         if (
             budget.max_cone_gates is not None
@@ -504,8 +349,6 @@ class ReductionStage(Stage):
                 )
             outcome.failure = self._failure(task, "cone_gates", detail)
             return outcome
-        if task.cached_entry is not None:
-            return self._replay(task, outcome)
         sub = AnalysisContext(
             subcircuit, config.depth, parent=art.context
         )
@@ -548,47 +391,7 @@ class ReductionStage(Stage):
                     outcome.partition = partition
                     outcome.assignment = ControlAssignment.of(assignment)
         outcome.cache = sub.stats
-        if (
-            art.cone_cache is not None
-            and task.canonical is not None
-            and outcome.failure is None
-        ):
-            task.fresh_entry = self._entry_from_outcome(task, outcome)
         return outcome
-
-    @staticmethod
-    def _entry_from_outcome(
-        task: SubgroupTask, outcome: SubgroupOutcome
-    ) -> Optional[Dict]:
-        """Translate a clean fresh outcome into a cacheable cone entry.
-
-        The partition is stored as run lengths over the subgroup's bit
-        order; the assignment (if any) is translated from design net
-        names into canonical cone ids.  Returns ``None`` — cache
-        nothing — when the outcome cannot be expressed in the canonical
-        frame (an assignment net outside the cone, or a partition that
-        does not cover every bit), which keeps correctness independent
-        of envelope completeness.
-        """
-        runs = [len(run) for run in outcome.partition]
-        if sum(runs) != len(task.subgroup.bits):
-            return None
-        assignment = None
-        if outcome.assignment is not None:
-            id_of = task.canonical.id_of
-            try:
-                assignment = {
-                    str(id_of[net]): int(val)
-                    for net, val in outcome.assignment.assignments
-                }
-            except KeyError:
-                return None
-        return {
-            "runs": runs,
-            "assignment": assignment,
-            "tried": outcome.assignments_tried,
-            "infeasible": outcome.infeasible,
-        }
 
 
 class EmissionStage(Stage):
@@ -653,40 +456,16 @@ class AnalysisEngine:
 
     The engine computes; it never reads or writes identification
     results.  :class:`repro.api.Session` owns the store key and the
-    result commit, and hands the engine only cone-cache tiers
-    (``cone_cache``, DESIGN.md §12).
+    result commit.
     """
 
     def __init__(
         self,
         config: "PipelineConfig",  # noqa: F821
         stages: Optional[Sequence[Stage]] = None,
-        cone_cache=None,
     ):
         self.config = config
         self.stages: Tuple[Stage, ...] = tuple(stages or default_stages())
-        self.cone_tiers = self._resolve_cone_tiers(cone_cache)
-
-    def _resolve_cone_tiers(
-        self, cone_cache
-    ) -> Optional[List[ConeCacheTier]]:
-        """Resolve the ``cone_cache`` argument into a tier sequence.
-
-        ``None`` or ``False`` disables cone caching; a single
-        :class:`ConeCacheTier` or a sequence of tiers is used verbatim —
-        but only on clean configurations: a ``fault_hook`` injects
-        failures that must not leak into (or be masked by) any cache, so
-        it always disables cone caching.
-        """
-        if (
-            self.config.fault_hook is not None
-            or cone_cache is None
-            or cone_cache is False
-        ):
-            return None
-        if isinstance(cone_cache, ConeCacheTier):
-            return [cone_cache]
-        return list(cone_cache) or None
 
     def run(
         self,
@@ -705,19 +484,12 @@ class AnalysisEngine:
         context.budget = budget
         result = IdentificationResult()
         result.trace.backend = getattr(self.config, "backend", "ours")
-        result.trace.jobs = self.config.jobs
-        chain: Optional[ConeCacheChain] = None
-        if self.cone_tiers:
-            chain = ConeCacheChain(
-                cone_fingerprint(self.config), self.cone_tiers
-            )
         art = StageArtifacts(
             netlist=netlist,
             config=self.config,
             context=context,
             result=result,
             budget=budget,
-            cone_cache=chain,
         )
         self._preflight(art)
         skipped_from: Optional[str] = None
@@ -749,9 +521,6 @@ class AnalysisEngine:
                 perf_counter() - stage_started
             )
         result.trace.cache.merge(context.stats)
-        if chain is not None:
-            chain.add_to(result.trace.cache)
-            chain.publish_metrics()
         result.runtime_seconds = perf_counter() - started
         self._publish_metrics(result)
         return result
@@ -810,7 +579,7 @@ class AnalysisEngine:
 
 
 # ----------------------------------------------------------------------
-# search helpers (shared with the legacy pipeline API)
+# search helpers
 # ----------------------------------------------------------------------
 
 def _assignments(
@@ -829,13 +598,6 @@ def _assignments(
             value_choices = [c.values for c in subset]
             for values in itertools.product(*value_choices):
                 yield {c.net: v for c, v in zip(subset, values)}
-
-
-def _full_match_partition(
-    signatures: Sequence[BitSignature],
-) -> List[List[BitSignature]]:
-    """Partition bits into maximal runs of fully-matching structure."""
-    return full_match_runs(signatures)
 
 
 def _partition_score(

@@ -21,6 +21,15 @@ __all__ = [
 #: it stays in the payloads so their shape (``SCHEMA_VERSION``) holds.
 SIGNATURE_KERNEL = "python"
 
+#: Counters of the retired cross-run cone cache.  ``StageTrace.as_dict``
+#: still writes them as constant zeros under ``cache`` for readers that
+#: index them, like the ``kernel`` constant above.
+RETIRED_CACHE_COUNTERS = (
+    "cone_tier_process_hits",
+    "cone_tier_store_hits",
+    "cone_tier_misses",
+)
+
 
 @dataclass(frozen=True)
 class Word:
@@ -88,13 +97,7 @@ class CacheStats:
     verbatim from the unreduced circuit because the assignment provably did
     not touch that subtree; rehashed keys had to be recomputed.
 
-    The ``cone_tier_*`` counters track the canonical cone cache
-    (:mod:`repro.core.conecache`, DESIGN.md §12): subgroup searches
-    answered by the per-process table (tier 2), by the store-backed tier
-    (tier 3), searched fresh (misses), and fresh outcomes committed.
-    Like every cache statistic they are outside
-    :meth:`StageTrace.counter_dict` — hit and miss runs stay
-    byte-identical on everything the determinism oracles compare.
+    Cache statistics are outside :meth:`StageTrace.counter_dict`.
     """
 
     cone_hits: int = 0
@@ -110,10 +113,6 @@ class CacheStats:
     netset_misses: int = 0
     reduced_keys_reused: int = 0
     reduced_keys_rehashed: int = 0
-    cone_tier_process_hits: int = 0
-    cone_tier_store_hits: int = 0
-    cone_tier_misses: int = 0
-    cone_tier_commits: int = 0
 
     def merge(self, other: "CacheStats") -> None:
         for name in self.__dataclass_fields__:
@@ -139,13 +138,6 @@ class CacheStats:
     def reduced_reuse_rate(self) -> float:
         return self._rate(self.reduced_keys_reused, self.reduced_keys_rehashed)
 
-    @property
-    def cone_tier_hit_rate(self) -> float:
-        return self._rate(
-            self.cone_tier_process_hits + self.cone_tier_store_hits,
-            self.cone_tier_misses,
-        )
-
     def lines(self) -> List[str]:
         return [
             f"cone cache:          {self.cone_hits} hits / "
@@ -160,11 +152,6 @@ class CacheStats:
             f"reduced-key reuse:   {self.reduced_keys_reused} reused / "
             f"{self.reduced_keys_rehashed} rehashed "
             f"({self.reduced_reuse_rate:.1%})",
-            f"cone-tier cache:     {self.cone_tier_process_hits} process + "
-            f"{self.cone_tier_store_hits} store hits / "
-            f"{self.cone_tier_misses} misses "
-            f"({self.cone_tier_hit_rate:.1%}), "
-            f"{self.cone_tier_commits} committed",
         ]
 
 
@@ -191,13 +178,12 @@ class StageTrace:
     num_reductions_that_matched: int = 0
     num_infeasible_assignments: int = 0
     num_subcircuits_extracted: int = 0
-    jobs: int = 1
     # Which identification backend produced the run (repro.core.backends).
     # Provenance, not a counter: the backend is part of the store
     # fingerprint (different backends produce different results, so they
     # never share cache entries), but within one backend the result
-    # digest must not depend on how the backend was selected — so like
-    # ``jobs`` it stays outside counter_dict().
+    # digest must not depend on how the backend was selected — so it
+    # stays outside counter_dict().
     backend: str = "ours"
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     cache: CacheStats = field(default_factory=CacheStats)
@@ -233,7 +219,7 @@ class StageTrace:
         ]
 
     def counter_dict(self) -> Dict[str, int]:
-        """The deterministic integer counters (identical for any ``jobs``)."""
+        """The deterministic integer counters (the result digest's)."""
         return {
             name: getattr(self, name)
             for name in (
@@ -268,7 +254,6 @@ class StageTrace:
         out.append(f"subcircuits extracted:           "
                    f"{self.num_subcircuits_extracted}")
         out.append(f"backend:                         {self.backend}")
-        out.append(f"parallel jobs:                   {self.jobs}")
         if self.stage_seconds:
             out.append("stage timings:")
             out.extend(f"  {line}" for line in self.timing_lines())
@@ -293,11 +278,13 @@ class StageTrace:
         the resilience record (degradations, deadline, pre-flight)."""
         return {
             "counters": self.counter_dict(),
-            "jobs": self.jobs,
             "backend": self.backend,
             "kernel": SIGNATURE_KERNEL,
             "stage_seconds": dict(self.stage_seconds),
-            "cache": self.cache.as_dict(),
+            "cache": {
+                **self.cache.as_dict(),
+                **dict.fromkeys(RETIRED_CACHE_COUNTERS, 0),
+            },
             "degraded": self.degraded,
             "deadline_hit": self.deadline_hit,
             "failures": [f.as_dict() for f in self.failures],

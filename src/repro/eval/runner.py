@@ -9,7 +9,7 @@ Run it as ``repro table1`` (or ``python -m repro.eval.runner``)::
 
     repro table1                    # all 12 benchmarks
     repro table1 b03 b12            # a subset
-    repro table1 --jobs 4 --trace   # parallel + stage trace
+    repro table1 --trace            # + stage trace
     repro table1 --journal t1.jsonl # checkpoint each row
     repro table1 --resume           # continue a killed sweep
 
@@ -115,9 +115,7 @@ def run_benchmark(
     config = config or PipelineConfig()
     reference = extract_reference_words(netlist)
     base_config = replace(
-        baseline_config(
-            depth=config.depth, grouping=config.grouping, jobs=config.jobs
-        ),
+        baseline_config(depth=config.depth, grouping=config.grouping),
         deadline_s=config.deadline_s,
         max_assignments=config.max_assignments,
         max_cone_gates=config.max_cone_gates,
@@ -272,13 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="max control signals assigned at once (default 2)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads for the assignment search (results are "
-        "identical for any value)",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="print each benchmark's stage timings and cache hit rates",
@@ -301,7 +292,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="re-raise budget violations and worker failures instead of "
+        help="re-raise budget violations and search failures instead of "
         "degrading",
     )
     parser.add_argument(
@@ -338,7 +329,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = PipelineConfig(
             depth=args.depth,
             max_simultaneous=args.max_simultaneous,
-            jobs=args.jobs,
             deadline_s=args.deadline,
             max_assignments=args.budget,
             strict=args.strict,

@@ -13,8 +13,8 @@ unbounded corpus:
 :mod:`oracles`
     Metamorphic and differential oracles: identified words must be
     invariant under net renaming, structured gate reordering and bit-order
-    permutation; ``jobs=N`` must equal ``jobs=1`` byte for byte; words
-    fully found by the baseline must be fully found by the control-signal
+    permutation; a stored result must equal the computed one byte for
+    byte; words fully found by the baseline must be fully found by the control-signal
     technique; every control-signal reduction must preserve circuit
     function under simulation; serialization must round-trip.
 :mod:`harness`

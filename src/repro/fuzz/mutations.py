@@ -20,9 +20,11 @@ The five bug classes, and the oracle expected to catch each:
     Constant propagation assigns one extra unassigned net (an unsound
     simplification).  The committed reduction no longer preserves the
     word-bit functions → ``reduction_functional``.
-``unstable-parallel-merge``
-    Parallel subgroup outcomes come back rotated (a scheduling-order
-    leak).  ``jobs=4`` no longer matches ``jobs=1`` → ``jobs``.
+``stale-reduced-keys``
+    The incremental re-check after a reduction returns the unreduced
+    signatures (a Section 2.5 memo bug: nothing is ever rehashed).  No
+    assignment can unify a subgroup, so healable words stop healing →
+    ``expectation`` (and ``bit_permutation``).
 ``name-sensitive-grouping``
     Stage-1 runs break on a property of the *net name* (a classic
     accidental-dependence bug).  Results differ between the original and
@@ -40,6 +42,7 @@ from typing import Callable, Dict, Iterator, List, Sequence
 
 from ..core import reduction as _reduction
 from ..core import stages as _stages
+from ..core.context import AnalysisContext
 
 __all__ = ["MUTATION_NAMES", "apply_mutation"]
 
@@ -94,16 +97,11 @@ def _overeager_propagation() -> Iterator[None]:
 
 
 @contextmanager
-def _unstable_parallel_merge() -> Iterator[None]:
-    original = _stages.ReductionStage._run_parallel
+def _stale_reduced_keys() -> Iterator[None]:
+    def unreduced(self, reduced, values, bits):
+        return self.signatures(bits)
 
-    def rotated(self, art, tasks, jobs):
-        outcomes = original(self, art, tasks, jobs)
-        if len(outcomes) > 1:
-            outcomes = outcomes[1:] + outcomes[:1]
-        return outcomes
-
-    with _patched(_stages.ReductionStage, "_run_parallel", rotated):
+    with _patched(AnalysisContext, "signatures_after_reduction", unreduced):
         yield
 
 
@@ -132,7 +130,7 @@ _MUTATIONS: Dict[str, Callable[[], Iterator[None]]] = {
     "no-controls": _no_controls,
     "singles-only": _singles_only,
     "overeager-propagation": _overeager_propagation,
-    "unstable-parallel-merge": _unstable_parallel_merge,
+    "stale-reduced-keys": _stale_reduced_keys,
     "name-sensitive-grouping": _name_sensitive_grouping,
 }
 

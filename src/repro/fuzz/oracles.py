@@ -20,13 +20,10 @@ provably must not care about, re-run, compare:
     Shuffling a healable word's root gates among their own file slots.
     All bits of a healable word pairwise partial-match through their
     shared hold/guard subtrees, so any order chains into one subgroup.
-``jobs``
-    ``jobs=4`` must equal ``jobs=1`` byte for byte: same words in the
-    same order, same control assignments, same stage counters.
 ``store``
     cache-on ≡ cache-off: a result committed to the artifact store and
-    probed back is byte-identical to the computed one (the persistence
-    sibling of ``jobs``).
+    probed back is byte-identical to the computed one — same words in
+    the same order, same control assignments, same stage counters.
 ``triage``
     Trojan triage (:mod:`repro.triage`) is deterministic across re-runs
     and its ``(position, score)`` ranking is invariant under hostile
@@ -333,28 +330,6 @@ def _check_bit_permutation(ctx: OracleContext) -> Optional[str]:
     return None
 
 
-def _check_jobs(ctx: OracleContext) -> Optional[str]:
-    parallel_config = PipelineConfig(depth=ctx.depth, jobs=4)
-    parallel = ctx.identify("jobs", ctx.sample.netlist, parallel_config)
-    serial = ctx.ours
-
-    def canon(result: IdentificationResult):
-        return (
-            [word.bits for word in result.words],
-            list(result.singletons),
-            {
-                word.bits: control.assignments
-                for word, control in result.control_assignments.items()
-            },
-        )
-
-    if canon(parallel) != canon(serial):
-        return "jobs=4 produced different words than jobs=1"
-    if (parallel.trace.counter_dict() != serial.trace.counter_dict()):
-        return "jobs=4 produced different stage counters than jobs=1"
-    return None
-
-
 def _check_backend(ctx: OracleContext) -> Optional[str]:
     """Registry dispatch ≡ direct engine; regfeat output is well-formed.
 
@@ -441,9 +416,7 @@ def _check_store(ctx: OracleContext) -> Optional[str]:
 
     Commits the already-computed result to a throwaway store and probes
     it back; the cached result must be byte-identical to the computed one
-    on words, singletons, assignments, and trace counters (the sibling of
-    the ``jobs=N ≡ jobs=1`` determinism oracle, for the persistence
-    layer).
+    on words, singletons, assignments, and trace counters.
     """
     import tempfile
 
@@ -517,78 +490,6 @@ def _check_serve(ctx: OracleContext) -> Optional[str]:
     return None
 
 
-def _check_cone_cache(ctx: OracleContext) -> Optional[str]:
-    """cone-cache-on ≡ cone-cache-off, plus incremental ≡ from-scratch.
-
-    Three comparisons per sample, all against the same canonicalization
-    the ``store`` and ``jobs`` oracles use (words, singletons,
-    assignments, trace counters):
-
-    1. a cold run through a private cone-cache tier equals the plain run;
-    2. a warm rerun through the same tier equals it too, *and* actually
-       replayed from the cache whenever the cold run committed anything
-       (otherwise the oracle silently stops testing replay);
-    3. a one-gate-edited variant analyzed with the warm tier — the
-       incremental path — equals the same edit analyzed from scratch.
-    """
-    from ..core.conecache import ProcessConeCache
-    from ..netlist.cells import AND, OR
-
-    def canon(result: IdentificationResult):
-        return (
-            [word.bits for word in result.words],
-            list(result.singletons),
-            {
-                word.bits: control.assignments
-                for word, control in result.control_assignments.items()
-            },
-            result.trace.counter_dict(),
-        )
-
-    plain = ctx.ours
-    tier = ProcessConeCache()
-    cold = identify_words(
-        ctx.sample.netlist, ctx.ours_config, cone_cache=[tier]
-    )
-    if canon(cold) != canon(plain):
-        return "cone-cache-on (cold) differs from cone-cache-off"
-    warm = identify_words(
-        ctx.sample.netlist, ctx.ours_config, cone_cache=[tier]
-    )
-    if canon(warm) != canon(plain):
-        return "cone-cache-on (warm) differs from cone-cache-off"
-    committed = cold.trace.cache.cone_tier_commits
-    replayed = (
-        warm.trace.cache.cone_tier_process_hits
-        + warm.trace.cache.cone_tier_store_hits
-    )
-    if committed and not replayed:
-        return (
-            f"warm run replayed nothing ({committed} entries committed "
-            f"by the cold run)"
-        )
-
-    # Incremental ≡ from-scratch on a one-gate edit (cell swap keeps the
-    # netlist valid and the file order identical).
-    edited = ctx.sample.netlist.copy()
-    swappable = [
-        g for g in edited.gates_in_file_order()
-        if not g.is_ff and g.cell.name in ("AND", "OR")
-        and len(g.inputs) >= 2
-    ]
-    if not swappable:
-        return None  # nothing safely editable; first two checks stand
-    gate = swappable[ctx.rng(0xC03E).randrange(len(swappable))]
-    edited.replace_gate(
-        gate.name, OR if gate.cell.name == "AND" else AND, gate.inputs
-    )
-    incremental = identify_words(edited, ctx.ours_config, cone_cache=[tier])
-    scratch = identify_words(edited.copy(), ctx.ours_config)
-    if canon(incremental) != canon(scratch):
-        return "incremental (warm-tier) run differs from from-scratch"
-    return None
-
-
 def _check_triage(ctx: OracleContext) -> Optional[str]:
     """Trojan triage is deterministic and blind to name spelling.
 
@@ -645,10 +546,8 @@ DEFAULT_ORACLES: Tuple[Tuple[str, Callable[[OracleContext], Optional[str]]], ...
     ("roundtrip", _check_roundtrip),
     ("expectation", _check_expectation),
     ("ours_superset", _check_ours_superset),
-    ("jobs", _check_jobs),
     ("backend", _check_backend),
     ("store", _check_store),
-    ("cone_cache", _check_cone_cache),
     ("serve", _check_serve),
     ("rename", _check_rename),
     ("reversal", _check_reversal),

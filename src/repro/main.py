@@ -3,7 +3,7 @@
 ::
 
     repro identify design.v --score
-    repro table1 b03 b12 --jobs 4
+    repro table1 b03 b12 --trace
     repro fuzz --seed 0 --samples 8
     repro batch designs/*.v --store .cache
 

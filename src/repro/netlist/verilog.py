@@ -311,12 +311,17 @@ def _apply_assign(netlist: Netlist, match: "re.Match[str]", tie_counter: int) ->
     target = _canon_net(match.group(1))
     source = match.group(2)
     if source in ("1'b0", "1'B0"):
-        netlist.add_gate(f"_tie{tie_counter}", TIE0, [], target)
-        return tie_counter + 1
-    if source in ("1'b1", "1'B1"):
-        netlist.add_gate(f"_tie{tie_counter}", TIE1, [], target)
-        return tie_counter + 1
-    netlist.add_gate(f"_buf_{target}", BUF, [_canon_net(source)], target)
+        name, cell, inputs = f"_tie{tie_counter}", TIE0, []
+        tie_counter += 1
+    elif source in ("1'b1", "1'B1"):
+        name, cell, inputs = f"_tie{tie_counter}", TIE1, []
+        tie_counter += 1
+    else:
+        name, cell, inputs = f"_buf_{target}", BUF, [_canon_net(source)]
+    try:
+        netlist.add_gate(name, cell, inputs, target)
+    except (NetlistError, ValueError) as exc:
+        raise VerilogError(f"assign to {target!r}: {exc}") from exc
     return tie_counter
 
 

@@ -54,7 +54,14 @@ __all__ = ["SCHEMA_VERSION", "PIPELINE_VERSION", "stamp"]
 #: triage envelopes), the ``triage`` summary field on batch rows
 #: (``repro batch --triage``), and the ``triage`` ROC section in the
 #: scoreboard payload (``repro scoreboard --triage``).
-SCHEMA_VERSION = 8
+#: v9: the cross-run cone cache and the engine's ``jobs`` knob are gone —
+#: no ``jobs`` in traces, stored result envelopes or the identify
+#: ``--json`` config block; no ``cone`` store-envelope kind; no
+#: ``cone_cache`` section in incremental reports; no ``cone_cache`` row
+#: field or ``cone_tier_*`` aggregate fields in batch reports; the trace
+#: ``cache`` section drops ``cone_tier_commits`` and keeps the other three
+#: ``cone_tier_*`` keys as constant zeros.
+SCHEMA_VERSION = 9
 
 
 def stamp(payload: Dict) -> Dict:

@@ -284,11 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-simultaneous", type=int, default=2,
         help="control signals assigned at once (default 2)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="reduction-search threads per analysis (default 1; total "
-        "engine threads ≈ workers × jobs)",
-    )
     # Test/ops hook: hold every request in its worker for S seconds, so
     # drain and load-shedding behaviour can be exercised deterministically.
     parser.add_argument(
@@ -322,7 +317,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = PipelineConfig(
             depth=args.depth,
             max_simultaneous=args.max_simultaneous,
-            jobs=args.jobs,
             deadline_s=args.deadline,
             strict=args.strict,
             allow_partial=args.backend != "base",

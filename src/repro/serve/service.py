@@ -610,7 +610,7 @@ class AnalysisService:
     ) -> Response:
         """``POST /v1/identify`` with ``base_digest``: an edited design
         re-analyzed against a previously stored base — same words as a
-        from-scratch request, plus the diff and cone-reuse accounting of
+        from-scratch request, plus the diff accounting of
         :meth:`repro.api.Session.analyze_incremental`."""
         base_digest = payload.get("base_digest")
         if not isinstance(base_digest, str):

@@ -17,27 +17,20 @@ entries into misses, and an optional LRU byte cap bounds disk use.  See
 Entry point: :class:`repro.api.Session` is the only code that reads or
 writes identification results, one key per request; every other caller
 (``repro identify``, ``repro batch``, ``repro serve``, ``repro table1
---store``) goes through it.  The engine sees only the store's cone tier.
+--store``) goes through it.  The engine never sees the store.
 """
 
-from .cones import StoreConeTier
 from .disk import DEFAULT_DEGRADED_AFTER, ArtifactStore, StoreStats
 from .keys import (
-    CONE_FINGERPRINT_FIELDS,
-    CONE_NEUTRAL_FIELDS,
     FINGERPRINT_FIELDS,
     bytes_digest,
     cache_key,
-    cone_cache_key,
-    cone_fingerprint,
     config_fingerprint,
     file_digest,
     netlist_digest,
 )
 from .serialize import (
     UnserializableResult,
-    cone_entry_from_dict,
-    cone_entry_to_dict,
     result_digest,
     result_from_dict,
     result_to_dict,
@@ -47,20 +40,13 @@ __all__ = [
     "ArtifactStore",
     "StoreStats",
     "DEFAULT_DEGRADED_AFTER",
-    "StoreConeTier",
-    "CONE_FINGERPRINT_FIELDS",
-    "CONE_NEUTRAL_FIELDS",
     "FINGERPRINT_FIELDS",
     "cache_key",
-    "cone_cache_key",
-    "cone_fingerprint",
     "config_fingerprint",
     "bytes_digest",
     "file_digest",
     "netlist_digest",
     "UnserializableResult",
-    "cone_entry_from_dict",
-    "cone_entry_to_dict",
     "result_digest",
     "result_from_dict",
     "result_to_dict",

@@ -97,16 +97,16 @@ class StoreStats:
     def __post_init__(self):
         self._lock = threading.Lock()
 
-    def bump(self, name: str, amount: int = 1) -> None:
+    def bump(self, name: str) -> None:
         """Thread-safely increment one counter and publish it."""
         with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
+            setattr(self, name, getattr(self, name) + 1)
         registry = _metrics.current()
         if registry is not None:
             registry.counter(
                 f"repro_store_{name}_total",
                 f"Artifact-store {name} across all requests",
-            ).inc(amount)
+            ).inc()
 
     def bump_io_error(self, op: str) -> None:
         """Count one suppressed ``OSError`` under its operation name.
@@ -323,29 +323,6 @@ class ArtifactStore:
         self.stats.bump("hits")
         return envelope
 
-    def get_many(self, keys: Sequence[str]) -> Dict[str, Dict]:
-        """Validated envelopes for ``keys``, keyed by key (misses absent).
-
-        One call, two stats bumps: the per-key lock round trips of N
-        :meth:`get` calls collapse into a single hits bump and a single
-        misses bump, which matters when a reduction stage probes dozens
-        of tiny cone entries at once.
-        """
-        found: Dict[str, Dict] = {}
-        for key in keys:
-            if key in found:
-                continue
-            envelope = self._load(key)
-            if envelope is not None:
-                found[key] = envelope
-                self._touch(key)
-        if found:
-            self.stats.bump("hits", len(found))
-        misses = len(set(keys)) - len(found)
-        if misses:
-            self.stats.bump("misses", misses)
-        return found
-
     def _write(self, key: str, kind: str, fields: Dict) -> None:
         """Atomically publish one artifact (tmp-file + rename)."""
         envelope = stamp({"kind": kind, "key": key, **fields})
@@ -415,26 +392,6 @@ class ArtifactStore:
             return
         if self.max_bytes is not None and self._over_cap_or_stale():
             self._evict(keep=(key,))
-
-    def put_many(self, items: Sequence[Tuple[str, str, Dict]]) -> None:
-        """Atomically publish ``(key, kind, fields)`` artifacts.
-
-        The size cap is enforced *once* for the whole batch, with every
-        just-written key protected — a batch of tiny cone entries under
-        cap pressure costs one directory scan, not one per entry (and
-        cannot evict its own writes, the way per-entry eviction of an
-        unrefreshed sibling could).
-        """
-        written = []
-        for key, kind, fields in items:
-            if self._try_write(key, kind, fields):
-                written.append(key)
-        if (
-            written
-            and self.max_bytes is not None
-            and self._over_cap_or_stale()
-        ):
-            self._evict(keep=written)
 
     def _heal(self, path: str) -> None:
         try:
@@ -624,14 +581,3 @@ class ArtifactStore:
             },
         )
         return key
-
-    # ------------------------------------------------------------------
-    # canonical cone entries
-    # ------------------------------------------------------------------
-    def cone_tier(self):
-        """This store's :class:`~repro.store.cones.StoreConeTier`, which
-        :class:`repro.api.Session` chains behind the process table for
-        every store-attached analysis (DESIGN.md §12)."""
-        from .cones import StoreConeTier
-
-        return StoreConeTier(self)

@@ -29,11 +29,11 @@ with NUL separators::
     A canonical JSON document of exactly the
     :class:`~repro.core.pipeline.PipelineConfig` fields that can change a
     run's *output* (words, partitions, assignments, counters).  Fields
-    proven not to affect output — ``jobs`` (the determinism oracle),
-    ``strict`` (raises instead of returning), ``deadline_s`` (a deadline
-    that fires degrades the run, and degraded runs are never committed;
-    one that does not fire leaves the run identical) — are excluded, so
-    e.g. a ``jobs=8`` run hits an entry committed by ``jobs=1``.
+    proven not to affect output — ``strict`` (raises instead of
+    returning), ``deadline_s`` (a deadline that fires degrades the run,
+    and degraded runs are never committed; one that does not fire leaves
+    the run identical) — are excluded, so e.g. a ``strict=True`` run hits
+    an entry committed by a default one.
 
 ``pipeline_version``
     :data:`repro.core.stages.PIPELINE_VERSION`; bumping it on algorithm
@@ -47,23 +47,14 @@ import json
 from typing import Dict, Optional, Union
 
 from ..core import backends
-from ..core.conecache import (
-    CONE_FINGERPRINT_FIELDS,
-    CONE_NEUTRAL_FIELDS,
-    cone_fingerprint,
-)
 from ..core.pipeline import PIPELINE_VERSION, PipelineConfig
 from ..netlist.netlist import Netlist
 from ..netlist.verilog import write_verilog
 
 __all__ = [
-    "CONE_FINGERPRINT_FIELDS",
-    "CONE_NEUTRAL_FIELDS",
     "FINGERPRINT_FIELDS",
     "bytes_digest",
     "cache_key",
-    "cone_cache_key",
-    "cone_fingerprint",
     "config_fingerprint",
     "file_digest",
     "netlist_digest",
@@ -162,19 +153,3 @@ def cache_key(
     material = "\0".join((PIPELINE_VERSION, kind, digest, config))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-
-def cone_cache_key(
-    digest: str, config: Union[PipelineConfig, str]
-) -> str:
-    """The store address of one canonical cone entry.
-
-    ``digest`` is a ``cone:`` canonical-envelope digest
-    (:func:`repro.core.conecache.canonicalize_subgroup`); ``config`` is a
-    :class:`PipelineConfig` or an already-computed *cone* fingerprint —
-    deliberately the narrower :func:`cone_fingerprint`, not
-    :func:`config_fingerprint`, so runs differing only in cone-neutral
-    fields (``grouping``, ``jobs``, budgets, …) share entries.
-    """
-    if isinstance(config, PipelineConfig):
-        config = cone_fingerprint(config)
-    return cache_key(digest, config, kind="cone")

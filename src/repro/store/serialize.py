@@ -37,8 +37,6 @@ __all__ = [
     "result_to_dict",
     "result_from_dict",
     "result_digest",
-    "cone_entry_to_dict",
-    "cone_entry_from_dict",
     "UnserializableResult",
 ]
 
@@ -56,7 +54,6 @@ def _trace_to_dict(trace: StageTrace) -> Dict:
         )
     return {
         "counters": trace.counter_dict(),
-        "jobs": trace.jobs,
         "backend": trace.backend,
         "kernel": SIGNATURE_KERNEL,
         "stage_seconds": dict(trace.stage_seconds),
@@ -70,10 +67,10 @@ def _trace_from_dict(payload: Dict) -> StageTrace:
     for name, value in payload.get("counters", {}).items():
         if name in trace.counter_dict():
             setattr(trace, name, value)
-    trace.jobs = payload.get("jobs", 1)
     # Entries persisted before the backend field existed were computed by
-    # the default technique.  A stored ``kernel`` field is ignored: every
-    # kernel a past version ran produced the same results.
+    # the default technique.  Stored ``kernel`` and ``jobs`` fields, and
+    # cache counters of retired caches, are ignored: no past value of
+    # either knob changed a result.
     trace.backend = payload.get("backend", "ours")
     trace.stage_seconds = dict(payload.get("stage_seconds", {}))
     cache_fields = payload.get("cache", {})
@@ -114,54 +111,11 @@ def result_from_dict(payload: Dict) -> IdentificationResult:
     return result
 
 
-def cone_entry_to_dict(entry: Dict) -> Dict:
-    """One canonical cone entry as a JSON-ready dict (store payload).
-
-    Entries are already plain JSON values (run lengths, a canonical-id
-    assignment, two counters — see :mod:`repro.core.conecache`); this
-    validates the shape and normalizes field order so persisted entries
-    are canonical, raising :class:`UnserializableResult` on anything
-    malformed rather than poisoning the ``cone:`` space.
-    """
-    try:
-        runs = [int(r) for r in entry["runs"]]
-        assignment = entry.get("assignment")
-        if assignment is not None:
-            assignment = {
-                str(cid): int(val) for cid, val in assignment.items()
-            }
-        normalized = {
-            "runs": runs,
-            "assignment": assignment,
-            "tried": int(entry["tried"]),
-            "infeasible": int(entry["infeasible"]),
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UnserializableResult(f"malformed cone entry: {exc}") from exc
-    if any(r <= 0 for r in runs) or normalized["tried"] < 0:
-        raise UnserializableResult("malformed cone entry: bad counters")
-    if assignment is not None and any(
-        val not in (0, 1) for val in assignment.values()
-    ):
-        raise UnserializableResult("malformed cone entry: bad assignment")
-    return normalized
-
-
-def cone_entry_from_dict(payload: Dict) -> Dict:
-    """Inverse of :func:`cone_entry_to_dict` (same canonical shape).
-
-    Store-loaded payloads pass through the identical validation — a
-    hand-edited or bit-rotted entry raises and is healed by the caller
-    instead of being replayed.
-    """
-    return cone_entry_to_dict(payload)
-
-
 def result_digest(result: IdentificationResult) -> str:
     """SHA-256 over the deterministic subset of a result.
 
-    Two runs of the same design and configuration — serial or parallel,
-    cached or freshly computed — must produce the same digest; anything
+    Two runs of the same design and configuration — cached or freshly
+    computed, in any process — must produce the same digest; anything
     else is a correctness bug (this is the ``cache-on ≡ cache-off``
     oracle's comparison key).  Timings are deliberately excluded.
     """

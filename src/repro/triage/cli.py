@@ -48,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="identification backend to triage against (default: ours)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers for the identification run",
-    )
-    parser.add_argument(
         "--store", default=None, metavar="DIR",
         help="artifact store: caches the identification AND the ranking",
     )
@@ -82,14 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         pipeline = PipelineConfig(
             allow_partial=args.backend != "base",
             backend=args.backend,
-            jobs=args.jobs,
             deadline_s=args.deadline,
             strict=args.strict,
             preflight=True,

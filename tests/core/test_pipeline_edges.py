@@ -9,7 +9,7 @@ from repro.core import (
     shape_hashing,
 )
 from repro.core.control import ControlSignalCandidate
-from repro.core.pipeline import _assignments
+from repro.core.stages import _assignments
 from repro.netlist import NetlistBuilder, Netlist
 
 

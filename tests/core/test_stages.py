@@ -1,10 +1,7 @@
-"""Staged engine: degenerate-subgroup guards and parallel determinism.
+"""Staged engine: stage order, trace schema, and degenerate-subgroup guards.
 
-The ISSUE-level contract of ``PipelineConfig.jobs`` is that parallelism
-reorders *execution only*: words, singletons, control assignments, and
-every trace counter must be byte-identical to the serial run.  The
-degenerate-partition guards cover subgroups the reduction search can hand
-back empty or fragmented.
+The degenerate-partition guards cover subgroups the reduction search can
+hand back empty or fragmented.
 """
 
 import sys
@@ -17,10 +14,13 @@ from fixtures import figure1_netlist
 
 from repro.core import PipelineConfig, identify_words
 from repro.core.hashkey import BitSignature
-from repro.core.pipeline import _emit_partition, _partition_score
-from repro.core.stages import AnalysisEngine, default_stages
+from repro.core.stages import (
+    AnalysisEngine,
+    _emit_partition,
+    _partition_score,
+    default_stages,
+)
 from repro.core.words import IdentificationResult
-from repro.synth.designs import BENCHMARKS
 
 
 def sig(net):
@@ -105,12 +105,11 @@ class TestEngineTrace:
 
     def test_trace_dict_schema(self):
         netlist, _bits = figure1_netlist()
-        result = identify_words(netlist, PipelineConfig(jobs=2))
+        result = identify_words(netlist, PipelineConfig())
         dumped = result.trace.as_dict()
         assert set(dumped) == {
             "counters",
             "backend",
-            "jobs",
             "kernel",
             "stage_seconds",
             "cache",
@@ -120,7 +119,6 @@ class TestEngineTrace:
             "preflight",
             "cache_provenance",
         }
-        assert dumped["jobs"] == 2
         assert dumped["kernel"] == "python"
         assert dumped["cache_provenance"] == {}  # no store attached
         # A clean run carries an empty resilience record.
@@ -137,37 +135,3 @@ class TestEngineTrace:
         with pytest.raises(ValueError):
             engine.run(netlist, AnalysisContext(netlist, depth=3))
 
-
-def _snapshot(result):
-    """Everything the determinism contract covers, as plain data."""
-    return {
-        "words": [w.bits for w in result.words],
-        "singletons": list(result.singletons),
-        "assignments": {
-            w.bits: a.assignments
-            for w, a in result.control_assignments.items()
-        },
-        "counters": result.trace.counter_dict(),
-        "cache": result.trace.cache.as_dict(),
-    }
-
-
-class TestParallelDeterminism:
-    @pytest.mark.parametrize("name", ["b03", "b12"])
-    def test_jobs4_matches_jobs1_on_itc99(self, name):
-        netlist = BENCHMARKS[name]()
-        serial = identify_words(netlist, PipelineConfig(jobs=1))
-        parallel = identify_words(netlist, PipelineConfig(jobs=4))
-        assert _snapshot(parallel) == _snapshot(serial)
-
-    def test_jobs_does_not_leak_into_counters(self):
-        netlist = BENCHMARKS["b03"]()
-        serial = identify_words(netlist, PipelineConfig(jobs=1))
-        parallel = identify_words(netlist, PipelineConfig(jobs=4))
-        assert serial.trace.jobs == 1
-        assert parallel.trace.jobs == 4
-        assert parallel.trace.counter_dict() == serial.trace.counter_dict()
-
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(jobs=0)

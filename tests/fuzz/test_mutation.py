@@ -2,11 +2,13 @@
 
 Five plausible pipeline bugs are injected one at a time behind the
 test-only hooks in :mod:`repro.fuzz.mutations`; the oracle suite must
-flag at least four of the five on a small fixed corpus (ISSUE acceptance
-threshold).  In practice all five are caught — the assertion leaves one
-mutation of slack so an unrelated pipeline improvement that legitimately
-changes one bug's visibility does not break the build, while any real
-oracle regression (which typically blinds several) still fails.
+flag at least four of the five on a small fixed corpus.  Today exactly
+four are caught — ``stale-reduced-keys`` by ``expectation`` and
+``bit_permutation`` on both smoke samples, while ``singles-only`` goes
+unseen on this corpus.  The assertion leaves that one mutation of slack
+so an unrelated pipeline improvement that legitimately changes one bug's
+visibility does not break the build, while any real oracle regression
+(which typically blinds several) still fails.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.fuzz.mutations import MUTATION_NAMES, apply_mutation
 from repro.fuzz.oracles import run_oracles
 
 #: Corpus indices used for the smoke: index 0 alone catches every
-#: mutation today; index 1 is headroom against generator drift.
+#: caught mutation today; index 1 is headroom against generator drift.
 _SMOKE_INDICES = (0, 1)
 
 
@@ -40,7 +42,7 @@ def test_mutation_names_are_stable():
         "no-controls",
         "singles-only",
         "overeager-propagation",
-        "unstable-parallel-merge",
+        "stale-reduced-keys",
         "name-sensitive-grouping",
     }
 

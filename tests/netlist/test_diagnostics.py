@@ -108,6 +108,26 @@ class TestParserDiagnostics:
         assert "unsupported statement" in info.value.diagnostics[0].message
 
 
+    @pytest.mark.parametrize("assign, message", [
+        ("  assign y = b;\n", "assign to 'y'"),
+        ("  assign a = b;\n", "net 'a' is a primary input"),
+    ], ids=["second-driver", "onto-input"])
+    def test_conflicting_assign_is_a_diagnostic(self, assign, message):
+        # Line 6, after a first ``assign y = a;``; the parser keeps going
+        # and still reports the bad instance on line 7.
+        bad = (
+            "module t (a, b, y);\n  input a;\n  input b;\n  output y;\n"
+            "  assign y = a;\n" + assign
+            + "  FROB2 u1 (.A(a), .Y(n1));\nendmodule\n"
+        )
+        with pytest.raises(VerilogError) as info:
+            parse_verilog(bad)
+        first, second = info.value.diagnostics
+        assert (first.line, first.column) == (6, 3)
+        assert message in first.message
+        assert (second.line, second.token) == (7, "FROB2")
+
+
 class TestValidatorDiagnostics:
     def test_floating_input_is_a_warning(self):
         nl = Netlist("t")

@@ -71,7 +71,7 @@ class TestKeys:
     def test_fingerprint_excludes_execution_only_knobs(self):
         base = PipelineConfig()
         assert config_fingerprint(base) == config_fingerprint(
-            PipelineConfig(jobs=8, strict=True, deadline_s=1000.0)
+            PipelineConfig(strict=True, deadline_s=1000.0)
         )
 
     def test_fingerprint_covers_result_affecting_knobs(self):
@@ -105,6 +105,19 @@ class TestSerialize:
         assert restored.trace.cache.as_dict() == result.trace.cache.as_dict()
         assert result_digest(restored) == result_digest(result)
 
+    def test_retired_trace_fields_are_ignored_on_load(self, netlist):
+        # Entries written while ``jobs``, the ``kernel`` knob and the
+        # cone cache existed still load, to the same result.
+        result = identify_words(netlist, PipelineConfig())
+        payload = result_to_dict(result)
+        assert "jobs" not in payload["trace"]
+        payload["trace"]["jobs"] = 4
+        payload["trace"]["kernel"] = "array"
+        payload["trace"]["cache"]["cone_tier_commits"] = 3
+        restored = result_from_dict(payload)
+        assert result_digest(restored) == result_digest(result)
+        assert restored.trace.cache.as_dict() == result.trace.cache.as_dict()
+
     def test_degraded_results_are_refused(self, netlist):
         result = identify_words(netlist, PipelineConfig())
         result.trace.deadline_hit = True
@@ -127,15 +140,9 @@ class TestStoreBasics:
         _analyze(netlist, PipelineConfig(depth=4), store)
         other = _analyze(netlist, PipelineConfig(depth=5), store)
         assert other.trace.cache_provenance["provenance"] == "miss"
-        # One result entry per depth (cone entries and the body ride
-        # along in their own kinds and don't collide with the result
-        # space).
+        # One result entry per depth (the body rides along in its own
+        # kind and doesn't collide with the result space).
         assert len(_result_keys(store)) == 2
-
-    def test_jobs_hits_the_serial_entry(self, store, netlist):
-        _analyze(netlist, PipelineConfig(jobs=1), store)
-        parallel = _analyze(netlist, PipelineConfig(jobs=4), store)
-        assert parallel.trace.cache_provenance["provenance"] == "hit"
 
     def test_degraded_run_is_not_committed(self, store, netlist):
         config = PipelineConfig(deadline_s=1e-9)
@@ -241,6 +248,42 @@ class TestLRU:
             store.put(cache_key(f"d{index}", "c"), "result", {"n": index})
         assert len(store) == 20
         assert store.stats.evictions == 0
+
+    def test_put_enforces_the_cap_protecting_its_own_key(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "s"), max_bytes=1)
+        old_key, new_key = "f" * 8, "0" * 8
+        store.put(old_key, "result", {"payload": "x" * 64})
+        evictions_before = store.stats.evictions
+        store.put(new_key, "result", {"payload": "y" * 64})
+        # The put's own write survives; the older entry is the victim.
+        assert store.get(new_key) is not None
+        assert store.get(old_key) is None
+        assert store.stats.evictions == evictions_before + 1
+
+    def test_approximate_size_resyncs_on_eviction_scan(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "s"), max_bytes=10_000)
+        for index in range(3):
+            store.put(f"{index:08d}", "result", {"payload": "z" * 16})
+        # Another process shrinking the store drifts the running total;
+        # a forced scan resyncs it with the directory truth.
+        os.unlink(store._path("00000000"))
+        assert store._approx_bytes > store.total_bytes()
+        store._evict()
+        assert store._approx_bytes == store.total_bytes()
+        assert store._puts_since_rescan == 0
+
+    def test_uncapped_store_never_scans_on_put(self, store, monkeypatch):
+        calls = []
+        original = ArtifactStore._evict
+        monkeypatch.setattr(
+            ArtifactStore, "_evict",
+            lambda self, keep=(): calls.append(keep) or original(
+                self, keep
+            ),
+        )
+        store.put("a" * 8, "result", {"x": 1})
+        store.put("b" * 8, "result", {"x": 2})
+        assert calls == []
 
 
 def _hammer_writer(root: str, key: str, marker: int, rounds: int) -> None:

@@ -99,6 +99,25 @@ class TestErrors:
         assert err.startswith(f"error: cannot read {bad}: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("assigns", [
+        "  assign y = a;\n  assign y = b;\n",
+        "  assign a = b;\n",
+    ], ids=["two-drivers", "onto-input"])
+    def test_conflicting_assign_is_a_parse_error(
+        self, tmp_path, capsys, assigns
+    ):
+        """Regression: a conflicting ``assign`` escaped the parser as a
+        ``NetlistError`` traceback with exit 1."""
+        bad = tmp_path / "assign.v"
+        bad.write_text(
+            "module t (a, b, y);\n  input a;\n  input b;\n  output y;\n"
+            + assigns + "endmodule\n"
+        )
+        assert main([str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse {bad}: ")
+        assert "Traceback" not in err
+
     def test_config_flags_forwarded(self, verilog_path, capsys):
         assert main([verilog_path, "--depth", "3",
                      "--max-simultaneous", "1"]) == 0

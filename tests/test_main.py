@@ -47,6 +47,16 @@ class TestDispatch:
         assert main(["frobnicate"]) == 2
         assert "unknown command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["identify", "table1", "serve"])
+    def test_jobs_flag_is_gone(self, command, design_path, capsys):
+        """The engine's thread pool is gone; worker processes remain
+        (``repro batch --jobs``).  ``triage`` is covered in its own suite."""
+        args = [design_path] if command == "identify" else []
+        with pytest.raises(SystemExit) as exited:
+            main([command, *args, "--jobs", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     def test_subcommands_are_the_alias_entry_points(self):
         """`repro X` runs module X's own `main` (so `python -m repro.cli`
         and `repro identify` are one code path)."""

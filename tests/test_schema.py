@@ -77,13 +77,6 @@ def current_shapes():
         shapes["journal_row.technique"] = sorted(row["ours"])
 
         # The facade's AnalysisReport and the store's result envelope.
-        # The process cone tier is cleared so the cone entries this run
-        # derives are committed to the store (a warm process tier from an
-        # earlier test in the same pytest process would satisfy the
-        # probes and leave the store without a cone envelope to pin).
-        from repro.core.conecache import process_cone_cache
-
-        process_cone_cache().clear()
         store_root = os.path.join(tmp, "store")
         session = Session(store=store_root)
         analysis = session.analyze(design)
@@ -93,15 +86,9 @@ def current_shapes():
         envelope = store.get(analysis.key)
         shapes["store_result_envelope"] = sorted(envelope)
         shapes["store_result_payload"] = sorted(envelope["result"])
-
-        # The store's cone-entry envelope (committed by the run above).
-        cone_envelopes = [
-            e for e in (store.get(key) for key in store.keys())
-            if e and e.get("kind") == "cone"
-        ]
-        assert cone_envelopes, "analysis committed no cone entries"
-        shapes["store_cone_envelope"] = sorted(cone_envelopes[0])
-        shapes["store_cone_entry"] = sorted(cone_envelopes[0]["entry"])
+        shapes["store_result_payload.trace"] = sorted(
+            envelope["result"]["trace"]
+        )
 
         # Incremental re-analysis (library payload).
         from repro.netlist.cells import AND
@@ -117,9 +104,6 @@ def current_shapes():
         inc_payload = incremental.as_dict()
         shapes["incremental_report"] = sorted(inc_payload)
         shapes["incremental_report.diff"] = sorted(inc_payload["diff"])
-        shapes["incremental_report.cone_cache"] = sorted(
-            inc_payload["cone_cache"]
-        )
 
         # Trojan triage: the report payload (CLI --json / serve / store)
         # and its store envelope.
@@ -223,8 +207,8 @@ def load_golden():
 
 
 class TestVersionStamps:
-    def test_schema_version_is_8(self):
-        assert SCHEMA_VERSION == 8
+    def test_schema_version_is_9(self):
+        assert SCHEMA_VERSION == 9
 
     def test_stamp_prepends_current_versions(self):
         stamped = stamp({"x": 1, "schema_version": 999})

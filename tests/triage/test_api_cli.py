@@ -99,7 +99,10 @@ class TestCli:
         assert payload["num_gates"] > 2
 
     def test_bad_jobs_is_a_usage_error(self, design):
-        assert triage_main([design, "--jobs", "0"]) == EXIT_USAGE
+        # The engine's thread pool is gone, and ``--jobs`` with it.
+        with pytest.raises(SystemExit) as exited:
+            triage_main([design, "--jobs", "0"])
+        assert exited.value.code == EXIT_USAGE
 
     def test_unreadable_file_is_a_usage_error(self, tmp_path):
         assert triage_main([str(tmp_path / "missing.v")]) == EXIT_USAGE
