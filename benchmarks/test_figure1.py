@@ -24,6 +24,7 @@ sys.path.insert(0, "examples")
 from figure1_case_study import build_figure1
 
 from repro.core import (
+    AnalysisContext,
     find_control_signals,
     form_subgroups,
     group_by_adjacency,
@@ -59,7 +60,8 @@ def test_figure1_control_signals(circuit):
     netlist, bits = circuit
     signatures = [signature_of(netlist, b) for b in bits]
     subgroup = form_subgroups(signatures)[0]
-    nets = [c.net for c in find_control_signals(subgroup)]
+    candidates = find_control_signals(subgroup, AnalysisContext(netlist))
+    nets = [c.net for c in candidates]
     assert nets == ["U201", "U221"]
 
 

@@ -19,6 +19,7 @@ Run: ``python examples/figure1_case_study.py``
 """
 
 from repro.core import (
+    AnalysisContext,
     find_control_signals,
     form_subgroups,
     group_by_adjacency,
@@ -75,7 +76,8 @@ def main():
     print(f"  adjacent NAND3 lines grouped: {group}\n")
 
     print("step 2 — partial matching (Section 2.3):")
-    signatures = [signature_of(netlist, net) for net in bits]
+    context = AnalysisContext(netlist)
+    signatures = [context.signature(net) for net in bits]
     for sig in signatures:
         print(f"  {sig.net}: root {sig.root_type}")
         for subtree in sig.subtrees:
@@ -85,7 +87,7 @@ def main():
           f"{ {bit: roots for bit, roots in subgroup.dissimilar.items()} }\n")
 
     print("step 3 — relevant control signals (Section 2.4):")
-    candidates = find_control_signals(subgroup)
+    candidates = find_control_signals(subgroup, context)
     for cand in candidates:
         print(f"  {cand.net} (feasible values {cand.values})")
     print("  (U223 was common too, but lies in U201's fanin cone -> dropped)\n")

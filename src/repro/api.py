@@ -24,7 +24,8 @@ a deprecation cycle, and their JSON forms only change with a
 ``Session`` is also the only code that reads or writes identification
 results in the store (DESIGN.md §10).  Each request has one key: the
 ``file:`` digest of the raw bytes for a path or source text, the
-canonical ``netlist:`` digest for a netlist built in memory.
+canonical ``netlist:`` digest for a netlist built in memory.  The text a
+key digests is the body a cold request stores beside its result.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ from .core.pipeline import PipelineConfig, identify_words
 from .core.words import IdentificationResult
 from .netlist.bench import parse_bench
 from .netlist.netlist import Netlist
-from .netlist.verilog import parse_verilog
+from .netlist.verilog import parse_verilog, write_verilog
 from .schema import stamp
-from .store import (
+from .store import (  # noqa: F401
     ArtifactStore,
     bytes_digest,
     cache_key,
-    netlist_digest,
+    netlist_digest,  # unused here, but perfbench/tracer.py patches it
     result_digest,
 )
-from .store.keys import take_canonical_verilog
+from .store.keys import canonical_digest
 from .triage import TriageConfig, TriageResult, triage_netlist
 
 __all__ = [
@@ -287,10 +288,14 @@ class Session:
     ) -> AnalysisReport:
         """Identify words in one design; cached when a store is attached."""
         if isinstance(source, Netlist):
-            return self._analyze(self._digest(source), lambda: source)
+            digest, text = self._key(source)
+            return self._analyze(digest, lambda: source, text)
         path = os.fspath(source)
-        digest, parse = _read(path, format)
-        return self._analyze(digest, parse, source=path, name=path)
+        digest, text, format = _read(path, format)
+        return self._analyze(
+            digest, lambda: _parse(text, format, digest), text, format,
+            source=path, name=path,
+        )
 
     def analyze_text(
         self,
@@ -308,22 +313,29 @@ class Session:
         """
         digest = bytes_digest(text.encode("utf-8"))
         return self._analyze(
-            digest, lambda: _parse(text, format, digest), name=name
+            digest, lambda: _parse(text, format, digest), text, format,
+            name=name,
         )
 
     def _analyze(
         self,
         digest: str,
         parse: Callable[[], Netlist],
+        text: Optional[str],
+        format: str = "verilog",
         source: Optional[str] = None,
         name: Optional[str] = None,
     ) -> AnalysisReport:
         """The one analysis path: a store hit under ``digest``, or else
         ``parse()`` the design, run the backend, and commit the result
-        and the parsed body under ``digest``.
+        and the body under ``digest``.
 
-        The body makes ``digest`` a base for :meth:`analyze_incremental`
-        and answerable by :meth:`triage_digest`.  ``name`` labels a hit
+        The body is ``text`` in ``format``, the text ``digest`` was taken
+        from.  ``None`` means that text is not in hand (a netlist
+        :meth:`load_netlist` parsed, or one reloaded from the store): the
+        parsed netlist is then stored as canonical Verilog.  The body
+        makes ``digest`` a base for :meth:`analyze_incremental` and
+        answerable by :meth:`triage_digest`.  ``name`` labels a hit
         report when the envelope carries no design name.
         """
         cached = self._probe(digest, source, name)
@@ -336,7 +348,9 @@ class Session:
         if store is not None:
             cache = "miss"
             key = store.commit_result(digest, self.config, result, netlist)
-            store.commit_netlist(digest, netlist)
+            if text is None:
+                text, format = write_verilog(netlist), "verilog"
+            store.commit_netlist(digest, text, format)
         return AnalysisReport(
             design=netlist.name,
             source=source,
@@ -355,21 +369,21 @@ class Session:
             result=result,
         )
 
-    def _digest(self, netlist: Netlist) -> str:
-        """The key of an in-memory netlist.
+    def _key(self, netlist: Netlist) -> Tuple[str, Optional[str]]:
+        """The key of an in-memory netlist, and the text it digests.
 
         The digest of the bytes this session parsed it from while it is
-        unchanged (see :meth:`load_netlist`); otherwise
-        :func:`~repro.store.netlist_digest`, keeping the canonical text
-        for the body commit only when a store will make one.
+        unchanged (see :meth:`load_netlist`), whose text was not kept
+        (``None``); otherwise the canonical ``netlist:`` digest
+        (:func:`~repro.store.netlist_digest`) and the
+        :func:`~repro.netlist.verilog.write_verilog` text it hashed, from
+        one serialization.
         """
         read = netlist._source_digest
         if read is not None and read[:2] == (netlist.revision, netlist.name):
-            return read[2]
-        digest = netlist_digest(netlist)
-        if self.store is None:
-            take_canonical_verilog(netlist)
-        return digest
+            return read[2], None
+        text = write_verilog(netlist)
+        return canonical_digest(text), text
 
     def _probe(
         self,
@@ -436,12 +450,16 @@ class Session:
         only when one of the two entries misses.
         """
         if isinstance(source, Netlist):
+            digest, text = self._key(source)
             return self._triage(
-                self._digest(source), lambda: source, triage_config
+                digest, lambda: source, text, "verilog", triage_config
             )
         path = os.fspath(source)
-        digest, parse = _read(path, format)
-        return self._triage(digest, parse, triage_config, path, path)
+        digest, text, format = _read(path, format)
+        return self._triage(
+            digest, lambda: _parse(text, format, digest), text, format,
+            triage_config, path, path,
+        )
 
     def triage_text(
         self,
@@ -458,8 +476,8 @@ class Session:
         """
         digest = bytes_digest(text.encode("utf-8"))
         return self._triage(
-            digest, lambda: _parse(text, format, digest), triage_config,
-            name=name,
+            digest, lambda: _parse(text, format, digest), text, format,
+            triage_config, name=name,
         )
 
     def triage_digest(
@@ -488,7 +506,7 @@ class Session:
             return netlist
 
         try:
-            return self._triage(digest, body, triage_config)
+            return self._triage(digest, body, None, "verilog", triage_config)
         except _NoBody:
             return None
 
@@ -496,6 +514,8 @@ class Session:
         self,
         digest: str,
         parse: Callable[[], Netlist],
+        text: Optional[str],
+        format: str,
         triage_config: Optional[TriageConfig],
         source: Optional[str] = None,
         name: Optional[str] = None,
@@ -503,13 +523,16 @@ class Session:
         """The one triage path, shaped like :meth:`_analyze`: the
         identification and then the ranking are read from the store
         under ``digest``, and ``parse()`` runs at most once, only when
-        one of them misses."""
+        one of them misses.  ``text`` and ``format`` are the body, as in
+        :meth:`_analyze`."""
         triage_config = triage_config or TriageConfig()
         netlist = functools.cache(parse)
         # The identification goes through the one analysis path under
         # the request's own digest, so triage rows digest-match their
         # plain-analysis counterparts.
-        analysis = self._analyze(digest, netlist, source, name)
+        analysis = self._analyze(
+            digest, netlist, text, format, source, name
+        )
         rd = analysis.result_digest
         key = None
         cache = "off"
@@ -600,13 +623,13 @@ class Session:
         base = self.store.probe_netlist(base_digest)
         if base is None:
             raise KeyError(f"unknown base digest: {base_digest}")
-        edited = self._resolve_netlist(edited_source, format)
+        edited, digest, text, format = self._resolve(edited_source, format)
         added, removed, changed = _gate_diff(base, edited)
         dirty = _dirty_closure(base, edited, added, removed, changed)
         bits = edited.register_input_nets()
         dirty_bits = sum(1 for net in bits if net in dirty)
 
-        report = self._analyze(self._digest(edited), lambda: edited)
+        report = self._analyze(digest, lambda: edited, text, format)
         incremental = IncrementalReport(
             base_digest=base_digest,
             digest=report.digest,
@@ -630,19 +653,25 @@ class Session:
             ).inc(dirty_bits)
         return incremental
 
-    def _resolve_netlist(
+    def _resolve(
         self,
         source: Union[PathLike, Netlist, str],
         format: Optional[str],
-    ) -> Netlist:
-        """A :class:`Netlist` from a netlist, a path, or source text."""
+    ) -> Tuple[Netlist, str, Optional[str], str]:
+        """A :class:`Netlist` from a netlist, a path, or source text, with
+        its key, the text the key digests and that text's format (the
+        body :meth:`_analyze` commits)."""
         if isinstance(source, Netlist):
-            return source
+            digest, text = self._key(source)
+            return source, digest, text, "verilog"
         if isinstance(source, str) and (
             "\n" in source or not os.path.exists(source)
         ):
-            return _parse(source, format, bytes_digest(source.encode("utf-8")))
-        return self.load_netlist(source, format)
+            text, format = source, format or "verilog"
+            digest = bytes_digest(text.encode("utf-8"))
+        else:
+            digest, text, format = _read(os.fspath(source), format)
+        return _parse(text, format, digest), digest, text, format
 
     # ------------------------------------------------------------------
     # corpus analysis
@@ -703,25 +732,20 @@ class Session:
         those bytes: ``repro identify --store`` and a served request for
         the same file share one store entry, and the file is parsed once.
         """
-        _, parse = _read(os.fspath(path), format)
-        return parse()
+        digest, text, format = _read(os.fspath(path), format)
+        return _parse(text, format, digest)
 
 
 class _NoBody(Exception):
     """Internal: :meth:`Session.triage_digest` found no stored body."""
 
 
-def _read(
-    path: str, format: Optional[str]
-) -> Tuple[str, Callable[[], Netlist]]:
-    """A netlist file's ``file:`` digest, and a callable that parses the
-    bytes the digest was taken from (one read; parsed only on demand)."""
+def _read(path: str, format: Optional[str]) -> Tuple[str, str, str]:
+    """A netlist file's ``file:`` digest, the text of the bytes the
+    digest was taken from, and its format (one read)."""
     with open(path, "rb") as handle:
         data = handle.read()
-    digest = bytes_digest(data)
-    return digest, lambda: _parse(
-        _decode(path, data), _format(path, format), digest
-    )
+    return bytes_digest(data), _decode(path, data), _format(path, format)
 
 
 def _decode(path: str, data: bytes) -> str:
@@ -745,7 +769,7 @@ def _format(path: str, format: Optional[str]) -> str:
 
 def _parse(text: str, format: Optional[str], digest: str) -> Netlist:
     """Parse netlist source text; the netlist keeps ``digest``, the
-    digest of the bytes, as its key (see :meth:`Session._digest`)."""
+    digest of the bytes, as its key (see :meth:`Session._key`)."""
     netlist = parse_bench(text) if format == "bench" else parse_verilog(text)
     netlist._source_digest = (netlist.revision, netlist.name, digest)
     return netlist
@@ -799,7 +823,7 @@ def _dirty_closure(
     seeds.update(
         base_gates[name].output
         for name in removed
-        if base_gates[name].output in edited.nets()
+        if edited.has_net(base_gates[name].output)
     )
     dirty = set(seeds)
     stack = list(seeds)

@@ -6,16 +6,15 @@ indices ad hoc:
 
 * **Cone extraction** is memoized by ``(net, levels)`` and DAG-shared —
   a subtree expanded once is the *same* :class:`ConeNode` object inside
-  every cone that contains it, so identity-keyed memos (hash keys, control
-  profiles) amortize across bits, groups, and subgroups.
-* **Hash keys** are memoized both by ``(net, levels)`` (the
-  :class:`~repro.core.hashkey.SignatureIndex` scheme) and by
-  :class:`ConeNode` identity (:meth:`hash_key`), so identical shared
-  subtrees are serialized once per netlist rather than once per fanout
-  path.
-* **Signatures** are memoized per net, and their lazy
-  :class:`~repro.core.hashkey.Subtree` cones resolve through the shared
-  cone cache.
+  every cone that contains it, so identity-keyed memos (the control
+  stage's net profiles, :meth:`node_cache`) amortize across bits, groups,
+  and subgroups.
+* **Hash keys** are memoized by ``(net, levels)`` (the
+  :class:`~repro.core.hashkey.SignatureIndex` scheme), in bulk per-level
+  tables for the levels bit signatures query.
+* **Signatures** are memoized per net.  A
+  :class:`~repro.core.hashkey.Subtree` is plain data (root net and key);
+  the few consumers that need its expanded tree ask :meth:`cone`.
 * **Incremental reduced re-hash** (:meth:`signatures_after_reduction`):
   after a control-signal assignment reduces a subcircuit, only the nets
   the assignment actually touched are rehashed.  Per ``(net, levels)``
@@ -38,8 +37,7 @@ for the observability layer.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.cone import ConeNode, extract_cone
 from ..netlist.netlist import Netlist
@@ -86,9 +84,6 @@ class AnalysisContext:
         self._cones: Dict[Tuple[str, int], ConeNode] = {}
         self._keys: Dict[Tuple[str, int], str] = {}
         self._signatures: Dict[str, BitSignature] = {}
-        # id(node) -> (node, value); the node reference pins the object so
-        # CPython cannot recycle its id while the memo entry is alive.
-        self._node_keys: Dict[int, Tuple[ConeNode, str]] = {}
         self._node_caches: Dict[str, dict] = {}
         self._supports: Dict[Tuple[str, int], frozenset] = {}
         self._netsets: Dict[Tuple[str, int], frozenset] = {}
@@ -98,8 +93,9 @@ class AnalysisContext:
         # plain-string dict probe (missing net == cone leaf == LEAF_TOKEN).
         # Nets of one shape share one interned key string.
         self._level_keys: Dict[int, Dict[str, str]] = {}
-        # Bulk-signature memos (signatures()): interned root types and one
-        # Subtree per child net at depth-1 levels.
+        # Signature memos: interned root types (signatures()) and one
+        # Subtree per child net at depth-1 levels, shared by every gate
+        # that reads the net (both signature paths).
         self._root_types: Dict[Tuple[str, int], str] = {}
         self._subtrees: Dict[str, Subtree] = {}
 
@@ -239,27 +235,6 @@ class AnalysisContext:
             completed_levels += 1
         self.stats.key_misses += len(nets) * completed_levels
 
-    def hash_key(self, node: ConeNode) -> str:
-        """Canonical post-order key of an expanded cone subtree, memoized
-        by node identity.
-
-        Identical to :func:`repro.core.hashkey.hash_key`, but a shared
-        subtree (one :class:`ConeNode` reached along several fanout paths
-        of a DAG-shared cone) is serialized once instead of once per path.
-        """
-        entry = self._node_keys.get(id(node))
-        if entry is not None and entry[0] is node:
-            self.stats.node_key_hits += 1
-            return entry[1]
-        self.stats.node_key_misses += 1
-        if node.is_leaf:
-            key = LEAF_TOKEN
-        else:
-            parts = sorted(self.hash_key(child) for child in node.children)
-            key = f"({''.join(parts)}{node.gate_type})"
-        self._node_keys[id(node)] = (node, key)
-        return key
-
     # ------------------------------------------------------------------
     # signatures
     # ------------------------------------------------------------------
@@ -276,7 +251,6 @@ class AnalysisContext:
         else:
             levels = self.depth - 1
             stats = self.stats
-            cone = self.cone
             inputs = driver.inputs
             level_keys = self._level_keys.get(levels)
             if level_keys is not None:
@@ -296,10 +270,14 @@ class AnalysisContext:
                         stats.key_misses += 1
                         key = self.key(child, levels)
                     keys_of.append(key)
-            subtrees = tuple(
-                Subtree(child, key, partial(cone, child, levels))
-                for child, key in zip(inputs, keys_of)
-            )
+            shared = self._subtrees
+            subtrees = []
+            for child, key in zip(inputs, keys_of):
+                subtree = shared.get(child)
+                if subtree is None:
+                    subtree = shared[child] = Subtree(child, key)
+                subtrees.append(subtree)
+            subtrees = tuple(subtrees)
             if len(keys_of) == 2:
                 a, b = keys_of
                 sorted_keys = (a, b) if a <= b else (b, a)
@@ -317,10 +295,9 @@ class AnalysisContext:
         without per-net method calls: memo probes and stat bumps are
         batched, the frozen dataclasses go through the fast constructors,
         and fanout shares one :class:`Subtree` per child net (a subtree is
-        a pure function of its child within one context).  A gate listing
-        the same input twice gets fresh subtrees for that signature,
-        because :meth:`Subgroup.finalize` tells leftovers apart by
-        ``id()``.  Keys, signatures and counters equal the per-net path.
+        a pure function of its child within one context), a gate listing
+        the same input twice included.  Keys, signatures and counters
+        equal the per-net path.
         """
         view = self._level_keys.get(self.depth - 1)
         if view is None:
@@ -328,8 +305,6 @@ class AnalysisContext:
         memo = self._signatures
         driver_of = self.netlist.driver
         boundary = self.boundary
-        levels = self.depth - 1
-        cone = self.cone
         vget = view.get
         root_types = self._root_types
         subtrees_of = self._subtrees
@@ -353,26 +328,17 @@ class AnalysisContext:
                 inputs = driver.inputs
                 arity = len(inputs)
                 key_hits += arity
-                if arity == 1 or len(set(inputs)) == arity:
-                    subtrees = []
-                    keys_of = []
-                    for child in inputs:
-                        subtree = sub_get(child)
-                        if subtree is None:
-                            subtree = new_subtree(
-                                child, vget(child) or leaf,
-                                partial(cone, child, levels),
-                            )
-                            subtrees_of[child] = subtree
-                        subtrees.append(subtree)
-                        keys_of.append(subtree.key)
-                    subtrees = tuple(subtrees)
-                else:
-                    keys_of = [vget(child) or leaf for child in inputs]
-                    subtrees = tuple(
-                        new_subtree(child, key, partial(cone, child, levels))
-                        for child, key in zip(inputs, keys_of)
-                    )
+                subtrees = []
+                keys_of = []
+                for child in inputs:
+                    subtree = sub_get(child)
+                    if subtree is None:
+                        subtree = subtrees_of[child] = new_subtree(
+                            child, vget(child) or leaf
+                        )
+                    subtrees.append(subtree)
+                    keys_of.append(subtree.key)
+                subtrees = tuple(subtrees)
                 if arity == 2:
                     a, b = keys_of
                     sorted_keys = (a, b) if a <= b else (b, a)
@@ -483,44 +449,10 @@ class AnalysisContext:
         """
         reduced_boundary = reduced.cone_leaf_nets()
         local_keys: Dict[Tuple[str, int], str] = {}
-
-        def changed(net: str, levels: int) -> bool:
-            # Assigned nets are conservatively dirty at levels >= 1: a
-            # reduced netlist may re-drive them with a TIE cell, which an
-            # unreduced key cannot anticipate.
-            if levels and net in values:
-                return True
-            return not self.support(net, levels).isdisjoint(values)
-
-        def reduced_key(net: str, levels: int) -> str:
-            if not changed(net, levels):
-                self.stats.reduced_keys_reused += 1
-                return self.key(net, levels)
-            memo_key = (net, levels)
-            cached = local_keys.get(memo_key)
-            if cached is not None:
-                return cached
-            self.stats.reduced_keys_rehashed += 1
-            driver = reduced.driver(net)
-            if (
-                levels == 0
-                or driver is None
-                or driver.is_ff
-                or net in reduced_boundary
-            ):
-                result = LEAF_TOKEN
-            else:
-                parts = sorted(
-                    reduced_key(child, levels - 1)
-                    for child in driver.inputs
-                )
-                result = f"({''.join(parts)}{driver.cell.name})"
-            local_keys[memo_key] = result
-            return result
-
+        depth = self.depth
         signatures: List[BitSignature] = []
         for bit in bits:
-            if bit not in values and not changed(bit, self.depth):
+            if bit not in values and not self._touched(values, bit, depth):
                 signatures.append(self.signature(bit))
                 continue
             driver = reduced.driver(bit)
@@ -530,9 +462,9 @@ class AnalysisContext:
             subtrees = tuple(
                 Subtree(
                     child,
-                    reduced_key(child, self.depth - 1),
-                    _reduced_cone_factory(
-                        reduced, child, self.depth - 1, reduced_boundary
+                    self._reduced_key(
+                        reduced, reduced_boundary, values, local_keys,
+                        child, depth - 1,
                     ),
                 )
                 for child in driver.inputs
@@ -544,11 +476,54 @@ class AnalysisContext:
             )
         return signatures
 
+    def _touched(
+        self, values: Mapping[str, int], net: str, levels: int
+    ) -> bool:
+        """Whether assigning ``values`` can change ``(net, levels)``'s key.
 
-def _reduced_cone_factory(
-    reduced: Netlist, net: str, levels: int, boundary: frozenset
-) -> Callable[[], ConeNode]:
-    def build() -> ConeNode:
-        return extract_cone(reduced, net, levels, stop_nets=boundary)
+        Assigned nets are conservatively dirty at levels >= 1: a reduced
+        netlist may re-drive them with a TIE cell, which an unreduced key
+        cannot anticipate.
+        """
+        if levels and net in values:
+            return True
+        return not self.support(net, levels).isdisjoint(values)
 
-    return build
+    def _reduced_key(
+        self,
+        reduced: Netlist,
+        boundary: frozenset,
+        values: Mapping[str, int],
+        memo: Dict[Tuple[str, int], str],
+        net: str,
+        levels: int,
+    ) -> str:
+        """Hash key of ``(net, levels)`` on ``reduced``: the unreduced key
+        when ``values`` cannot touch it, else rehashed against ``reduced``
+        (cone leaves at ``boundary``) and memoized in ``memo``."""
+        if not self._touched(values, net, levels):
+            self.stats.reduced_keys_reused += 1
+            return self.key(net, levels)
+        memo_key = (net, levels)
+        cached = memo.get(memo_key)
+        if cached is not None:
+            return cached
+        self.stats.reduced_keys_rehashed += 1
+        driver = reduced.driver(net)
+        if (
+            levels == 0
+            or driver is None
+            or driver.is_ff
+            or net in boundary
+        ):
+            result = LEAF_TOKEN
+        else:
+            parts = sorted(
+                self._reduced_key(
+                    reduced, boundary, values, memo, child, levels - 1
+                )
+                for child in driver.inputs
+            )
+            result = f"({''.join(parts)}{driver.cell.name})"
+        memo[memo_key] = result
+        return result

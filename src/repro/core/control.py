@@ -20,13 +20,13 @@ the control signal is feeding into").  A signal feeding only XOR-family
 gates has no controlling value and is dropped.
 
 The stage runs in two phases.  Phase one intersects the subtrees' *net
-sets*; most subgroups have no common net at all and stop here.  With an
-:class:`~repro.core.context.AnalysisContext` the net sets come from a
+sets*; most subgroups have no common net at all and stop here.  The net
+sets come from the :class:`~repro.core.context.AnalysisContext`'s
 ``(net, levels)``-memoized index shared across every subgroup — no cone
 tree is materialized for the common case.  Phase two, reached only when
-the intersection is non-empty, walks the (few) dissimilar cones once to
-collect candidate order, controlling values, and the domination test of
-step 2.
+the intersection is non-empty, walks the (few) dissimilar cones — read
+from the context's DAG-shared cone cache — once to collect candidate
+order, controlling values, and the domination test of step 2.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..netlist.cone import ConeNode
+from .context import AnalysisContext
 from .matching import Subgroup
 
 __all__ = ["ControlSignalCandidate", "find_control_signals"]
@@ -71,15 +72,16 @@ def _node_nets(node: ConeNode, cache: dict) -> frozenset:
 
 
 def find_control_signals(
-    subgroup: Subgroup, context=None
+    subgroup: Subgroup, context: AnalysisContext
 ) -> List[ControlSignalCandidate]:
     """Identify the relevant control signals of a partially-matched subgroup.
 
     Returns candidates in deterministic discovery order (bit order, then
-    pre-order position within each dissimilar subtree).  ``context`` — an
-    optional :class:`~repro.core.context.AnalysisContext`, expected to be
-    the one that produced the subgroup's signatures — shares net-set and
-    cone caches across subgroups.
+    pre-order position within each dissimilar subtree).  ``context`` is
+    the :class:`~repro.core.context.AnalysisContext` that produced the
+    subgroup's signatures: it supplies each dissimilar subtree's net set
+    and cone (``context.cone(root_net, depth - 1)``) and shares both
+    caches across subgroups.
     """
     subtrees = []
     for sig in subgroup.signatures:
@@ -93,34 +95,18 @@ def find_control_signals(
 
     # Phase one: intersect net sets, stopping at the first empty running
     # intersection — for most subgroups that happens within the first few
-    # subtrees, before the remaining net sets are even computed (and, with
-    # a context, before any cone tree is built).
-    cones: Optional[List[ConeNode]] = None
+    # subtrees, before the remaining net sets are even computed (and
+    # before any cone tree is built).
+    levels = context.depth - 1
     common: Optional[Set[str]] = None
-    if context is not None:
-        levels = context.depth - 1
-        node_nets_cache = context.node_cache("cone_nets")
-        for st in subtrees:
-            nets = context.cone_nets(st.root_net, levels)
-            if common is None:
-                common = set(nets)
-            else:
-                common &= nets
-                if not common:
-                    return []
-    else:
-        node_nets_cache = {}
-        cones = []
-        for st in subtrees:
-            cone = st.cone
-            cones.append(cone)
-            nets = _node_nets(cone, node_nets_cache)
-            if common is None:
-                common = set(nets)
-            else:
-                common &= nets
-                if not common:
-                    return []
+    for st in subtrees:
+        nets = context.cone_nets(st.root_net, levels)
+        if common is None:
+            common = set(nets)
+        else:
+            common &= nets
+            if not common:
+                return []
 
     # The subtree roots themselves are bit-specific wires, not controls; a
     # net can only be common to all subtrees if it is not any cone's root,
@@ -133,8 +119,8 @@ def find_control_signals(
     # nets only — first-visit order, controlling values of the gates they
     # feed, and the nets strictly below their occurrences (the "in the
     # fanin cone of" data for step 2's domination test).
-    if cones is None:
-        cones = [st.cone for st in subtrees]
+    node_nets_cache = context.node_cache("cone_nets")
+    cones = [context.cone(st.root_net, levels) for st in subtrees]
     ordered: List[str] = []
     seen: Set[str] = set()
     controlling: Dict[str, Set[int]] = {}

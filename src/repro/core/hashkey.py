@@ -22,10 +22,10 @@ re-hash after reduction) that production-scale runs need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from ..netlist.cone import ConeNode, extract_cone
+from ..netlist.cone import ConeNode
 from ..netlist.netlist import Netlist
 
 __all__ = [
@@ -59,20 +59,17 @@ def hash_key(node: ConeNode) -> str:
 
 @dataclass(frozen=True)
 class Subtree:
-    """One second-level subtree of a bit: a root fanin and its cone.
+    """One second-level subtree of a bit: a root fanin and its hash key.
 
-    The expanded :class:`ConeNode` tree is built lazily — only the few
-    dissimilar subtrees of partially-matched subgroups ever need it (for
-    control-signal discovery), while *every* candidate bit needs a key.
+    Plain data: *every* candidate bit needs a key, but only the few
+    dissimilar subtrees of partially-matched subgroups need the expanded
+    cone (for control-signal discovery), and those read it from the
+    :class:`~repro.core.context.AnalysisContext` that memoizes cones —
+    ``context.cone(root_net, depth - 1)``.
     """
 
     root_net: str
     key: str
-    _cone_factory: Callable[[], ConeNode] = field(compare=False, repr=False)
-
-    @property
-    def cone(self) -> ConeNode:
-        return self._cone_factory()
 
 
 @dataclass(frozen=True)
@@ -108,23 +105,20 @@ class BitSignature:
         return [s for s in self.subtrees if s.key == key]
 
 
-def fast_subtree(
-    root_net: str, key: str, cone_factory: Callable[[], ConeNode]
-) -> Subtree:
+def fast_subtree(root_net: str, key: str) -> Subtree:
     """:class:`Subtree` built without the frozen-dataclass ``__init__``.
 
     Frozen dataclasses funnel every field store through
     ``object.__setattr__``; the bulk signature pass
     (:meth:`~repro.core.context.AnalysisContext.signatures`) constructs
-    hundreds of thousands of subtrees per run, so it writes the instance
-    dict directly.  Field-for-field identical to ``Subtree(...)`` (equality,
-    hashing, and ``cone`` behave the same).
+    one per child net of every candidate bit, so it writes the instance
+    dict directly.  Field-for-field identical to ``Subtree(...)``
+    (equality and hashing behave the same).
     """
     subtree = _SUBTREE_NEW(Subtree)
     fields = subtree.__dict__
     fields["root_net"] = root_net
     fields["key"] = key
-    fields["_cone_factory"] = cone_factory
     return subtree
 
 
@@ -199,25 +193,13 @@ class SignatureIndex:
         driver = self.netlist.driver(net)
         if driver is None or driver.is_ff or net in self._boundary:
             return BitSignature(net, None, (), ())
-        netlist, depth, boundary = self.netlist, self.depth, self._boundary
         subtrees = tuple(
-            Subtree(
-                child,
-                self.key(child, depth - 1),
-                _cone_factory(netlist, child, depth - 1, boundary),
-            )
+            Subtree(child, self.key(child, self.depth - 1))
             for child in driver.inputs
         )
         sorted_keys = tuple(sorted(s.key for s in subtrees))
         root_type = f"{driver.cell.name}{len(driver.inputs)}"
         return BitSignature(net, root_type, subtrees, sorted_keys)
-
-
-def _cone_factory(netlist: Netlist, net: str, levels: int, boundary=None):
-    def build() -> ConeNode:
-        return extract_cone(netlist, net, levels, stop_nets=boundary)
-
-    return build
 
 
 def signature_of(

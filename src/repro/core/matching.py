@@ -187,15 +187,15 @@ class Subgroup:
                 continue
             _, only_sig, _ = _merge_compare(sig.sorted_keys, common)
             roots: List[str] = []
-            leftovers = list(only_sig)
             # Map leftover keys back to subtree root nets; duplicate keys
-            # are consumed positionally.
-            remaining = {id(s): s for s in sig.subtrees}
-            for key in leftovers:
-                for ident, subtree in list(remaining.items()):
+            # are consumed positionally (a gate listing one input twice
+            # holds the same Subtree object twice).
+            remaining = list(sig.subtrees)
+            for key in only_sig:
+                for index, subtree in enumerate(remaining):
                     if subtree.key == key:
                         roots.append(subtree.root_net)
-                        del remaining[ident]
+                        del remaining[index]
                         break
             self.dissimilar[sig.net] = roots
 

@@ -107,8 +107,6 @@ class CacheStats:
     key_shared_hits: int = 0
     signature_hits: int = 0
     signature_misses: int = 0
-    node_key_hits: int = 0
-    node_key_misses: int = 0
     netset_hits: int = 0
     netset_misses: int = 0
     reduced_keys_reused: int = 0

@@ -104,30 +104,43 @@ def extract_cone(
 
     if not netlist.has_net(root_net):
         raise KeyError(f"unknown net {root_net!r}")
+    return _expand(netlist, boundary, node_cache, root_net, depth)
 
-    def expand(net: str, levels_left: int) -> ConeNode:
-        if node_cache is not None:
-            cached = node_cache.get((net, levels_left))
-            if cached is not None:
-                return cached
-        driver = netlist.driver(net)
-        if (
-            levels_left == 0
-            or driver is None
-            or driver.is_ff
-            or net in boundary
-        ):
-            node = ConeNode(net, None, ())
-        else:
-            children = tuple(
-                expand(child, levels_left - 1) for child in driver.inputs
-            )
-            node = ConeNode(net, driver, children)
-        if node_cache is not None:
-            node_cache[(net, levels_left)] = node
-        return node
 
-    return expand(root_net, depth)
+def _expand(
+    netlist: Netlist,
+    boundary: Set[str],
+    node_cache: Optional[dict],
+    net: str,
+    levels_left: int,
+) -> ConeNode:
+    """The cone node of ``net`` with ``levels_left`` gate levels to go.
+
+    A module-level function, not a closure: a recursive inner function
+    references itself, and that reference cycle would keep the netlist
+    and ``node_cache`` alive until the next full garbage collection.
+    """
+    if node_cache is not None:
+        cached = node_cache.get((net, levels_left))
+        if cached is not None:
+            return cached
+    driver = netlist.driver(net)
+    if (
+        levels_left == 0
+        or driver is None
+        or driver.is_ff
+        or net in boundary
+    ):
+        node = ConeNode(net, None, ())
+    else:
+        children = tuple(
+            _expand(netlist, boundary, node_cache, child, levels_left - 1)
+            for child in driver.inputs
+        )
+        node = ConeNode(net, driver, children)
+    if node_cache is not None:
+        node_cache[(net, levels_left)] = node
+    return node
 
 
 def cone_nets(cone: ConeNode, include_leaves: bool = True) -> Set[str]:

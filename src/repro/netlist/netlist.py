@@ -86,19 +86,14 @@ class Netlist:
         # Cached name -> file position; lets subcircuit extraction order a
         # small kept-gate set without scanning every gate in the netlist.
         self._position_cache: Optional[Dict[str, int]] = None
-        # ``(revision, name, canonical Verilog text)``: set by the first
-        # ``repro.store.keys.netlist_digest`` of a request and released by
-        # the store's body commit, so one request serializes once.  The
-        # stamp, not a mutation hook, is what invalidates it.
-        self._canonical_verilog: Optional[Tuple[int, str, str]] = None
         # ``(revision, name, digest)``: the ``file:`` digest of the bytes
         # ``repro.api.Session`` parsed this netlist from, so analyzing it
-        # keys by those bytes.  Stale, like the memo above, once the
-        # revision or name moves.
+        # keys by those bytes.  The stamp, not a mutation hook, is what
+        # invalidates it: stale once the revision or name moves.
         self._source_digest: Optional[Tuple[int, str, str]] = None
-        # Monotonic structural revision, bumped by every mutation.  Derived
-        # caches (the two stamps above) record it, so a mutated netlist
-        # never answers from a stale one.
+        # Monotonic structural revision, bumped by every mutation.  The
+        # stamp above records it, so a mutated netlist never answers
+        # with a stale key.
         self.revision: int = 0
 
     # ------------------------------------------------------------------

@@ -61,7 +61,11 @@ __all__ = ["SCHEMA_VERSION", "PIPELINE_VERSION", "stamp"]
 #: field or ``cone_tier_*`` aggregate fields in batch reports; the trace
 #: ``cache`` section drops ``cone_tier_commits`` and keeps the other three
 #: ``cone_tier_*`` keys as constant zeros.
-SCHEMA_VERSION = 9
+#: v10: the trace ``cache`` section drops ``node_key_hits`` and
+#: ``node_key_misses``; the stored ``netlist`` envelope is
+#: ``{digest, format, text}`` — the text the digest was taken from —
+#: instead of ``{digest, netlist, verilog}``.
+SCHEMA_VERSION = 10
 
 
 def stamp(payload: Dict) -> Dict:

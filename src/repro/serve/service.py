@@ -126,7 +126,7 @@ def _validate_source(item: Dict, diags, prefix: str = "") -> None:
     """Shared checks for anything naming a design (request or batch item)."""
     digest = item.get("digest")
     text = item.get("verilog")
-    if "base_digest" not in item and (digest is None) == (text is None):
+    if item.get("base_digest") is None and (digest is None) == (text is None):
         diags.append(_field_diag(
             prefix + "verilog",
             "exactly one of 'verilog' or 'digest' is required",
@@ -567,26 +567,18 @@ class AnalysisService:
         return derived
 
     def _analyze_one(self, session: Session, item: Dict) -> AnalysisReport:
+        """One design of a validated request (:func:`_validate_source`
+        has checked its fields)."""
         digest = item.get("digest")
-        text = item.get("verilog")
-        if (digest is None) == (text is None):
-            raise ValueError(
-                "request needs exactly one of 'verilog' or 'digest'"
-            )
         if digest is not None:
-            if not isinstance(digest, str):
-                raise ValueError("'digest' must be a string")
             report = session.analyze_digest(digest)
             if report is None:
                 raise _DigestMiss(digest)
             return report
-        if not isinstance(text, str):
-            raise ValueError("'verilog' must be a string")
-        format = item.get("format", "verilog")
-        if format not in ("verilog", "bench"):
-            raise ValueError(f"unknown format {format!r}")
         return session.analyze_text(
-            text, format=format, name=item.get("name")
+            item["verilog"],
+            format=item.get("format", "verilog"),
+            name=item.get("name"),
         )
 
     def _identify(self, payload: Dict) -> Response:
@@ -612,17 +604,7 @@ class AnalysisService:
         re-analyzed against a previously stored base — same words as a
         from-scratch request, plus the diff accounting of
         :meth:`repro.api.Session.analyze_incremental`."""
-        base_digest = payload.get("base_digest")
-        if not isinstance(base_digest, str):
-            raise ValueError("'base_digest' must be a string")
-        text = payload.get("verilog")
-        if not isinstance(text, str):
-            raise ValueError(
-                "incremental requests need 'verilog' (the edited source)"
-            )
-        format = payload.get("format", "verilog")
-        if format not in ("verilog", "bench"):
-            raise ValueError(f"unknown format {format!r}")
+        base_digest = payload["base_digest"]
         if session.store is None:
             return _error(
                 400, "no_store",
@@ -630,7 +612,9 @@ class AnalysisService:
             )
         try:
             incremental = session.analyze_incremental(
-                base_digest, text, format=format
+                base_digest,
+                payload["verilog"],
+                format=payload.get("format", "verilog"),
             )
         except KeyError:
             return _error(404, "unknown_digest", base_digest)
@@ -681,8 +665,6 @@ class AnalysisService:
         started = time.perf_counter()
         rows = []
         for item in items:
-            if not isinstance(item, dict):
-                raise ValueError("each netlist entry must be an object")
             item_started = time.perf_counter()
             try:
                 report = self._analyze_one(session, item)

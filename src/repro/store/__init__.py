@@ -1,8 +1,8 @@
 """Content-addressed artifact store (DESIGN.md §10).
 
 Persists the expensive products of the pipeline — identification results
-(words, partitions, control assignments, stage traces) and parsed
-netlists — on disk, keyed by ``(content SHA-256, configuration
+(words, partitions, control assignments, stage traces) and the netlist
+text each was computed from — on disk, keyed by ``(content SHA-256, configuration
 fingerprint, pipeline version)``.  Repeat analyses of the same design
 under the same semantics become O(read one JSON file); any change to the
 input bytes, to a result-affecting configuration field, or to

@@ -38,14 +38,16 @@ from .. import faults as _faults
 from .. import metrics as _metrics
 from ..core.pipeline import PIPELINE_VERSION, PipelineConfig
 from ..core.words import IdentificationResult
+from ..netlist.bench import parse_bench
 from ..netlist.netlist import Netlist
-from ..netlist.verilog import write_verilog
+from ..netlist.verilog import (  # noqa: F401
+    write_verilog,  # unused here, but perfbench/tracer.py patches it
+)
 from ..schema import SCHEMA_VERSION, stamp
 from .keys import (  # noqa: F401
     cache_key,
     config_fingerprint,
     netlist_digest,  # unused here, but perfbench/tracer.py patches it
-    take_canonical_verilog,
 )
 from .serialize import UnserializableResult, result_from_dict, result_to_dict
 
@@ -541,10 +543,10 @@ class ArtifactStore:
         return key
 
     # ------------------------------------------------------------------
-    # parsed netlists
+    # netlist bodies
     # ------------------------------------------------------------------
     def probe_netlist(self, digest: str) -> Optional[Netlist]:
-        """A previously parsed netlist, reloaded from its canonical form."""
+        """A previously analyzed netlist, parsed from its stored body."""
         from ..netlist.verilog import parse_verilog
 
         key = cache_key(digest, "", kind="netlist")
@@ -552,32 +554,26 @@ class ArtifactStore:
         if envelope is None:
             return None
         try:
-            return parse_verilog(envelope["verilog"])
+            if envelope["format"] == "bench":
+                return parse_bench(envelope["text"])
+            return parse_verilog(envelope["text"])
         except Exception:
             self._heal(self._path(key))
             return None
 
-    def commit_netlist(self, digest: str, netlist: Netlist) -> str:
-        """Persist a parsed netlist as canonical structural Verilog.
+    def commit_netlist(self, digest: str, text: str, format: str) -> str:
+        """Persist a design's source ``text`` in ``format`` (``"verilog"``
+        or ``"bench"``) under its content digest.
 
-        Reparsing the canonical form is cheaper than the original source
-        (comments and formatting are gone) and, more importantly, it is
-        format-independent: a ``.bench`` file's parse is stored the same
-        way as a Verilog one.  The body is the canonical text this
-        request's :func:`netlist_digest` already produced, when there is
-        one; committing it ends that memo's life.
+        The body is the text the caller keyed the request by — the
+        request's bytes for a ``file:`` digest, canonical Verilog for a
+        ``netlist:`` one — so it is stored as given and never
+        re-serialized here; a ``.bench`` body stays ``.bench``.
         """
-        verilog = take_canonical_verilog(netlist)
-        if verilog is None:
-            verilog = write_verilog(netlist)
         key = cache_key(digest, "", kind="netlist")
         self.put(
             key,
             "netlist",
-            {
-                "digest": digest,
-                "netlist": _netlist_summary(netlist),
-                "verilog": verilog,
-            },
+            {"digest": digest, "format": format, "text": text},
         )
         return key

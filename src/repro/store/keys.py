@@ -18,12 +18,8 @@ with NUL separators::
     shadow a canonical-netlist entry.  :class:`repro.api.Session` alone
     picks one digest per request: the bytes for a path or source text
     (and for a netlist it parsed from them), the canonical form only for
-    a netlist built in memory.
-
-    Within one request the canonical text is serialized once: it is
-    memoized on the netlist (validated by ``Netlist.revision`` and name,
-    so a mutated netlist re-serializes) until the store's body commit
-    takes it with :func:`take_canonical_verilog` and stores it verbatim.
+    a netlist built in memory.  Either way it holds the text the digest
+    was taken from, and that text is the request's stored body.
 
 ``config_fingerprint``
     A canonical JSON document of exactly the
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from ..core import backends
 from ..core.pipeline import PIPELINE_VERSION, PipelineConfig
@@ -55,10 +51,10 @@ __all__ = [
     "FINGERPRINT_FIELDS",
     "bytes_digest",
     "cache_key",
+    "canonical_digest",
     "config_fingerprint",
     "file_digest",
     "netlist_digest",
-    "take_canonical_verilog",
 ]
 
 #: PipelineConfig fields that affect a run's output, in fingerprint order.
@@ -97,26 +93,14 @@ def config_fingerprint(config: PipelineConfig) -> str:
 
 def netlist_digest(netlist: Netlist) -> str:
     """Content digest of an in-memory netlist (canonical Verilog form)."""
-    stamp = (netlist.revision, netlist.name)
-    memo = netlist._canonical_verilog
-    if memo is not None and memo[:2] == stamp:
-        text = memo[2]
-    else:
-        text = write_verilog(netlist)
-        netlist._canonical_verilog = (*stamp, text)
+    return canonical_digest(write_verilog(netlist))
+
+
+def canonical_digest(text: str) -> str:
+    """The :func:`netlist_digest` of the netlist ``text`` was written
+    from: the digest of :func:`~repro.netlist.verilog.write_verilog`
+    output, for callers that keep the text as well."""
     return "netlist:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def take_canonical_verilog(netlist: Netlist) -> Optional[str]:
-    """Release and return the text :func:`netlist_digest` memoized.
-
-    ``None`` when no current memo exists (never digested, or mutated
-    since); the caller then serializes the netlist itself.
-    """
-    memo, netlist._canonical_verilog = netlist._canonical_verilog, None
-    if memo is None or memo[:2] != (netlist.revision, netlist.name):
-        return None
-    return memo[2]
 
 
 def bytes_digest(data: bytes) -> str:

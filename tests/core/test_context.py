@@ -103,12 +103,15 @@ class TestKeyEquivalence:
         assert context.stats.key_misses == misses
 
     def test_node_hash_key_matches_module_hash_key(self, fig1):
+        """Every node of a DAG-shared cone hashes to the context's
+        ``(net, levels)`` key for the levels left below it."""
         context = AnalysisContext(fig1)
         for bit in candidate_bits(fig1):
-            cone = context.cone(bit)
-            assert context.hash_key(cone) == hash_key(cone)
-            for node in cone.walk():
-                assert context.hash_key(node) == hash_key(node)
+            stack = [(context.cone(bit), context.depth)]
+            while stack:
+                node, levels = stack.pop()
+                assert hash_key(node) == context.key(node.net, levels)
+                stack.extend((child, levels - 1) for child in node.children)
 
 
 class TestSignatureEquivalence:
@@ -140,9 +143,29 @@ class TestSignatureEquivalence:
         context = AnalysisContext(fig1)
         for bit in candidate_bits(fig1):
             for subtree in context.signature(bit).subtrees:
-                cone = subtree.cone
+                cone = context.cone(subtree.root_net, context.depth - 1)
                 assert cone.net == subtree.root_net
-                assert context.hash_key(cone) == subtree.key
+                assert hash_key(cone) == subtree.key
+
+    def test_bulk_signatures_share_one_subtree_per_child_net(self):
+        """``signatures()`` hands every gate reading a net the same
+        :class:`Subtree` for it, a gate reading it twice included, and
+        equals the per-net path field for field."""
+        builder = NetlistBuilder("dup")
+        builder.inputs("a", "b", "c")
+        builder.or_("a", "b", output="p")
+        builder.nand("p", "p", output="d0")
+        builder.nand("p", "c", output="d1")
+        builder.dff("d0", output="r0")
+        builder.dff("d1", output="r1")
+        netlist = builder.build()
+        bulk = AnalysisContext(netlist)
+        bulk.precompute_keys()
+        d0, d1 = bulk.signatures(["d0", "d1"])
+        assert d0.subtrees[0] is d0.subtrees[1] is d1.subtrees[0]
+        per_net = AnalysisContext(netlist)
+        for got in (d0, d1):
+            assert got == per_net.signature(got.net)
 
 
 class TestConeNets:

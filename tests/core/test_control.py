@@ -9,6 +9,7 @@ sys.path.insert(0, "tests")
 from fixtures import figure1_netlist
 
 from repro.core import (
+    AnalysisContext,
     find_control_signals,
     form_subgroups,
     signature_of,
@@ -24,29 +25,35 @@ def figure1_subgroup():
     return nl, groups[0]
 
 
+def controls(nl, subgroup):
+    """Control signals of a subgroup built by ``signature_of`` (default
+    depth), read through a fresh context over the same netlist."""
+    return find_control_signals(subgroup, AnalysisContext(nl))
+
+
 class TestFigure1:
     def test_exactly_u201_and_u221_found(self):
         """The paper's walkthrough: common nets minus dominated ones."""
-        _, subgroup = figure1_subgroup()
-        candidates = find_control_signals(subgroup)
+        nl, subgroup = figure1_subgroup()
+        candidates = controls(nl, subgroup)
         assert [c.net for c in candidates] == ["U201", "U221"]
 
     def test_u223_dominated_by_u201(self):
         """U223 is common to all dissimilar subtrees but feeds U201."""
-        _, subgroup = figure1_subgroup()
-        nets = {c.net for c in find_control_signals(subgroup)}
+        nl, subgroup = figure1_subgroup()
+        nets = {c.net for c in controls(nl, subgroup)}
         assert "U223" not in nets
 
     def test_values_are_controlling_values(self):
-        _, subgroup = figure1_subgroup()
-        by_net = {c.net: c.values for c in find_control_signals(subgroup)}
+        nl, subgroup = figure1_subgroup()
+        by_net = {c.net: c.values for c in controls(nl, subgroup)}
         assert by_net["U201"] == (0,)  # feeds NANDs only
         assert by_net["U221"] == (0, 1)  # feeds a NAND and a NOR
 
     def test_similar_subtree_controls_excluded(self):
         """U202/U255 select within *matching* subtrees: never candidates."""
-        _, subgroup = figure1_subgroup()
-        nets = {c.net for c in find_control_signals(subgroup)}
+        nl, subgroup = figure1_subgroup()
+        nets = {c.net for c in controls(nl, subgroup)}
         assert "U202" not in nets and "U255" not in nets
 
 
@@ -63,7 +70,7 @@ class TestEdgeCases:
         nl = b.build()
         groups = form_subgroups([signature_of(nl, n) for n in bits])
         assert groups[0].fully_matched
-        assert find_control_signals(groups[0]) == []
+        assert controls(nl, groups[0]) == []
 
     def test_no_common_nets_yields_nothing(self):
         """Dissimilar subtrees with disjoint logic (adder-carry style)."""
@@ -82,7 +89,7 @@ class TestEdgeCases:
         nl = b.build()
         groups = form_subgroups([signature_of(nl, n) for n in bits])
         assert groups[0].partially_matched
-        assert find_control_signals(groups[0]) == []
+        assert controls(nl, groups[0]) == []
 
     def test_xor_only_feeds_are_dropped(self):
         """A common net feeding only parity gates has no controlling value."""
@@ -101,11 +108,11 @@ class TestEdgeCases:
             bits.append(b.nand(common, diss))
         nl = b.build()
         groups = form_subgroups([signature_of(nl, n) for n in bits])
-        candidates = find_control_signals(groups[0])
+        candidates = controls(nl, groups[0])
         assert all(cand.net != e for cand in candidates)
 
     def test_discovery_order_is_deterministic(self):
-        _, subgroup = figure1_subgroup()
-        first = [c.net for c in find_control_signals(subgroup)]
-        second = [c.net for c in find_control_signals(subgroup)]
+        nl, subgroup = figure1_subgroup()
+        first = [c.net for c in controls(nl, subgroup)]
+        second = [c.net for c in controls(nl, subgroup)]
         assert first == second

@@ -102,10 +102,13 @@ class TestSignature:
         assert sig.full_key() == hash_key(extract_cone(nl, y1, 4))
 
     def test_lazy_cone_matches_eager_extraction(self):
+        """A subtree's key is the hash of its root's cone, extracted on
+        demand ``depth - 1`` levels deep (subtrees hold no cone)."""
         nl, y1, _ = two_bit_pair()
         sig = signature_of(nl, y1, 4)
         for subtree in sig.subtrees:
-            assert hash_key(subtree.cone) == subtree.key
+            cone = extract_cone(nl, subtree.root_net, 3)
+            assert hash_key(cone) == subtree.key
 
 
 class TestSignatureIndex:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    AnalysisContext,
     MatchKind,
     compare_bits,
     form_subgroups,
@@ -130,6 +131,27 @@ class TestFormSubgroups:
         assert [len(g.bits) for g in groups] == [2, 2]
         # The NOR-rooted pair fully matches itself.
         assert groups[1].fully_matched
+
+    def test_duplicate_fanin_leftovers_are_consumed_by_position(self):
+        """A gate reading one net twice holds the same shared
+        :class:`Subtree` twice; both copies are dissimilar roots."""
+        b = NetlistBuilder("dup")
+        a, c, d, e, f, g = b.inputs("a", "c", "d", "e", "f", "g")
+        p = b.or_(c, d)
+        bits = [
+            b.nand(b.inv(a), p, p),
+            b.nand(b.inv(g), b.and_(e, f), b.and_(f, e)),
+        ]
+        nl = b.build()
+        context = AnalysisContext(nl)
+        context.precompute_keys()
+        sigs = context.signatures(bits)
+        assert sigs[0].subtrees[1] is sigs[0].subtrees[2]
+        subgroup = form_subgroups(sigs)[0]
+        assert subgroup.bits == bits
+        assert subgroup.dissimilar[bits[0]] == [p, p]
+        reference = form_subgroups([signature_of(nl, n) for n in bits])[0]
+        assert reference.dissimilar == subgroup.dissimilar
 
     def test_comparison_is_adjacent_only(self):
         """A bit joins only its predecessor's subgroup (paper Section 2.3)."""

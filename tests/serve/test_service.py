@@ -571,3 +571,24 @@ class TestNullFields:
                 ), path
         finally:
             service.close()
+
+    def test_null_base_digest_is_a_plain_identify(self, service, verilog_text):
+        """``base_digest: null`` still needs exactly one of ``verilog``
+        or ``digest`` (a field-level 400, not a crash), and with one it
+        is a plain identify."""
+        for body in ({}, {"verilog": verilog_text, "digest": "file:x"}):
+            response = service.call(
+                "POST", "/v1/identify", {**body, "base_digest": None}
+            )
+            assert response.status == 400, body
+            assert response.json["error"] == "invalid_request"
+            assert [d["field"] for d in response.json["diagnostics"]] == [
+                "verilog"
+            ]
+        plain = service.call("POST", "/v1/identify", {"verilog": verilog_text})
+        nulled = service.call(
+            "POST", "/v1/identify",
+            {"verilog": verilog_text, "base_digest": None},
+        )
+        assert nulled.status == plain.status == 200
+        assert nulled.json["result_digest"] == plain.json["result_digest"]

@@ -1,7 +1,8 @@
-"""One key and one result entry per request, and one canonical
+"""One key and one result entry per request, and at most one
 serialization: ``Session`` alone probes and commits results, under the
-``file:`` digest of the bytes for paths and text, and the stored body
-reuses the ``write_verilog`` text a ``netlist:`` digest produced."""
+``file:`` digest of the bytes for paths and text, and the stored body is
+the text the key digests — the request's own text, or the
+``write_verilog`` text a ``netlist:`` digest hashed."""
 
 import hashlib
 import json
@@ -19,9 +20,9 @@ from repro.api import Session
 from repro.cli import main as identify_main
 from repro.core import PipelineConfig
 from repro.fuzz import generate, sample_seed
-from repro.netlist import AND, parse_verilog, write_verilog
-from repro.store import ArtifactStore, cache_key, netlist_digest
-from repro.store.keys import take_canonical_verilog
+from repro.netlist import AND, parse_bench, parse_verilog, write_verilog
+from repro.netlist.bench import write_bench
+from repro.store import ArtifactStore, bytes_digest, cache_key, netlist_digest
 from repro.synth.designs import BENCHMARKS
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
@@ -39,9 +40,10 @@ GOLDEN_WRITE_SHA256 = {
 
 @pytest.fixture()
 def writes(monkeypatch):
-    """Counts ``write_verilog`` calls made by the store layer."""
+    """Counts ``write_verilog`` calls made by the facade and the store
+    layer, patched where each looks the writer up."""
     calls = []
-    for module in (keys, disk):
+    for module in (api, keys, disk):
         original = module.write_verilog
 
         def counted(netlist, _original=original):
@@ -57,44 +59,68 @@ def text():
     return write_verilog(figure1_netlist()[0])
 
 
+def _body(store, digest):
+    return store.get(cache_key(digest, "", kind="netlist"))
+
+
 class TestOneWritePerRequest:
-    def test_cold_text_request_writes_once_warm_writes_never(
-        self, tmp_path, text, writes
-    ):
+    def test_text_request_never_serializes(self, tmp_path, text, writes):
         session = Session(store=str(tmp_path / "store"))
         cold = session.analyze_text(text)
         assert cold.cache == "miss"
-        assert len(writes) == 1
+        assert writes == []
         warm = session.analyze_text(text)
         assert warm.cache == "hit"
-        assert len(writes) == 1
+        assert writes == []
         assert warm.result_digest == cold.result_digest
 
-    def test_cold_path_request_writes_once(self, tmp_path, text, writes):
+    def test_path_request_never_serializes(self, tmp_path, text, writes):
         path = tmp_path / "fig1.v"
         path.write_text(text)
         session = Session(store=str(tmp_path / "store"))
         assert session.analyze(str(path)).cache == "miss"
-        assert len(writes) == 1
+        assert session.triage(str(path)).cache == "miss"
+        assert writes == []
         assert session.analyze(str(path)).cache == "hit"
-        assert len(writes) == 1
+        assert writes == []
 
     def test_cold_netlist_request_writes_once(self, tmp_path, writes):
         netlist = figure1_netlist()[0]
-        session = Session(store=str(tmp_path / "store"))
-        session.analyze(netlist)
+        store = ArtifactStore(str(tmp_path / "store"))
+        report = Session(store=store).analyze(netlist)
         assert len(writes) == 1
+        assert _body(store, report.digest)["text"] == write_verilog(netlist)
 
     def test_stored_body_is_the_digested_text(self, tmp_path, text):
         store = ArtifactStore(str(tmp_path / "store"))
         report = Session(store=store).analyze_text(text)
         assert report.cache == "miss"
-        body = store.get(cache_key(report.digest, "", kind="netlist"))
-        digest = "netlist:" + hashlib.sha256(
-            body["verilog"].encode("utf-8")
-        ).hexdigest()
-        assert digest == netlist_digest(parse_verilog(text))
-        assert body["verilog"] == write_verilog(parse_verilog(text))
+        body = _body(store, report.digest)
+        assert (body["format"], body["text"]) == ("verilog", text)
+        assert bytes_digest(body["text"].encode("utf-8")) == report.digest
+        assert store.probe_netlist(report.digest) == parse_verilog(text)
+
+    def test_bench_body_stays_bench(self, tmp_path, writes):
+        bench = write_bench(figure1_netlist()[0])
+        store = ArtifactStore(str(tmp_path / "store"))
+        report = Session(store=store).analyze_text(bench, format="bench")
+        assert writes == []
+        body = _body(store, report.digest)
+        assert (body["format"], body["text"]) == ("bench", bench)
+        assert store.probe_netlist(report.digest) == parse_bench(bench)
+        # the body is all a digest-only triage needs to recompute
+        other = Session(PipelineConfig(preflight=True), store=store)
+        triaged = other.triage_digest(report.digest)
+        assert triaged.analysis.cache == "miss"
+        assert triaged.design == parse_bench(bench).name
+
+    def test_commit_netlist_round_trips_the_given_text(self, tmp_path):
+        bench = write_bench(figure1_netlist()[0])
+        store = ArtifactStore(str(tmp_path / "store"))
+        digest = bytes_digest(bench.encode("utf-8"))
+        store.commit_netlist(digest, bench, "bench")
+        assert _body(store, digest)["text"] == bench
+        assert store.probe_netlist(digest) == parse_bench(bench)
 
 
 @pytest.fixture()
@@ -290,40 +316,36 @@ class TestWarmTriage:
 
 
 class TestMemoLifetime:
-    def test_body_commit_releases_the_text(self, tmp_path):
-        netlist = figure1_netlist()[0]
-        store = ArtifactStore(str(tmp_path / "store"))
-        digest = netlist_digest(netlist)
-        store.commit_netlist(digest, netlist)
-        assert take_canonical_verilog(netlist) is None
+    """No serialized text outlives its request: a netlist carries no
+    canonical-text memo, so a mutated netlist digests and stores its
+    current text."""
 
-    def test_store_less_session_keeps_no_text(self):
+    def test_store_less_session_keeps_no_text(self, writes):
         netlist = figure1_netlist()[0]
         Session().analyze(netlist)
-        assert take_canonical_verilog(netlist) is None
-
-    def test_memo_is_the_written_text(self):
-        netlist = figure1_netlist()[0]
-        netlist_digest(netlist)
-        assert take_canonical_verilog(netlist) == write_verilog(netlist)
-        assert take_canonical_verilog(netlist) is None
+        Session().analyze(netlist)
+        assert len(writes) == 2
 
     @pytest.mark.parametrize("edit", ["gate", "output", "rename"])
     def test_mutation_after_digest_yields_a_fresh_digest(self, edit, writes):
         netlist = figure1_netlist()[0]
         before = netlist_digest(netlist)
-        assert netlist_digest(netlist) == before and len(writes) == 1
+        assert netlist_digest(netlist) == before and len(writes) == 2
         _edit(netlist, edit)
         after = netlist_digest(netlist)
         assert after != before
         assert after == netlist_digest(parse_verilog(write_verilog(netlist)))
 
     @pytest.mark.parametrize("edit", ["gate", "output", "rename"])
-    def test_stale_text_is_never_committed(self, edit):
+    def test_stale_text_is_never_committed(self, edit, tmp_path):
         netlist = figure1_netlist()[0]
-        netlist_digest(netlist)
+        store = ArtifactStore(str(tmp_path / "store"))
+        session = Session(store=store)
+        session.analyze(netlist)
         _edit(netlist, edit)
-        assert take_canonical_verilog(netlist) is None
+        report = session.analyze(netlist)
+        assert report.digest == netlist_digest(netlist)
+        assert _body(store, report.digest)["text"] == write_verilog(netlist)
 
 
 def _edit(netlist, edit):
@@ -361,9 +383,9 @@ def test_incremental_commits_the_edited_body_once(tmp_path, monkeypatch):
     commits = []
     original = ArtifactStore.commit_netlist
 
-    def counted(self, digest, body):
+    def counted(self, digest, text, format):
         commits.append(digest)
-        return original(self, digest, body)
+        return original(self, digest, text, format)
 
     monkeypatch.setattr(ArtifactStore, "commit_netlist", counted)
     report = session.analyze_incremental(base.digest, edited)

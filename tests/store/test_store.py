@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import Session
 from repro.core import PipelineConfig, identify_words
+from repro.netlist import write_verilog
 from repro.store import (
     ArtifactStore,
     cache_key,
@@ -151,8 +152,9 @@ class TestStoreBasics:
         assert _result_keys(store) == []
 
     def test_netlist_artifact_roundtrip(self, store, netlist):
+        text = write_verilog(netlist)
         digest = netlist_digest(netlist)
-        store.commit_netlist(digest, netlist)
+        store.commit_netlist(digest, text, "verilog")
         restored = store.probe_netlist(digest)
         assert restored == netlist
 

@@ -10,7 +10,7 @@ from repro.api import AnalysisReport, Session
 from repro.core import PipelineConfig
 from repro.core.baseline import shape_hashing as core_shape_hashing
 from repro.core.pipeline import identify_words as core_identify_words
-from repro.netlist import write_verilog
+from repro.netlist import Netlist, write_verilog
 from repro.schema import PIPELINE_VERSION, SCHEMA_VERSION
 from repro.store import ArtifactStore, result_digest
 from repro.synth.designs import BENCHMARKS
@@ -225,6 +225,30 @@ class TestAnalyzeIncremental:
         }
         assert "cone_cache" not in payload
         assert payload["report"]["result_digest"] == inc.report.result_digest
+
+    def test_dirty_closure_never_lists_every_net(self, monkeypatch):
+        """Regression: the closure built the set of every net once per
+        removed gate, so an edit removing many gates took quadratic
+        time before analysis started (400 removed b18 gates: 9.4 s)."""
+        from repro import api
+
+        base = BENCHMARKS["b03"]()
+        edited = base.copy()
+        removed = tuple(
+            g.name for g in base.gates_in_file_order() if not g.is_ff
+        )[:4]
+        for name in removed:
+            edited.remove_gate(name)
+        seeds = {base.gate(name).output for name in removed} & edited.nets()
+
+        def listed(self):
+            raise AssertionError("Netlist.nets() called")
+
+        monkeypatch.setattr(Netlist, "nets", listed)
+        added, gone, changed = api._gate_diff(base, edited)
+        assert gone == removed
+        dirty = api._dirty_closure(base, edited, added, gone, changed)
+        assert seeds and seeds <= dirty
 
     def test_accepts_text_paths_and_netlists(self, tmp_path):
         base = BENCHMARKS["b03"]()

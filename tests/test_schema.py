@@ -28,7 +28,7 @@ from repro.metrics import MetricsRegistry
 from repro.schema import PIPELINE_VERSION, SCHEMA_VERSION, stamp
 from repro.netlist import write_verilog
 from repro.serve.service import AnalysisService
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, cache_key
 
 sys.path.insert(0, os.path.dirname(__file__))
 from fixtures import figure1_netlist  # noqa: E402
@@ -89,6 +89,8 @@ def current_shapes():
         shapes["store_result_payload.trace"] = sorted(
             envelope["result"]["trace"]
         )
+        body = store.get(cache_key(analysis.digest, "", kind="netlist"))
+        shapes["store_netlist_envelope"] = sorted(body)
 
         # Incremental re-analysis (library payload).
         from repro.netlist.cells import AND
@@ -207,8 +209,8 @@ def load_golden():
 
 
 class TestVersionStamps:
-    def test_schema_version_is_9(self):
-        assert SCHEMA_VERSION == 9
+    def test_schema_version_is_10(self):
+        assert SCHEMA_VERSION == 10
 
     def test_stamp_prepends_current_versions(self):
         stamped = stamp({"x": 1, "schema_version": 999})
