@@ -55,7 +55,7 @@ from .eval import evaluate, extract_reference_words, run_benchmark
 from .netlist import Netlist, NetlistBuilder, parse_verilog, write_verilog
 from .store import ArtifactStore
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AnalysisReport",

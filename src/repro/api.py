@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import metrics as _metrics
-from .core.baseline import baseline_config
 from .core.pipeline import PipelineConfig, identify_words
 from .core.words import IdentificationResult
 from .netlist.bench import parse_bench
@@ -50,6 +49,7 @@ from .store import (  # noqa: F401
     bytes_digest,
     cache_key,
     netlist_digest,  # unused here, but perfbench/tracer.py patches it
+    netlist_summary,
     result_digest,
 )
 from .store.keys import canonical_digest
@@ -237,10 +237,8 @@ class Session:
         The :class:`PipelineConfig` every analysis uses (default: paper
         settings).  ``config.backend`` selects the identification
         strategy (:mod:`repro.core.backends`): ``Session(
-        config=PipelineConfig(backend="regfeat"))`` runs the
-        feature-vector aggregator, etc.  ``baseline=True`` swaps in the
-        shape-hashing baseline configuration instead (equivalent to
-        ``backend="base"``).
+        PipelineConfig(backend="base"))`` runs the shape-hashing
+        baseline, ``backend="regfeat"`` the feature-vector aggregator.
     ``store``
         ``None`` (no caching), a directory path (an
         :class:`~repro.store.ArtifactStore` is opened there), or an
@@ -260,17 +258,9 @@ class Session:
         self,
         config: Optional[PipelineConfig] = None,
         store: Union[None, PathLike, ArtifactStore] = None,
-        baseline: bool = False,
         max_store_bytes: Optional[int] = None,
     ):
-        if config is None:
-            config = baseline_config() if baseline else PipelineConfig()
-        elif baseline and config.allow_partial:
-            raise ValueError(
-                "baseline=True requires allow_partial=False; "
-                "use baseline_config() or drop the flag"
-            )
-        self.config = config
+        self.config = config or PipelineConfig()
         if store is None or isinstance(store, ArtifactStore):
             self.store = store
         else:
@@ -325,6 +315,7 @@ class Session:
         format: str = "verilog",
         source: Optional[str] = None,
         name: Optional[str] = None,
+        stored: bool = False,
     ) -> AnalysisReport:
         """The one analysis path: a store hit under ``digest``, or else
         ``parse()`` the design, run the backend, and commit the result
@@ -332,42 +323,30 @@ class Session:
 
         The body is ``text`` in ``format``, the text ``digest`` was taken
         from.  ``None`` means that text is not in hand (a netlist
-        :meth:`load_netlist` parsed, or one reloaded from the store): the
-        parsed netlist is then stored as canonical Verilog.  The body
-        makes ``digest`` a base for :meth:`analyze_incremental` and
-        answerable by :meth:`triage_digest`.  ``name`` labels a hit
-        report when the envelope carries no design name.
+        :meth:`load_netlist` parsed): the parsed netlist is then stored
+        as canonical Verilog.  ``stored`` means ``parse()`` reads the
+        body back from the store (:meth:`triage_digest`), so it is not
+        committed again.  The body makes ``digest`` a base for
+        :meth:`analyze_incremental` and answerable by
+        :meth:`triage_digest`.  ``name`` labels a hit report when the
+        envelope carries no design name.
         """
         cached = self._probe(digest, source, name)
         if cached is not None:
             return cached
         netlist = parse()
+        summary = netlist_summary(netlist)
         store = self.store
         result = identify_words(netlist, self.config)
         cache, key = "off", None
         if store is not None:
             cache = "miss"
-            key = store.commit_result(digest, self.config, result, netlist)
-            if text is None:
-                text, format = write_verilog(netlist), "verilog"
-            store.commit_netlist(digest, text, format)
-        return AnalysisReport(
-            design=netlist.name,
-            source=source,
-            digest=digest,
-            cache=cache,
-            key=key,
-            num_gates=netlist.num_gates,
-            num_nets=netlist.num_nets,
-            num_ffs=netlist.num_ffs,
-            words=tuple(w.bits for w in result.words),
-            singletons=tuple(result.singletons),
-            control_signals=result.control_signals,
-            diagnostics=tuple(result.trace.preflight),
-            trace=result.trace.as_dict(),
-            runtime_seconds=result.runtime_seconds,
-            result=result,
-        )
+            key = store.commit_result(digest, self.config, result, summary)
+            if not stored:
+                if text is None:
+                    text, format = write_verilog(netlist), "verilog"
+                store.commit_netlist(digest, text, format)
+        return _report(digest, source, cache, key, summary, result)
 
     def _key(self, netlist: Netlist) -> Tuple[str, Optional[str]]:
         """The key of an in-memory netlist, and the text it digests.
@@ -397,27 +376,18 @@ class Session:
         hit = self.store.probe_result(digest, self.config)
         if hit is None:
             return None
-        cached, summary = hit
+        cached, recorded = hit
         if name is not None:
             fallback = _design_name(name)
         else:
             fallback = digest.split(":", 1)[-1][:12]
-        return AnalysisReport(
-            design=summary.get("name", fallback),
-            source=source,
-            digest=digest,
-            cache="hit",
-            key=cached.trace.cache_provenance["key"],
-            num_gates=summary.get("gates", 0),
-            num_nets=summary.get("nets", 0),
-            num_ffs=summary.get("flip_flops", 0),
-            words=tuple(w.bits for w in cached.words),
-            singletons=tuple(cached.singletons),
-            control_signals=cached.control_signals,
-            diagnostics=tuple(cached.trace.preflight),
-            trace=cached.trace.as_dict(),
-            runtime_seconds=cached.runtime_seconds,
-            result=cached,
+        summary = {
+            "name": fallback, "gates": 0, "nets": 0, "flip_flops": 0,
+            **recorded,
+        }
+        return _report(
+            digest, source, "hit", cached.trace.cache_provenance["key"],
+            summary, cached,
         )
 
     def analyze_digest(self, digest: str) -> Optional[AnalysisReport]:
@@ -506,7 +476,9 @@ class Session:
             return netlist
 
         try:
-            return self._triage(digest, body, None, "verilog", triage_config)
+            return self._triage(
+                digest, body, None, "verilog", triage_config, stored=True
+            )
         except _NoBody:
             return None
 
@@ -519,19 +491,20 @@ class Session:
         triage_config: Optional[TriageConfig],
         source: Optional[str] = None,
         name: Optional[str] = None,
+        stored: bool = False,
     ) -> TriageReport:
         """The one triage path, shaped like :meth:`_analyze`: the
         identification and then the ranking are read from the store
         under ``digest``, and ``parse()`` runs at most once, only when
-        one of them misses.  ``text`` and ``format`` are the body, as in
-        :meth:`_analyze`."""
+        one of them misses.  ``text``, ``format`` and ``stored`` describe
+        the body, as in :meth:`_analyze`."""
         triage_config = triage_config or TriageConfig()
         netlist = functools.cache(parse)
         # The identification goes through the one analysis path under
         # the request's own digest, so triage rows digest-match their
         # plain-analysis counterparts.
         analysis = self._analyze(
-            digest, netlist, text, format, source, name
+            digest, netlist, text, format, source, name, stored
         )
         rd = analysis.result_digest
         key = None
@@ -738,6 +711,35 @@ class Session:
 
 class _NoBody(Exception):
     """Internal: :meth:`Session.triage_digest` found no stored body."""
+
+
+def _report(
+    digest: str,
+    source: Optional[str],
+    cache: str,
+    key: Optional[str],
+    summary: Dict,
+    result: IdentificationResult,
+) -> AnalysisReport:
+    """An :class:`AnalysisReport` from a result and the
+    :func:`~repro.store.netlist_summary` of its design."""
+    return AnalysisReport(
+        design=summary["name"],
+        source=source,
+        digest=digest,
+        cache=cache,
+        key=key,
+        num_gates=summary["gates"],
+        num_nets=summary["nets"],
+        num_ffs=summary["flip_flops"],
+        words=tuple(w.bits for w in result.words),
+        singletons=tuple(result.singletons),
+        control_signals=result.control_signals,
+        diagnostics=tuple(result.trace.preflight),
+        trace=result.trace.as_dict(),
+        runtime_seconds=result.runtime_seconds,
+        result=result,
+    )
 
 
 def _read(path: str, format: Optional[str]) -> Tuple[str, str, str]:

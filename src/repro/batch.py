@@ -663,7 +663,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = PipelineConfig(
             depth=args.depth,
             max_simultaneous=args.max_simultaneous,
-            allow_partial=args.backend != "base",
             backend=args.backend,
         )
     except ValueError as exc:

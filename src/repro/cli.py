@@ -4,7 +4,7 @@ This is the tool a downstream user actually runs::
 
     repro identify design.v                      # structural Verilog
     repro identify design.bench --format bench   # ISCAS .bench
-    repro identify design.v --baseline           # shape hashing only
+    repro identify design.v --backend base       # shape hashing [6] only
     repro identify design.v --backend regfeat    # feature-vector backend
     repro identify design.v --json report.json   # machine-readable output
     repro identify design.v --depth 5 --max-simultaneous 3
@@ -81,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="identification backend: ours (default), base (shape "
         "hashing [6]), or regfeat (feature-vector register aggregation); "
         "see repro.core.backends",
-    )
-    parser.add_argument(
-        "--baseline",
-        action="store_true",
-        help="run shape hashing [6] instead of the control-signal "
-        "technique (alias for --backend base)",
     )
     parser.add_argument(
         "--propagate",
@@ -240,21 +234,11 @@ def _report(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    backend = args.backend
-    if args.baseline:
-        if backend not in ("ours", "base"):
-            print(
-                f"error: --baseline conflicts with --backend {backend}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        backend = "base"
     try:
         config = PipelineConfig(
             depth=args.depth,
             max_simultaneous=args.max_simultaneous,
-            allow_partial=backend != "base",
-            backend=backend,
+            backend=args.backend,
             deadline_s=args.deadline,
             max_assignments=args.budget,
             max_cone_gates=args.max_cone_gates,

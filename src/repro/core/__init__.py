@@ -9,7 +9,7 @@ stages the paper motivates are implemented as well: :mod:`propagation`
 (datapath-operator recognition over recovered words).
 """
 
-from .baseline import baseline_config, shape_hashing
+from .baseline import shape_hashing
 from .context import AnalysisContext
 from .control import ControlSignalCandidate, find_control_signals
 from .grouping import group_by_adjacency, group_register_inputs, root_type_of
@@ -32,7 +32,7 @@ from .reduction import (
     reduce_netlist,
     sweep_dead_logic,
 )
-from .stages import AnalysisEngine, default_stages
+from .stages import AnalysisEngine
 from .words import (
     CacheStats,
     ControlAssignment,
@@ -42,8 +42,8 @@ from .words import (
 )
 
 __all__ = [
-    "baseline_config", "shape_hashing",
-    "AnalysisContext", "AnalysisEngine", "default_stages",
+    "shape_hashing",
+    "AnalysisContext", "AnalysisEngine",
     "ControlSignalCandidate", "find_control_signals",
     "group_by_adjacency", "group_register_inputs", "root_type_of",
     "BitSignature", "SignatureIndex", "Subtree", "hash_key", "signature_of",

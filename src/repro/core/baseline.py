@@ -6,9 +6,10 @@ available: "Shape-hashing uses similar techniques to our approach, but only
 considers the un-simplified structure of the netlist when grouping bits into
 words.  It also only groups bits which have a fully-matched structure."
 
-Concretely this is the pipeline with partial matching, control signals and
-reduction all disabled — the same stage-1 grouping and the same hash keys,
-but bits chain only on *full* structural matches.
+Concretely this is ``PipelineConfig(backend="base")``: the staged pipeline
+with partial matching, control signals and reduction all disabled — the
+same stage-1 grouping and the same hash keys, but bits chain only on
+*full* structural matches.
 """
 
 from __future__ import annotations
@@ -19,35 +20,22 @@ from ..netlist.netlist import Netlist
 from .pipeline import PipelineConfig, identify_words
 from .words import IdentificationResult
 
-__all__ = ["shape_hashing", "baseline_config"]
-
-
-def baseline_config(
-    depth: int = 4, grouping: str = "adjacency"
-) -> PipelineConfig:
-    """Pipeline configuration matching the Base technique of Table 1.
-
-    The baseline runs on the same staged engine and shares its
-    :class:`~repro.core.context.AnalysisContext` caches.
-    """
-    return PipelineConfig(
-        depth=depth,
-        allow_partial=False,
-        grouping=grouping,
-        backend="base",
-    )
+__all__ = ["shape_hashing"]
 
 
 def shape_hashing(
     netlist: Netlist,
     config: Optional[PipelineConfig] = None,
 ) -> IdentificationResult:
-    """Identify words by full structural matching only (the Base column)."""
+    """Identify words by full structural matching only (the Base column).
+
+    ``config`` defaults to ``PipelineConfig(backend="base")`` and must
+    select that backend.
+    """
     if config is None:
-        config = baseline_config()
-    elif config.allow_partial:
+        config = PipelineConfig(backend="base")
+    elif config.backend != "base":
         raise ValueError(
-            "shape_hashing requires allow_partial=False; "
-            "use baseline_config() to build one"
+            f"shape_hashing requires backend='base', got {config.backend!r}"
         )
     return identify_words(netlist, config)

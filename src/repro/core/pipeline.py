@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..netlist.netlist import Netlist
-from .context import AnalysisContext
+from .backends import resolve
 from .stages import PIPELINE_VERSION
 from .words import IdentificationResult
 
@@ -54,9 +54,6 @@ class PipelineConfig:
         Fanin-cone depth in gate levels (paper: 4).
     ``max_simultaneous``
         Largest number of control signals assigned at once (paper: 2).
-    ``allow_partial``
-        With ``False`` the pipeline degrades to the shape-hashing baseline
-        of [6]: full matches only, no control signals, no reduction.
     ``grouping``
         ``"adjacency"`` (Section 2.2, default) or ``"registers"`` (the
         netlist-order-independent variation).
@@ -70,13 +67,11 @@ class PipelineConfig:
         seen — more words grouped, at the cost of extra control signals
         spent on non-word structures (evaluated in the ablation bench).
     ``backend``
-        Which registered identification strategy runs
-        (:mod:`repro.core.backends`): ``"ours"`` (default, the paper's
-        technique), ``"base"`` (shape hashing [6]), or ``"regfeat"``
-        (feature-vector register aggregation).  ``backend="base"`` and
-        ``allow_partial=False`` are two spellings of the same strategy
-        and are normalized onto each other, so either spelling produces
-        identical results *and* identical store fingerprints.
+        Which identification strategy runs (:mod:`repro.core.backends`):
+        ``"ours"`` (default, the paper's technique), ``"base"`` (shape
+        hashing [6]: full matches only, no control signals, no
+        reduction), or ``"regfeat"`` (feature-vector register
+        aggregation).  It is the only strategy selector.
 
     Resilience knobs (see :mod:`repro.core.resilience` and DESIGN.md §8 —
     all default to "unlimited", in which case every budget check is a
@@ -109,7 +104,6 @@ class PipelineConfig:
 
     depth: int = 4
     max_simultaneous: int = 2
-    allow_partial: bool = True
     grouping: str = "adjacency"
     max_control_signals: int = 8
     accept_partial_heals: bool = False
@@ -130,17 +124,7 @@ class PipelineConfig:
             raise ValueError("max_simultaneous must be >= 1")
         if self.grouping not in ("adjacency", "registers"):
             raise ValueError(f"unknown grouping {self.grouping!r}")
-        from .backends import resolve
-
         resolve(self.backend)  # raises UnknownBackendError (a ValueError)
-        # "base" and "ours without partial matching" are one strategy on
-        # one engine; normalizing the two spellings onto each other keeps
-        # results, trace provenance, and store fingerprints identical no
-        # matter which one a caller used.
-        if self.backend == "base":
-            object.__setattr__(self, "allow_partial", False)
-        elif self.backend == "ours" and not self.allow_partial:
-            object.__setattr__(self, "backend", "base")
         if self.deadline_s is not None:
             # A NaN deadline never expires: reject it, do not run unbounded.
             if not math.isfinite(self.deadline_s):
@@ -152,31 +136,30 @@ class PipelineConfig:
         if self.max_cone_gates is not None and self.max_cone_gates < 1:
             raise ValueError("max_cone_gates must be >= 1")
 
+    @property
+    def allow_partial(self) -> bool:
+        """Whether bits may chain on partial matches: every backend but
+        ``"base"``.  Derived, not settable; it stays in the store
+        fingerprint, so keys do not move."""
+        return self.backend != "base"
+
 
 def identify_words(
     netlist: Netlist,
     config: Optional[PipelineConfig] = None,
-    context: Optional[AnalysisContext] = None,
 ) -> IdentificationResult:
     """Run the word-identification flow ``config.backend`` selects.
 
-    This is the registry dispatch point (:mod:`repro.core.backends`):
-    the default ``backend="ours"`` runs the staged Figure-2 engine
-    exactly as before the registry existed (byte-identical results, the
-    ``backend`` fuzz oracle pins it), ``"base"`` the shape-hashing
-    comparison point, ``"regfeat"`` the feature-vector aggregator.
-
-    ``context`` — an optional pre-warmed
-    :class:`~repro.core.context.AnalysisContext` for ``netlist`` — lets
-    repeated analyses (ablations, baseline-vs-ours comparisons, repeated
-    service queries) share cone and hash-key caches; by default a fresh
-    context is created per call.
+    This is the dispatch point (:mod:`repro.core.backends`): the default
+    ``backend="ours"`` runs the staged Figure-2 engine (byte-identical
+    to running it directly, the ``backend`` fuzz oracle pins it),
+    ``"base"`` the shape-hashing comparison point, ``"regfeat"`` the
+    feature-vector aggregator.  Every call builds its own
+    :class:`~repro.core.context.AnalysisContext`.
 
     This function always computes.  Caching whole results in an
     artifact store is :class:`repro.api.Session`'s job: it keys the
     request, probes, and commits around this call.
     """
     config = config or PipelineConfig()
-    from .backends import resolve
-
-    return resolve(config.backend).run(netlist, config, context=context)
+    return resolve(config.backend).runner(netlist, config)

@@ -227,16 +227,11 @@ class _UnionFind:
         return True
 
 
-def run_regfeat(
-    netlist: Netlist,
-    config,
-    context=None,
-) -> IdentificationResult:
+def run_regfeat(netlist: Netlist, config) -> IdentificationResult:
     """Aggregate FF words by feature similarity (the ``regfeat`` backend).
 
     Implements the :func:`~repro.core.pipeline.identify_words` contract.
-    ``context`` is accepted for parity with the staged backends and
-    unused — regfeat has no signature index and no reduction search.  Trace counters are repurposed deterministically:
+    Trace counters are repurposed deterministically:
     ``num_candidate_nets`` counts candidate FFs, ``num_groups`` the
     emitted clusters, ``num_subgroups`` the scored pairs, and
     ``num_fully_matched_subgroups`` the accepted merges.

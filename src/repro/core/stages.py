@@ -73,7 +73,6 @@ __all__ = [
     "ControlStage",
     "ReductionStage",
     "EmissionStage",
-    "default_stages",
 ]
 
 
@@ -97,9 +96,10 @@ class SubgroupTask:
 
     ``kind`` is one of ``"singleton"`` (one bit — emitted alone),
     ``"full"`` (already fully matched — emitted as a word), ``"mixed"``
-    (degenerate or partial matching disabled — emitted as its full-match
-    partition), or ``"partial"`` (partially matched — goes through control
-    discovery and reduction search).
+    (degenerate, no bits — emitted as its full-match partition), or
+    ``"partial"`` (partially matched — goes through control discovery and
+    reduction search).  With partial matching off (``backend="base"``)
+    every subgroup of two or more bits is fully matched.
     """
 
     index: int
@@ -203,18 +203,18 @@ class MatchingStage(Stage):
                     SubgroupTask(
                         index=len(tasks),
                         subgroup=subgroup,
-                        kind=self._classify(subgroup, config),
+                        kind=self._classify(subgroup),
                     )
                 )
         art.tasks = tasks
 
     @staticmethod
-    def _classify(subgroup: Subgroup, config) -> str:
+    def _classify(subgroup: Subgroup) -> str:
         if len(subgroup.signatures) == 1:
             return "singleton"
         if subgroup.fully_matched:
             return "full"
-        if not subgroup.partially_matched or not config.allow_partial:
+        if not subgroup.partially_matched:
             return "mixed"
         return "partial"
 
@@ -435,18 +435,6 @@ class EmissionStage(Stage):
                 )
 
 
-def default_stages() -> Tuple[Stage, ...]:
-    """The Figure 2 stage graph, in execution order."""
-    return (
-        GroupingStage(),
-        SignatureStage(),
-        MatchingStage(),
-        ControlStage(),
-        ReductionStage(),
-        EmissionStage(),
-    )
-
-
 # ----------------------------------------------------------------------
 # engine
 # ----------------------------------------------------------------------
@@ -456,34 +444,31 @@ class AnalysisEngine:
 
     The engine computes; it never reads or writes identification
     results.  :class:`repro.api.Session` owns the store key and the
-    result commit.
+    result commit.  Each run builds its own
+    :class:`~repro.core.context.AnalysisContext`.
     """
 
-    def __init__(
-        self,
-        config: "PipelineConfig",  # noqa: F821
-        stages: Optional[Sequence[Stage]] = None,
-    ):
-        self.config = config
-        self.stages: Tuple[Stage, ...] = tuple(stages or default_stages())
+    #: The Figure 2 stage graph, in execution order (the stages keep no
+    #: state between runs).
+    stages: Tuple[Stage, ...] = (
+        GroupingStage(),
+        SignatureStage(),
+        MatchingStage(),
+        ControlStage(),
+        ReductionStage(),
+        EmissionStage(),
+    )
 
-    def run(
-        self,
-        netlist: Netlist,
-        context: Optional[AnalysisContext] = None,
-    ) -> IdentificationResult:
+    def __init__(self, config: "PipelineConfig"):  # noqa: F821
+        self.config = config
+
+    def run(self, netlist: Netlist) -> IdentificationResult:
         started = perf_counter()
-        if context is None:
-            context = AnalysisContext(netlist, self.config.depth)
-        elif context.depth != self.config.depth:
-            raise ValueError(
-                f"context depth {context.depth} != config depth "
-                f"{self.config.depth}"
-            )
+        context = AnalysisContext(netlist, self.config.depth)
         budget = RunBudget.from_config(self.config)
         context.budget = budget
         result = IdentificationResult()
-        result.trace.backend = getattr(self.config, "backend", "ours")
+        result.trace.backend = self.config.backend
         art = StageArtifacts(
             netlist=netlist,
             config=self.config,

@@ -27,10 +27,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from ..core.baseline import baseline_config, shape_hashing
+from ..core.baseline import shape_hashing
 from ..core.pipeline import PipelineConfig, identify_words
 from ..core.words import IdentificationResult
 from ..exitcodes import EXIT_USAGE
@@ -109,13 +108,15 @@ def run_benchmark(
 
     ``store`` — an optional :class:`repro.store.ArtifactStore`; Base and
     Ours then run through :class:`repro.api.Session` and are cached under
-    their own keys (``allow_partial`` is in the fingerprint), so a repeat
+    their own keys (``backend`` is in the fingerprint), so a repeat
     sweep loads both from disk.
     """
     config = config or PipelineConfig()
     reference = extract_reference_words(netlist)
-    base_config = replace(
-        baseline_config(depth=config.depth, grouping=config.grouping),
+    base_config = PipelineConfig(
+        depth=config.depth,
+        grouping=config.grouping,
+        backend="base",
         deadline_s=config.deadline_s,
         max_assignments=config.max_assignments,
         max_cone_gates=config.max_cone_gates,

@@ -63,7 +63,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.baseline import baseline_config
 from ..core.pipeline import PipelineConfig, identify_words
 from ..core.reduction import reduce_netlist
 from ..core.words import IdentificationResult
@@ -110,7 +109,7 @@ class OracleContext:
         self.sample = sample
         self.depth = depth
         self.ours_config = PipelineConfig(depth=depth)
-        self.base_config = baseline_config(depth=depth)
+        self.base_config = PipelineConfig(depth=depth, backend="base")
         self._results: Dict[str, IdentificationResult] = {}
 
     # -- cached pipeline runs -----------------------------------------
@@ -420,7 +419,12 @@ def _check_store(ctx: OracleContext) -> Optional[str]:
     """
     import tempfile
 
-    from ..store import ArtifactStore, netlist_digest, result_digest
+    from ..store import (
+        ArtifactStore,
+        netlist_digest,
+        netlist_summary,
+        result_digest,
+    )
 
     serial = ctx.ours
 
@@ -439,7 +443,8 @@ def _check_store(ctx: OracleContext) -> Optional[str]:
     with tempfile.TemporaryDirectory(prefix="fuzz-store-") as root:
         store = ArtifactStore(root)
         key = store.commit_result(
-            digest, ctx.ours_config, serial, ctx.sample.netlist
+            digest, ctx.ours_config, serial,
+            netlist_summary(ctx.sample.netlist),
         )
         if key is None:
             return "store refused to commit a clean result"

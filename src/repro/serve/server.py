@@ -319,7 +319,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_simultaneous=args.max_simultaneous,
             deadline_s=args.deadline,
             strict=args.strict,
-            allow_partial=args.backend != "base",
             backend=args.backend,
             # Match `repro identify`: preflight is in the store
             # fingerprint, so the served POST of a file's bytes hits the

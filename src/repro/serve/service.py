@@ -548,23 +548,10 @@ class AnalysisService:
             and backend == base.backend
         ):
             return self.session
-        # An explicit backend picks its own partial-matching mode; the
-        # "ours"+allow_partial=False spelling would otherwise normalize
-        # back to "base" and shadow the request on a baseline server.
-        allow_partial = (
-            backend != "base"
-            if "backend" in overrides
-            else base.allow_partial
-        )
         config = replace(
-            base,
-            deadline_s=deadline,
-            strict=strict,
-            backend=backend,
-            allow_partial=allow_partial,
+            base, deadline_s=deadline, strict=strict, backend=backend
         )
-        derived = Session(config=config, store=self.session.store)
-        return derived
+        return Session(config=config, store=self.session.store)
 
     def _analyze_one(self, session: Session, item: Dict) -> AnalysisReport:
         """One design of a validated request (:func:`_validate_source`

@@ -20,7 +20,12 @@ writes identification results, one key per request; every other caller
 --store``) goes through it.  The engine never sees the store.
 """
 
-from .disk import DEFAULT_DEGRADED_AFTER, ArtifactStore, StoreStats
+from .disk import (
+    DEFAULT_DEGRADED_AFTER,
+    ArtifactStore,
+    StoreStats,
+    netlist_summary,
+)
 from .keys import (
     FINGERPRINT_FIELDS,
     bytes_digest,
@@ -40,6 +45,7 @@ __all__ = [
     "ArtifactStore",
     "StoreStats",
     "DEFAULT_DEGRADED_AFTER",
+    "netlist_summary",
     "FINGERPRINT_FIELDS",
     "cache_key",
     "config_fingerprint",

@@ -51,7 +51,12 @@ from .keys import (  # noqa: F401
 )
 from .serialize import UnserializableResult, result_from_dict, result_to_dict
 
-__all__ = ["ArtifactStore", "StoreStats", "DEFAULT_DEGRADED_AFTER"]
+__all__ = [
+    "ArtifactStore",
+    "StoreStats",
+    "DEFAULT_DEGRADED_AFTER",
+    "netlist_summary",
+]
 
 #: Swallowed-``OSError`` count at which a store flips to degraded
 #: (write-bypass) mode.  Override per instance with ``degraded_after``
@@ -158,7 +163,10 @@ class StoreStats:
         return payload
 
 
-def _netlist_summary(netlist: Netlist) -> Dict[str, object]:
+def netlist_summary(netlist: Netlist) -> Dict[str, object]:
+    """What a result envelope records of its design (``{"name",
+    "gates", "nets", "flip_flops"}``), so a hit can report the design
+    without parsing it."""
     return {
         "name": netlist.name,
         "gates": netlist.num_gates,
@@ -511,14 +519,14 @@ class ArtifactStore:
         digest: str,
         config: PipelineConfig,
         result: IdentificationResult,
-        netlist: Netlist,
+        summary: Dict[str, object],
     ) -> Optional[str]:
         """Persist a result; returns its key, or ``None`` if uncacheable.
 
-        ``netlist`` is summarized into the envelope so a hit can report
-        the design without parsing it.  Degraded results and runs with a
-        ``fault_hook`` installed are refused — both describe the run
-        environment, not the design.  On a successful commit the result's
+        ``summary`` (:func:`netlist_summary` of the analyzed design) is
+        stored in the envelope and comes back from :meth:`probe_result`.
+        Degraded results and runs with a ``fault_hook`` installed are
+        refused — both describe the run environment, not the design.  On a successful commit the result's
         ``trace.cache_provenance`` records ``{"provenance": "miss", "key":
         <key>}``.
         """
@@ -535,7 +543,7 @@ class ArtifactStore:
             {
                 "digest": digest,
                 "config": config_fingerprint(config),
-                "netlist": _netlist_summary(netlist),
+                "netlist": summary,
                 "result": serialized,
             },
         )

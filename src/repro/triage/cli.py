@@ -80,7 +80,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         pipeline = PipelineConfig(
-            allow_partial=args.backend != "base",
             backend=args.backend,
             deadline_s=args.deadline,
             strict=args.strict,

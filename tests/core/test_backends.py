@@ -1,12 +1,11 @@
-"""Tests of the pluggable identification-backend registry.
+"""Tests of the identification-backend table.
 
 Pins the contracts DESIGN.md §15 promises:
 
-- the registry's contents, resolution errors, and re-registration rules;
-- ``PipelineConfig`` normalization — ``backend="base"`` and
-  ``allow_partial=False`` are two spellings of one strategy and must
-  produce identical configs *and* identical store fingerprints;
-- dispatch purity — resolving ``"ours"`` through the registry is
+- the table's contents and resolution errors;
+- ``backend`` is the one strategy selector: ``allow_partial`` is derived
+  from it, not a settable field;
+- dispatch purity — resolving ``"ours"`` through the table is
   byte-identical to running the staged engine directly;
 - fingerprint discipline — backend (name + version) is in the store
   fingerprint, so store keys are disjoint across backends, while a
@@ -15,6 +14,7 @@ Pins the contracts DESIGN.md §15 promises:
   candidate FF D nets, deterministic, provenance-stamped).
 """
 
+import dataclasses
 import glob
 import json
 
@@ -26,7 +26,6 @@ from repro.core.backends import (
     BackendSpec,
     UnknownBackendError,
     backend_names,
-    register,
     resolve,
 )
 from repro.core.pipeline import PipelineConfig, identify_words
@@ -56,14 +55,14 @@ class TestRegistry:
     def test_builtins_are_registered(self):
         assert backend_names() == ("ours", "base", "regfeat")
 
-    def test_specs_carry_version_and_capabilities(self):
-        ours = resolve("ours")
-        assert ours.version == "1.0.0"
-        assert "control-signals" in ours.capabilities
-        base = resolve("base")
-        assert "full-matching" in base.capabilities
-        regfeat = resolve("regfeat")
-        assert "feature-aggregation" in regfeat.capabilities
+    def test_specs_carry_name_version_and_runner_only(self):
+        fields = [f.name for f in dataclasses.fields(BackendSpec)]
+        assert fields == ["name", "version", "runner"]
+        for name in backend_names():
+            spec = resolve(name)
+            assert spec.name == name
+            assert spec.version == "1.0.0"
+        assert not hasattr(backends, "register")
 
     def test_unknown_backend_error_lists_registered_names(self):
         with pytest.raises(UnknownBackendError) as excinfo:
@@ -84,39 +83,21 @@ class TestRegistry:
         with pytest.raises(UnknownBackendError):
             resolve(None)
 
-    def test_reregistering_identical_spec_is_idempotent(self):
-        spec = resolve("ours")
-        register(spec)  # no error
-        assert resolve("ours") is spec
-
-    def test_reregistering_different_spec_is_rejected(self):
-        ours = resolve("ours")
-        clash = BackendSpec(
-            name="ours",
-            version="9.9.9",
-            description="impostor",
-            capabilities=ours.capabilities,
-            fingerprint_fields=ours.fingerprint_fields,
-            runner=ours.runner,
-        )
-        with pytest.raises(ValueError, match="already registered"):
-            register(clash)
-        assert resolve("ours") is ours
-
 
 class TestConfigNormalization:
-    def test_base_and_allow_partial_false_are_one_config(self):
-        by_backend = PipelineConfig(backend="base")
-        by_flag = PipelineConfig(allow_partial=False)
-        assert by_backend == by_flag
-        assert by_backend.backend == "base"
-        assert by_flag.backend == "base"
-        assert not by_backend.allow_partial
-        assert config_fingerprint(by_backend) == config_fingerprint(by_flag)
+    """What ``PipelineConfig`` derives from, and checks on, ``backend``."""
 
     def test_backend_base_forces_allow_partial_off(self):
-        config = PipelineConfig(backend="base", allow_partial=True)
-        assert not config.allow_partial
+        """``allow_partial`` is derived from ``backend``: no field, no
+        setter, and ``base`` is the only backend without it."""
+        assert not PipelineConfig(backend="base").allow_partial
+        assert PipelineConfig(backend="ours").allow_partial
+        assert PipelineConfig(backend="regfeat").allow_partial
+        fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert len(fields) == 12
+        assert "allow_partial" not in fields
+        with pytest.raises(AttributeError):
+            PipelineConfig().allow_partial = False
 
     def test_unknown_backend_raises_value_error(self):
         with pytest.raises(ValueError, match="registered backends"):

@@ -117,12 +117,25 @@ class TestKernelSwitch:
         assert "kernel" not in result.trace.counter_dict()
 
     def test_unknown_kernel_rejected(self):
+        """Retired knobs are refused, not silently obeyed: ``backend`` is
+        the one strategy selector."""
+        from repro.core.stages import AnalysisEngine
+
+        netlist, config = BENCHMARKS["b03"](), PipelineConfig()
         with pytest.raises(TypeError):
             PipelineConfig(kernel="array")
         with pytest.raises(TypeError):
             PipelineConfig(jobs=2)
         with pytest.raises(TypeError):
-            identify_words(BENCHMARKS["b03"](), PipelineConfig(), cone_cache=[])
+            identify_words(netlist, config, cone_cache=[])
+        with pytest.raises(TypeError):
+            PipelineConfig(allow_partial=False)
+        with pytest.raises(TypeError):
+            Session(baseline=True)
+        with pytest.raises(TypeError):
+            identify_words(netlist, config, context=None)
+        with pytest.raises(TypeError):
+            AnalysisEngine(config, stages=())
 
     def test_trace_keeps_the_retired_cone_tier_keys_at_zero(self):
         result = identify_words(BENCHMARKS["b03"](), PipelineConfig())

@@ -11,7 +11,6 @@ from fixtures import figure1_netlist
 from repro.core import (
     PipelineConfig,
     Word,
-    baseline_config,
     identify_words,
     shape_hashing,
 )
@@ -85,11 +84,6 @@ class TestConfig:
         nl, _ = figure1_netlist()
         with pytest.raises(ValueError):
             shape_hashing(nl, PipelineConfig())
-
-    def test_baseline_config_factory(self):
-        config = baseline_config(depth=3)
-        assert not config.allow_partial
-        assert config.depth == 3
 
     def test_pair_assignment_disabled_with_max_one(self):
         """With max_simultaneous=1 the Figure 1 variant that needs a pair

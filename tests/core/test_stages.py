@@ -6,8 +6,6 @@ hand back empty or fragmented.
 
 import sys
 
-import pytest
-
 sys.path.insert(0, "tests")
 
 from fixtures import figure1_netlist
@@ -18,7 +16,6 @@ from repro.core.stages import (
     AnalysisEngine,
     _emit_partition,
     _partition_score,
-    default_stages,
 )
 from repro.core.words import IdentificationResult
 
@@ -78,7 +75,7 @@ class TestDegenerateSubgroups:
         assert all(len(s.signatures) == 1 for s in subgroups)
 
     def test_stage_graph_shape(self):
-        names = [stage.name for stage in default_stages()]
+        names = [stage.name for stage in AnalysisEngine.stages]
         assert names == [
             "grouping",
             "signatures",
@@ -126,12 +123,4 @@ class TestEngineTrace:
         assert dumped["deadline_hit"] is False
         assert dumped["failures"] == []
         assert dumped["preflight"] == []
-
-    def test_depth_mismatch_rejected(self):
-        from repro.core.context import AnalysisContext
-
-        netlist, _bits = figure1_netlist()
-        engine = AnalysisEngine(PipelineConfig(depth=4))
-        with pytest.raises(ValueError):
-            engine.run(netlist, AnalysisContext(netlist, depth=3))
 

@@ -20,7 +20,13 @@ from repro.api import Session
 from repro.cli import main as identify_main
 from repro.core import PipelineConfig
 from repro.fuzz import generate, sample_seed
-from repro.netlist import AND, parse_bench, parse_verilog, write_verilog
+from repro.netlist import (
+    AND,
+    Netlist,
+    parse_bench,
+    parse_verilog,
+    write_verilog,
+)
 from repro.netlist.bench import write_bench
 from repro.store import ArtifactStore, bytes_digest, cache_key, netlist_digest
 from repro.synth.designs import BENCHMARKS
@@ -114,6 +120,20 @@ class TestOneWritePerRequest:
         assert triaged.analysis.cache == "miss"
         assert triaged.design == parse_bench(bench).name
 
+    def test_digest_only_triage_keeps_the_stored_body(self, tmp_path, writes):
+        """A body read back from the store is not committed again: a
+        digest-only triage under another config recomputes the
+        identification from the stored ``.bench`` body and leaves that
+        body as it was."""
+        bench = write_bench(figure1_netlist()[0])
+        store = ArtifactStore(str(tmp_path / "store"))
+        digest = Session(store=store).analyze_text(bench, "bench").digest
+        other = Session(PipelineConfig(preflight=True), store)
+        assert other.triage_digest(digest).analysis.cache == "miss"
+        assert writes == []
+        body = _body(store, digest)
+        assert (body["format"], body["text"]) == ("bench", bench)
+
     def test_commit_netlist_round_trips_the_given_text(self, tmp_path):
         bench = write_bench(figure1_netlist()[0])
         store = ArtifactStore(str(tmp_path / "store"))
@@ -167,6 +187,23 @@ class TestOneEntryPerRequest:
         assert calls.get("netlist_digest", 0) == 0
         assert (calls["probe_result"], calls["commit_result"]) == (1, 1)
         assert _kinds(store) == {"result": 1, "netlist": 1}
+
+    def test_cold_request_builds_the_net_set_once(
+        self, tmp_path, text, monkeypatch
+    ):
+        """The report and the stored result share one netlist summary."""
+        built = []
+        original = Netlist.nets
+
+        def counted(netlist):
+            built.append(netlist.name)
+            return original(netlist)
+
+        monkeypatch.setattr(Netlist, "nets", counted)
+        report = Session(store=str(tmp_path / "store")).analyze_text(text)
+        assert report.cache == "miss"
+        assert built == ["fig1"]
+        assert report.num_nets == parse_verilog(text).num_nets
 
     def test_warm_triage_text_writes_nothing(self, tmp_path, text, writes):
         store = ArtifactStore(str(tmp_path / "store"))

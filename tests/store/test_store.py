@@ -80,7 +80,7 @@ class TestKeys:
         for variant in (
             PipelineConfig(depth=5),
             PipelineConfig(max_simultaneous=3),
-            PipelineConfig(allow_partial=False),
+            PipelineConfig(backend="base"),
             PipelineConfig(grouping="registers"),
             PipelineConfig(max_assignments=7),
             PipelineConfig(preflight=True),

@@ -75,13 +75,9 @@ class TestAnalyze:
         assert warm.design == cold.design == "fig1"
 
     def test_baseline_session(self, netlist):
-        report = Session(baseline=True).analyze(netlist)
+        report = Session(PipelineConfig(backend="base")).analyze(netlist)
         legacy = core_shape_hashing(netlist)
         assert report.words == tuple(w.bits for w in legacy.words)
-
-    def test_baseline_rejects_partial_config(self):
-        with pytest.raises(ValueError):
-            Session(config=PipelineConfig(allow_partial=True), baseline=True)
 
     def test_accepts_existing_store_instance(self, design_path, tmp_path):
         store = ArtifactStore(str(tmp_path / "s"))

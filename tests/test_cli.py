@@ -35,7 +35,8 @@ class TestBasics:
         assert "words" in capsys.readouterr().out
 
     def test_baseline_flag(self, verilog_path, capsys):
-        assert main([verilog_path, "--baseline"]) == 0
+        """``--backend base`` selects the baseline."""
+        assert main([verilog_path, "--backend", "base"]) == 0
         out = capsys.readouterr().out
         assert "shape hashing [6]" in out
         assert "[via" not in out
@@ -131,17 +132,19 @@ class TestBackendFlag:
         assert report["config"]["backend"] == "ours"
         assert report["config"]["technique"] == "ours"
 
-    def test_backend_base_matches_baseline_flag(self, verilog_path, capsys):
+    def test_backend_base_matches_shape_hashing(self, verilog_path, capsys):
+        """The CLI's Base is the library's Base (``shape_hashing``)."""
+        from repro.core import shape_hashing
+        from repro.netlist import parse_verilog
+        from repro.store import result_digest
+
         assert main([verilog_path, "--backend", "base", "--json", "-"]) == 0
         out = capsys.readouterr().out
         by_backend = json.loads(out[out.index("{"):])
-        assert main([verilog_path, "--baseline", "--json", "-"]) == 0
-        out = capsys.readouterr().out
-        by_alias = json.loads(out[out.index("{"):])
+        with open(verilog_path) as handle:
+            library = shape_hashing(parse_verilog(handle.read()))
         assert by_backend["config"]["backend"] == "base"
-        assert (
-            by_backend["result_digest"] == by_alias["result_digest"]
-        )
+        assert by_backend["result_digest"] == result_digest(library)
 
     def test_backend_regfeat_runs(self, verilog_path, capsys):
         assert main([verilog_path, "--backend", "regfeat"]) == 0
@@ -156,14 +159,6 @@ class TestBackendFlag:
         assert "unknown backend 'nope'" in err
         for name in ("ours", "base", "regfeat"):
             assert name in err
-
-    def test_baseline_conflicts_with_other_backend(
-        self, verilog_path, capsys
-    ):
-        assert main(
-            [verilog_path, "--baseline", "--backend", "regfeat"]
-        ) == 2
-        assert "--baseline conflicts" in capsys.readouterr().err
 
     def test_unknown_kernel_exits_2(self, verilog_path, capsys):
         # Signatures have one implementation: no CLI takes --kernel.

@@ -57,6 +57,13 @@ class TestDispatch:
         assert exited.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
+    def test_baseline_flag_is_gone(self, design_path, capsys):
+        """``--backend base`` is the one spelling of the baseline."""
+        with pytest.raises(SystemExit) as exited:
+            main(["identify", design_path, "--baseline"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
+
     def test_subcommands_are_the_alias_entry_points(self):
         """`repro X` runs module X's own `main` (so `python -m repro.cli`
         and `repro identify` are one code path)."""
