@@ -9,9 +9,9 @@ must stay a modest fraction of the analysis itself.
 
 The script synthesizes one design (b18 by default), sends its text
 through one long-lived ``Session`` -- alternately with a fresh store and
-with none, after one discarded store-attached warm-up request that fills
-the process cone tier -- and exits 1 when the median store-attached
-latency exceeds ``--max-ratio`` times the median store-less one.  The two
+with none, after one discarded store-attached warm-up request -- and
+exits 1 when the median store-attached latency exceeds ``--max-ratio``
+times the median store-less one.  The two
 arms must also agree on ``result_digest``.  Gating on a ratio rather than
 on seconds keeps the check meaningful on noisy shared runners.
 
@@ -64,7 +64,7 @@ def main(argv=None):
             shutil.rmtree(store_dir, ignore_errors=True)
             digests.add(digest)
             if run == 0:
-                continue  # warm-up: fills the process cone tier
+                continue  # warm-up: one-time first-request costs
             timings["store"].append(seconds)
             session.store = None
             seconds, digest = timed_request(session, text)

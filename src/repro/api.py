@@ -32,10 +32,15 @@ from __future__ import annotations
 
 import errno
 import functools
+import gc
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from . import metrics as _metrics
 from .core.pipeline import PipelineConfig, identify_words
@@ -334,18 +339,21 @@ class Session:
         cached = self._probe(digest, source, name)
         if cached is not None:
             return cached
-        netlist = parse()
-        summary = netlist_summary(netlist)
         store = self.store
-        result = identify_words(netlist, self.config)
-        cache, key = "off", None
-        if store is not None:
-            cache = "miss"
-            key = store.commit_result(digest, self.config, result, summary)
-            if not stored:
-                if text is None:
-                    text, format = write_verilog(netlist), "verilog"
-                store.commit_netlist(digest, text, format)
+        with _gc_paused():
+            netlist = parse()
+            summary = netlist_summary(netlist)
+            result = identify_words(netlist, self.config)
+            cache, key = "off", None
+            if store is not None:
+                cache = "miss"
+                key = store.commit_result(
+                    digest, self.config, result, summary
+                )
+                if not stored:
+                    if text is None:
+                        text, format = write_verilog(netlist), "verilog"
+                    store.commit_netlist(digest, text, format)
         return _report(digest, source, cache, key, summary, result)
 
     def _key(self, netlist: Netlist) -> Tuple[str, Optional[str]]:
@@ -526,7 +534,10 @@ class Session:
                 except (KeyError, TypeError, ValueError):
                     triage = None
         if triage is None:
-            triage = triage_netlist(netlist(), analysis.result, triage_config)
+            with _gc_paused():
+                triage = triage_netlist(
+                    netlist(), analysis.result, triage_config
+                )
             if self.store is not None:
                 if analysis.result.trace.degraded:
                     # A degraded identification is an environment
@@ -711,6 +722,36 @@ class Session:
 
 class _NoBody(Exception):
     """Internal: :meth:`Session.triage_digest` found no stored body."""
+
+
+# A request builds no reference cycles (tests/test_lifetime.py), so the
+# cyclic collector has nothing to find inside one, yet the millions of
+# objects a large design allocates trigger its full collections anyway
+# (about 0.3 s over a cold b18 request).  _gc_paused switches it off for
+# the request's heavy part.  The collector is one per process, so the
+# count of pauses in flight is too: pauses overlap under serve's thread
+# pool, and the first one in switches the collector off only if it was
+# on, the last one out back on only if a pause switched it off.
+_gc_lock = threading.Lock()
+_gc_pauses = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    global _gc_pauses, _gc_was_enabled
+    with _gc_lock:
+        if _gc_pauses == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_pauses -= 1
+            if _gc_pauses == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 def _report(

@@ -17,9 +17,15 @@ This is the tool a downstream user actually runs::
     repro identify design.v --strict             # degradations become errors
     repro identify design.v --store .repro-cache # reuse cached results
 
-The file is read and parsed once, through :class:`repro.api.Session`;
-with ``--store`` the result is keyed by the file's bytes, the same key
-``repro serve`` uses for a request carrying those bytes.
+The file goes through :meth:`repro.api.Session.analyze`, which probes
+the store before it parses: with ``--store`` the result is keyed by the
+file's bytes (the same key ``repro serve`` uses for a request carrying
+those bytes), a warm run parses nothing, and a cold run stores the
+file's bytes as the body.  ``--propagate``, ``--operators``, ``--score``
+and ``--verify-reductions`` read the netlist itself: a run with one of
+them loads the file first (one read, one parse) and analyzes that
+netlist, which keeps the file's key; a cold ``--store`` run then stores
+the netlist's ``write_verilog`` text as the body.
 
 Exit code 0 on success — including degraded runs, where a deadline or
 budget fired, or a subgroup search was quarantined, and the partial words
@@ -37,12 +43,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .api import Session
+from .api import AnalysisReport, Session
 from .core import PipelineConfig
 from .core.modules import identify_operators
 from .core.propagation import propagate_words
 from .core.resilience import BudgetExceeded, PreflightError
-from .core.words import SIGNATURE_KERNEL, IdentificationResult
+from .core.words import SIGNATURE_KERNEL
 from .eval import evaluate, extract_reference_words
 from .exitcodes import EXIT_CHECK_FAILED, EXIT_OK, EXIT_STRICT, EXIT_USAGE
 from .netlist.bench import BenchError
@@ -167,31 +173,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _result_digest(result: IdentificationResult) -> str:
-    """Digest of the deterministic result subset (see repro.store).
-
-    Exposed in ``--json`` so external callers — the serve-smoke CI job in
-    particular — can assert the HTTP path and the CLI path produced the
-    same result without diffing the full payload.
-    """
-    from .store import result_digest
-
-    return result_digest(result)
-
-
 def _report(
-    netlist,
-    result: IdentificationResult,
+    analysis: AnalysisReport,
     derived,
     operators,
     args,
 ) -> dict:
+    result = analysis.result
     report = stamp({
         "netlist": {
-            "name": netlist.name,
-            "gates": netlist.num_gates,
-            "nets": netlist.num_nets,
-            "flip_flops": netlist.num_ffs,
+            "name": analysis.design,
+            "gates": analysis.num_gates,
+            "nets": analysis.num_nets,
+            "flip_flops": analysis.num_ffs,
         },
         "config": {
             # "technique" predates the backend registry and mirrors the
@@ -212,7 +206,9 @@ def _report(
             {"word": list(word.bits), "assignment": assignment.as_dict()}
             for word, assignment in result.control_assignments.items()
         ],
-        "result_digest": _result_digest(result),
+        # Lets callers (the serve-smoke CI job in particular) check that
+        # the HTTP and CLI paths produced the same result.
+        "result_digest": analysis.result_digest,
         "runtime_seconds": result.runtime_seconds,
         "trace": result.trace.as_dict(),
     })
@@ -250,15 +246,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     session = Session(config=config, store=args.store)
     try:
-        netlist = session.load_netlist(args.netlist, args.format)
+        netlist = None
+        if (
+            args.propagate or args.operators or args.score
+            or args.verify_reductions
+        ):
+            # One read and one parse: the loaded netlist keeps the
+            # file's key, so analyzing it probes the same entry.
+            netlist = session.load_netlist(args.netlist, args.format)
+            analysis = session.analyze(netlist)
+        else:
+            analysis = session.analyze(args.netlist, args.format)
     except OSError as exc:
         print(f"error: cannot read {args.netlist}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (VerilogError, BenchError) as exc:
         print(f"error: cannot parse {args.netlist}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        result = session.analyze(netlist).result
     except (BudgetExceeded, PreflightError) as exc:
         print(f"error (strict): {exc}", file=sys.stderr)
         return EXIT_STRICT
@@ -267,6 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"error (strict): {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_STRICT
+    result = analysis.result
 
     derived = None
     operators = None
@@ -281,8 +286,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ours": "control-signal technique",
         "regfeat": "feature-vector aggregation",
     }.get(config.backend, config.backend)
-    print(f"{netlist.name}: {netlist.num_gates} gates, "
-          f"{netlist.num_nets} nets, {netlist.num_ffs} flip-flops")
+    print(f"{analysis.design}: {analysis.num_gates} gates, "
+          f"{analysis.num_nets} nets, {analysis.num_ffs} flip-flops")
     words = [w for w in result.words if w.width >= args.min_width]
     print(f"{technique}: {len(words)} words "
           f"({result.runtime_seconds:.2f}s)")
@@ -368,7 +373,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.json is not None:
         payload = json.dumps(
-            _report(netlist, result, derived, operators, args), indent=2
+            _report(analysis, derived, operators, args), indent=2
         )
         if args.json == "-":
             print(payload)

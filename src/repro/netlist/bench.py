@@ -47,10 +47,13 @@ def parse_bench(text: str, library: CellLibrary = LIBRARY) -> Netlist:
         io_match = _IO_RE.match(line)
         if io_match:
             kind, net = io_match.groups()
-            if kind.upper() == "INPUT":
-                netlist.add_input(net.strip())
-            else:
-                netlist.add_output(net.strip())
+            try:
+                if kind.upper() == "INPUT":
+                    netlist.add_input(net.strip())
+                else:
+                    netlist.add_output(net.strip())
+            except NetlistError as exc:
+                raise BenchError(f"{line!r}: {exc}") from exc
             continue
         gate_match = _GATE_RE.match(line)
         if gate_match:

@@ -31,21 +31,33 @@ treats registers as cone boundaries, so clock wiring is irrelevant to it.
 Line order of gate instantiations is preserved: the first-level grouping of
 the paper (Section 2.2) depends on it.
 
-Error handling: the parser runs in recovery mode — a bad statement is
-recorded as a :class:`VerilogDiagnostic` (source line, column, offending
-token) and parsing continues with the next statement, so one corrupted
-netlist surfaces *all* of its problems (up to ``max_errors``) in a single
-:class:`VerilogError` instead of one at a time.
+Gates with more inputs than there are pin letters before ``Z`` (25) are
+written with positional connections, output first.
+
+Two readers share :func:`parse_verilog`.  A fast reader takes
+:func:`write_verilog`'s own layout line by line (one statement per line,
+plain identifiers, the writer's pin order); on the first line outside
+that layout it gives up and the whole text goes to the general parser.
+Both build the same netlist from any text the fast reader accepts
+(``tests/netlist/test_parse_fuzz.py`` checks this differentially).
+
+Error handling: the general parser runs in recovery mode — a bad
+statement is recorded as a :class:`VerilogDiagnostic` (source line,
+column, offending token) and parsing continues with the next statement,
+so one corrupted netlist surfaces *all* of its problems (up to
+``max_errors``) in a single :class:`VerilogError` instead of one at a
+time.  It is the only source of diagnostics.  A vector range may not
+declare more nets, in total, than the source text has characters, so a
+short hostile body cannot make the parser allocate without bound.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cells import BUF, CellLibrary, LIBRARY, TIE0, TIE1
+from .cells import BUF, CellLibrary, CellType, LIBRARY, TIE0, TIE1
 from .netlist import Netlist, NetlistError
 
 __all__ = [
@@ -73,6 +85,25 @@ _PLAIN_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _VERILOG_KEYWORDS = frozenset(
     ("module", "endmodule", "input", "output", "wire", "assign")
 )
+
+#: Input pins of a combinational cell, in order: the letters before the
+#: output pin ``Z``.  A wider gate is written positionally.
+_INPUT_PINS = tuple(chr(code) for code in range(ord("A"), ord("Z")))
+
+# write_verilog's layout, as _read_canonical reads it: one statement per
+# line, two-space indentation, plain ASCII identifiers.
+_CANON_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_CANON_HEADER_RE = re.compile(rf"module ({_CANON_ID}) \([^;]*\);")
+_CANON_DECL_RE = re.compile(rf"  (input|output|wire) ({_CANON_ID});")
+_CANON_INSTANCE_RE = re.compile(
+    rf"  ({_CANON_ID}) ({_CANON_ID}) \(\.([A-Z])\(({_CANON_ID})\)"
+    rf"((?:, \.[A-Z]\({_CANON_ID}\))*)\);"
+)
+_CANON_PIN_RE = re.compile(rf", \.([A-Z])\(({_CANON_ID})\)")
+#: A statement starting with a keyword is never an instance (the general
+#: parser reads ``module...`` as a header and ``input x`` etc. as
+#: declarations), so the fast reader leaves such cells to it.
+_KEYWORD_PREFIXES = tuple(_VERILOG_KEYWORDS)
 
 
 def escape_identifier(name: str) -> str:
@@ -202,16 +233,33 @@ def parse_verilog(
 ) -> Netlist:
     """Parse structural Verilog source into a :class:`Netlist`.
 
-    Parsing recovers from bad statements: each is recorded as a
-    :class:`VerilogDiagnostic` and the parser moves to the next
-    statement, raising one :class:`VerilogError` carrying every
-    diagnostic at the end (or as soon as ``max_errors`` are collected).
+    Text in :func:`write_verilog`'s layout is read by a fast reader;
+    anything else, and any text the fast reader cannot build a netlist
+    from, goes to the general parser.  That parser recovers from bad
+    statements: each is recorded as a :class:`VerilogDiagnostic` and the
+    parser moves to the next statement, raising one :class:`VerilogError`
+    carrying every diagnostic at the end (or as soon as ``max_errors``
+    are collected).
     """
     if max_errors < 1:
         raise ValueError("max_errors must be >= 1")
+    netlist = _read_canonical(text, library)
+    if netlist is None:
+        netlist = _parse_recovering(text, library, max_errors)
+    return netlist
+
+
+def _parse_recovering(
+    text: str, library: CellLibrary, max_errors: int
+) -> Netlist:
+    """The general parser: statement by statement, collecting a
+    diagnostic for each bad one (see :func:`parse_verilog`)."""
     statements = _split_statements(text)
     netlist: Optional[Netlist] = None
     tie_counter = 0
+    # Nets the vector declarations may still expand to (see
+    # _apply_declaration).
+    vector_budget = len(text)
     diagnostics: List[VerilogDiagnostic] = []
 
     def record(
@@ -244,7 +292,9 @@ def parse_verilog(
                 raise VerilogError("statement before module header")
             decl = _DECL_RE.match(stmt)
             if decl:
-                _apply_declaration(netlist, decl)
+                vector_budget = _apply_declaration(
+                    netlist, decl, vector_budget
+                )
                 continue
             assign = _ASSIGN_RE.match(stmt)
             if assign:
@@ -279,32 +329,112 @@ def parse_verilog_file(path, library: CellLibrary = LIBRARY) -> Netlist:
         return parse_verilog(handle.read(), library)
 
 
-def _apply_declaration(netlist: Netlist, decl: "re.Match[str]") -> None:
+def _read_canonical(text: str, library: CellLibrary) -> Optional[Netlist]:
+    """Read text in :func:`write_verilog`'s exact layout, or ``None``.
+
+    The layout is the module header on the first line, then one
+    two-space-indented statement per line — ``input``/``output``/``wire``
+    of one plain identifier, or an instance with the writer's named pins
+    (``.Q .D`` for flip-flops, ``.Z .S .A .B`` for muxes, ``.Z .A .B ...``
+    otherwise) — and ``endmodule`` on the last line.  Where it returns a
+    netlist, the general parser builds an equal one; on any other line,
+    an unknown cell, or a gate :meth:`Netlist.add_gate` refuses, it
+    returns ``None`` and leaves the text (and its diagnostics) to that
+    parser.
+    """
+    if "/" in text or "\\" in text:  # comments, escaped identifiers
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or lines[-1] != "endmodule":
+        return None
+    header = _CANON_HEADER_RE.fullmatch(lines[0])
+    if header is None:  # the port list is ignored, as the parser does
+        return None
+    netlist = Netlist(header.group(1))
+    add_gate = netlist.add_gate
+    declaration = _CANON_DECL_RE.fullmatch
+    instance = _CANON_INSTANCE_RE.fullmatch
+    pins_of = _CANON_PIN_RE.findall
+    cells: Dict[str, CellType] = {}
+    try:
+        for index in range(1, len(lines) - 1):
+            line = lines[index]
+            decl = declaration(line)
+            if decl is not None:
+                kind, net = decl.groups()
+                if kind == "input":
+                    netlist.add_input(net)
+                elif kind == "output":
+                    netlist.add_output(net)
+                continue
+            match = instance(line)
+            if match is None:
+                return None
+            cell_name, name, out_pin, output, connections = match.groups()
+            cell = cells.get(cell_name)
+            if cell is None:
+                if (
+                    cell_name.startswith(_KEYWORD_PREFIXES)
+                    or cell_name not in library
+                ):
+                    return None
+                cell = cells[cell_name] = library.get(cell_name)
+            pairs = pins_of(connections)
+            pins = tuple([pin for pin, _ in pairs])
+            if (out_pin, pins) != _pin_names(cell, len(pins)):
+                return None
+            add_gate(name, cell, [net for _, net in pairs], output)
+    except ValueError:  # NetlistError, or a cell's arity check
+        return None
+    return netlist
+
+
+def _apply_declaration(
+    netlist: Netlist, decl: "re.Match[str]", budget: int
+) -> int:
+    """Declare the ports one ``input``/``output`` statement names.
+
+    ``budget`` is how many more nets vector ranges may expand to (it
+    starts at the source text's length); a range that would overdraw it
+    is a diagnostic, raised before any net is built.  Returns what is
+    left of it.
+    """
     kind, msb, lsb, names = decl.groups()
+    if kind == "wire":
+        return budget  # wires need no declaration in the model
+    add = netlist.add_input if kind == "input" else netlist.add_output
     for raw in names.split(","):
         base = raw.strip()
         if not base:
             continue
         if base.startswith("\\"):
             # Escaped identifier: the name is literal, never a vector.
-            net = base[1:].strip()
-            if kind == "input":
-                netlist.add_input(net)
-            elif kind == "output":
-                netlist.add_output(net)
-            continue
-        if msb is not None:
-            hi, lo = int(msb), int(lsb)
+            nets = [base[1:].strip()]
+        elif msb is not None:
+            try:
+                hi, lo = int(msb), int(lsb)
+                width = abs(hi - lo) + 1
+            except ValueError:  # more digits than int() converts
+                width = budget + 1
+            if width > budget:
+                raise VerilogError(
+                    f"vector range [{msb}:{lsb}] on {base!r} would declare "
+                    f"more nets than the source text has characters",
+                    token=msb,
+                )
+            budget -= width
             step = 1 if hi >= lo else -1
             nets = [f"{base}_{i}" for i in range(lo, hi + step, step)]
         else:
             nets = [base]
-        for net in nets:
-            if kind == "input":
-                netlist.add_input(net)
-            elif kind == "output":
-                netlist.add_output(net)
-            # wires need no declaration in the model
+        try:
+            for net in nets:
+                add(net)
+        except NetlistError as exc:
+            raise VerilogError(f"{kind} declaration: {exc}") from exc
+    return budget
 
 
 def _apply_assign(netlist: Netlist, match: "re.Match[str]", tie_counter: int) -> int:
@@ -378,20 +508,14 @@ def _apply_instance(
 # writer
 # ----------------------------------------------------------------------
 
-def _pin_names(gate) -> Tuple[str, Tuple[str, ...]]:
-    """Return (output pin, input pins) for a gate per the writer convention."""
-    if gate.cell.sequential:
+def _pin_names(cell: CellType, count: int) -> Tuple[str, Tuple[str, ...]]:
+    """(output pin, input pins) the writer names for a ``cell`` gate with
+    ``count`` inputs; the fast reader accepts exactly these."""
+    if cell.sequential:
         return "Q", ("D",)
-    if gate.cell.family == "mux":
+    if cell.family == "mux":
         return "Z", ("S", "A", "B")
-    return "Z", _input_letters(len(gate.inputs))
-
-
-@functools.lru_cache(maxsize=None)
-def _input_letters(count: int) -> Tuple[str, ...]:
-    # A, B, C, ... skipping the output letters entirely (we never need
-    # more than 26 - small fanins in mapped netlists).
-    return tuple(chr(ord("A") + i) for i in range(count))
+    return "Z", _INPUT_PINS[:count]
 
 
 def _sized_cell_name(gate) -> str:
@@ -431,11 +555,17 @@ def write_verilog(netlist: Netlist) -> str:
     for net in sorted(netlist.internal_nets()):
         lines.append(f"  wire {esc(net)};")
     for gate in netlist.gates_in_file_order():
-        out_pin, in_pins = _pin_names(gate)
-        conns = [f".{out_pin}({esc(gate.output)})"]
-        conns.extend(
-            f".{pin}({esc(net)})" for pin, net in zip(in_pins, gate.inputs)
-        )
+        if len(gate.inputs) > len(_INPUT_PINS):
+            # More inputs than pin letters: positional, output first.
+            conns = [esc(gate.output)]
+            conns.extend(esc(net) for net in gate.inputs)
+        else:
+            out_pin, in_pins = _pin_names(gate.cell, len(gate.inputs))
+            conns = [f".{out_pin}({esc(gate.output)})"]
+            conns.extend(
+                f".{pin}({esc(net)})"
+                for pin, net in zip(in_pins, gate.inputs)
+            )
         lines.append(
             f"  {_sized_cell_name(gate)} {esc(gate.name)} "
             f"({', '.join(conns)});"

@@ -259,6 +259,95 @@ class TestOneEntryPerRequest:
         assert session.analyze(loaded).digest == netlist_digest(loaded)
 
 
+class TestIdentifyCli:
+    """``repro identify`` goes through ``Session.analyze(path)``, which
+    probes before it parses: a cold ``--store`` run stores the file's
+    bytes, a warm run parses only for the flags that read the netlist,
+    and the listing reads the report's counts."""
+
+    @pytest.fixture()
+    def design(self, tmp_path):
+        path = tmp_path / "b03.v"
+        path.write_text(write_verilog(BENCHMARKS["b03"]()))
+        return str(path), str(tmp_path / "store")
+
+    def test_cold_store_run_stores_the_files_bytes(
+        self, design, writes, capsys
+    ):
+        path, store = design
+        assert identify_main([path, "--store", store]) == 0
+        assert writes == []
+        with open(path, "rb") as handle:
+            data = handle.read()
+        body = _body(ArtifactStore(store), bytes_digest(data))
+        assert (body["format"], body["text"]) == ("verilog", data.decode())
+
+    @pytest.mark.parametrize("flag, parses", [
+        (None, 0), ("--propagate", 1), ("--operators", 1), ("--score", 1),
+        ("--verify-reductions", 1),
+    ])
+    def test_warm_run_parses_only_for_flags_that_read_the_netlist(
+        self, design, calls, capsys, flag, parses
+    ):
+        path, store = design
+        assert identify_main([path, "--store", store]) == 0
+        assert calls["parse_verilog"] == 1
+        argv = [path, "--store", store] + ([flag] if flag else [])
+        assert identify_main(argv) == 0
+        assert calls["parse_verilog"] == 1 + parses
+
+    @pytest.mark.parametrize("flag", [
+        "--propagate", "--operators", "--score", "--verify-reductions",
+    ])
+    def test_cold_run_with_a_netlist_flag_parses_once(
+        self, design, calls, writes, capsys, flag
+    ):
+        path, store = design
+        assert identify_main([path, "--store", store, flag]) == 0
+        assert calls["parse_verilog"] == 1
+        # The loaded netlist's text is the body, as for any netlist
+        # whose source text is not kept.
+        assert writes == ["b03"]
+        # The entry is keyed by the file's bytes: a plain run hits it.
+        assert identify_main([path, "--store", store, "--json", "-"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[out.index("{"):])
+        assert report["trace"]["cache_provenance"]["provenance"] == "hit"
+        assert calls["parse_verilog"] == 1
+
+    def test_a_run_builds_the_net_set_once(
+        self, design, monkeypatch, capsys
+    ):
+        path, store = design
+        built = []
+        original = Netlist.nets
+
+        def counted(netlist):
+            built.append(netlist.name)
+            return original(netlist)
+
+        monkeypatch.setattr(Netlist, "nets", counted)
+        assert identify_main([path, "--store", store, "--json", "-"]) == 0
+        cold = capsys.readouterr().out
+        assert built == ["b03"]
+        assert identify_main([path, "--store", store, "--json", "-"]) == 0
+        warm = capsys.readouterr().out
+        assert built == ["b03"]  # a hit reads the stored summary
+        assert warm[:warm.index("{")] == cold[:cold.index("{")]
+        assert json.loads(warm[warm.index("{"):])["netlist"] == json.loads(
+            cold[cold.index("{"):]
+        )["netlist"]
+        netlist = BENCHMARKS["b03"]()
+        assert cold.startswith(
+            f"b03: {netlist.num_gates} gates, {netlist.num_nets} nets, "
+            f"{netlist.num_ffs} flip-flops\n"
+        )
+        assert json.loads(cold[cold.index("{"):])["netlist"] == {
+            "name": "b03", "gates": netlist.num_gates,
+            "nets": netlist.num_nets, "flip_flops": netlist.num_ffs,
+        }
+
+
 class TestWarmTriage:
     """A triage reads the identification, then the ranking, and parses
     the design only when one of them misses."""

@@ -119,6 +119,20 @@ class TestErrors:
         assert err.startswith(f"error: cannot parse {bad}: ")
         assert "Traceback" not in err
 
+    def test_declaring_a_driven_net_is_a_parse_error(self, tmp_path, capsys):
+        """Regression: an ``input`` declaration of a net a gate drives
+        escaped the parser as a ``NetlistError`` traceback with exit 1."""
+        bad = tmp_path / "driven.v"
+        bad.write_text(
+            "module t (a, y);\n  input a;\n  INV g (.Z(y), .A(a));\n"
+            "  input y;\nendmodule\n"
+        )
+        assert main([str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse {bad}: ")
+        assert "line 4:3: input declaration: net 'y' already driven" in err
+        assert "Traceback" not in err
+
     def test_config_flags_forwarded(self, verilog_path, capsys):
         assert main([verilog_path, "--depth", "3",
                      "--max-simultaneous", "1"]) == 0
