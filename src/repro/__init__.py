@@ -51,11 +51,21 @@ from .core import (
     PipelineConfig,
     Word,
 )
-from .eval import evaluate, extract_reference_words, run_benchmark
+from .eval import evaluate, extract_reference_words
 from .netlist import Netlist, NetlistBuilder, parse_verilog, write_verilog
 from .store import ArtifactStore
 
 __version__ = "5.0.0"
+
+
+def __getattr__(name):
+    # Resolved on first use, so importing repro leaves repro.eval.runner
+    # unimported (see repro.eval).
+    if name == "run_benchmark":
+        from .eval.runner import run_benchmark
+
+        return run_benchmark
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AnalysisReport",

@@ -32,18 +32,15 @@ from __future__ import annotations
 
 import errno
 import functools
-import gc
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
 from . import metrics as _metrics
-from .core.pipeline import PipelineConfig, identify_words
+from .core.pipeline import PipelineConfig, _gc_paused, identify_words
 from .core.words import IdentificationResult
 from .netlist.bench import parse_bench
 from .netlist.netlist import Netlist
@@ -354,6 +351,9 @@ class Session:
                     if text is None:
                         text, format = write_verilog(netlist), "verilog"
                     store.commit_netlist(digest, text, format)
+            # Freed while the collector is still off, so its next pass
+            # does not walk a netlist that is about to die anyway.
+            del netlist
         return _report(digest, source, cache, key, summary, result)
 
     def _key(self, netlist: Netlist) -> Tuple[str, Optional[str]]:
@@ -722,36 +722,6 @@ class Session:
 
 class _NoBody(Exception):
     """Internal: :meth:`Session.triage_digest` found no stored body."""
-
-
-# A request builds no reference cycles (tests/test_lifetime.py), so the
-# cyclic collector has nothing to find inside one, yet the millions of
-# objects a large design allocates trigger its full collections anyway
-# (about 0.3 s over a cold b18 request).  _gc_paused switches it off for
-# the request's heavy part.  The collector is one per process, so the
-# count of pauses in flight is too: pauses overlap under serve's thread
-# pool, and the first one in switches the collector off only if it was
-# on, the last one out back on only if a pause switched it off.
-_gc_lock = threading.Lock()
-_gc_pauses = 0
-_gc_was_enabled = False
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    global _gc_pauses, _gc_was_enabled
-    with _gc_lock:
-        if _gc_pauses == 0:
-            _gc_was_enabled = gc.isenabled()
-            gc.disable()
-        _gc_pauses += 1
-    try:
-        yield
-    finally:
-        with _gc_lock:
-            _gc_pauses -= 1
-            if _gc_pauses == 0 and _gc_was_enabled:
-                gc.enable()
 
 
 def _report(

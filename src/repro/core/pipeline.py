@@ -34,9 +34,12 @@ equivalent for the re-check, and the latter keeps per-subgroup cost small.
 
 from __future__ import annotations
 
+import gc
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from ..netlist.netlist import Netlist
 from .backends import resolve
@@ -159,7 +162,42 @@ def identify_words(
 
     This function always computes.  Caching whole results in an
     artifact store is :class:`repro.api.Session`'s job: it keys the
-    request, probes, and commits around this call.
+    request, probes, and commits around this call.  The run holds a
+    pause of the cyclic collector (:func:`_gc_paused`), so every caller
+    (a served request, ``repro table1``, a fuzz campaign) times the same
+    work.
     """
     config = config or PipelineConfig()
-    return resolve(config.backend).runner(netlist, config)
+    with _gc_paused():
+        return resolve(config.backend).runner(netlist, config)
+
+
+# An analysis builds no reference cycles (tests/test_lifetime.py), so the
+# cyclic collector has nothing to find inside one, yet the millions of
+# objects a large design allocates trigger its full collections anyway
+# (about 0.3 s over a cold b18 request).  _gc_paused switches it off for
+# the heavy part: the engine run here, and a request's parse, run and
+# commits in repro.api.Session.  The collector is one per process, so the
+# count of pauses in flight is too: pauses nest and overlap under serve's
+# thread pool, and the first one in switches the collector off only if it
+# was on, the last one out back on only if a pause switched it off.
+_gc_lock = threading.Lock()
+_gc_pauses = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    global _gc_pauses, _gc_was_enabled
+    with _gc_lock:
+        if _gc_pauses == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_pauses -= 1
+            if _gc_pauses == 0 and _gc_was_enabled:
+                gc.enable()

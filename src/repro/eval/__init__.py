@@ -8,7 +8,6 @@ from .reference import (
     extract_reference_words,
 )
 from .report import rows_from_json, rows_to_csv, rows_to_json
-from .runner import BenchmarkRun, run_benchmark, run_table1
 from .table import BenchmarkRow, TechniqueRow, average_row, render_table
 
 __all__ = [
@@ -19,3 +18,14 @@ __all__ = [
     "BenchmarkRun", "run_benchmark", "run_table1",
     "BenchmarkRow", "TechniqueRow", "average_row", "render_table",
 ]
+
+
+def __getattr__(name):
+    # The runner is imported on first use, not with the package:
+    # ``python -m repro.eval.runner`` imports this package first, and a
+    # runner already in sys.modules by then makes runpy warn.
+    if name in ("BenchmarkRun", "run_benchmark", "run_table1"):
+        from . import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,7 +31,7 @@ how a gate *simplifies* once some of its inputs are tied to constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce as _reduce
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -73,6 +73,10 @@ class CellType:
         constant).
     min_inputs / max_inputs:
         Legal fanin-count range.  ``max_inputs=None`` means unbounded.
+
+    ``sequential`` (a flip-flop) and ``combinational`` (neither a
+    flip-flop nor a constant) are derived from ``family`` once, when the
+    type is made: the analysis asks them of every gate many times over.
     """
 
     name: str
@@ -80,19 +84,18 @@ class CellType:
     inverted: bool
     min_inputs: int
     max_inputs: Optional[int]
+    sequential: bool = field(init=False, repr=False, compare=False)
+    combinational: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sequential", self.family == "dff")
+        object.__setattr__(
+            self, "combinational", self.family not in ("dff", "const")
+        )
 
     # ------------------------------------------------------------------
     # classification helpers
     # ------------------------------------------------------------------
-    @property
-    def sequential(self) -> bool:
-        """True for state-holding cells (flip-flops)."""
-        return self.family == "dff"
-
-    @property
-    def combinational(self) -> bool:
-        return self.family not in ("dff", "const")
-
     @property
     def is_constant(self) -> bool:
         return self.family == "const"

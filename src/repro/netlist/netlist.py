@@ -15,6 +15,8 @@ words are the FF *input* nets).
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cells import CellType, DFF, LIBRARY
@@ -63,14 +65,16 @@ class Netlist:
 
     def __init__(self, name: str = "top"):
         self.name = name
-        self._gates: Dict[str, Gate] = {}
-        # Gate names in file order.  A dict is used as an ordered set so
+        # Gates by name, in file order.  A dict keeps insertion order, so
         # removal is O(1) and in-place replacement keeps the position
-        # (synthesis passes remove/replace thousands of gates; a list here
-        # makes them quadratic).
-        self._order: Dict[str, None] = {}
+        # (synthesis passes remove/replace thousands of gates; a list
+        # here makes them quadratic).
+        self._gates: Dict[str, Gate] = {}
         self._driver: Dict[str, Gate] = {}  # net -> driving gate
-        self._fanouts: Dict[str, List[Gate]] = {}  # net -> consuming gates
+        # net -> consuming gates, built on the first query that needs it:
+        # analyzing a parsed netlist never does.  Until it is built, each
+        # list it would hold is in file order (see replace_gate).
+        self._fanouts: Optional[Dict[str, List[Gate]]] = None
         # Ports in declaration order (the order the writer emits them),
         # mirrored by sets for O(1) membership: b18 declares ~1,000 ports
         # and every gate, net and written line asks "is this a port?".
@@ -86,15 +90,77 @@ class Netlist:
         # Cached name -> file position; lets subcircuit extraction order a
         # small kept-gate set without scanning every gate in the netlist.
         self._position_cache: Optional[Dict[str, int]] = None
+        # ``(revision, flip-flops in file order)`` and ``(revision, net
+        # count)``: facts that cost a scan of every gate, kept until the
+        # revision moves.
+        self._ff_cache: Optional[Tuple[int, List[Gate]]] = None
+        self._net_count: Optional[Tuple[int, int]] = None
         # ``(revision, name, digest)``: the ``file:`` digest of the bytes
         # ``repro.api.Session`` parsed this netlist from, so analyzing it
         # keys by those bytes.  The stamp, not a mutation hook, is what
         # invalidates it: stale once the revision or name moves.
         self._source_digest: Optional[Tuple[int, str, str]] = None
         # Monotonic structural revision, bumped by every mutation.  The
-        # stamp above records it, so a mutated netlist never answers
-        # with a stale key.
+        # stamps above record it, so a mutated netlist never answers
+        # with a stale fact or key.
         self.revision: int = 0
+
+    @classmethod
+    def _from_rows(
+        cls,
+        name: str,
+        inputs: Iterable[str],
+        outputs: Iterable[str],
+        rows: Iterable[Tuple[str, CellType, Sequence[str], str]],
+    ) -> "Netlist":
+        """A netlist built in one pass over its gate ``rows``.
+
+        Each row is ``(name, cell, input nets, output net)``, in file
+        order; ``inputs`` and ``outputs`` are the port declarations in
+        order, repeats ignored.  The ports are read after the last row,
+        so a reader may fill them while it yields rows.  The result
+        equals, ``revision`` included, the netlist that
+        :meth:`add_input`, :meth:`add_output` and :meth:`add_gate` build
+        from the same declarations, and it refuses what they refuse,
+        whether a port is declared before or after the gate that drives
+        it: a repeated gate name, a net driven twice or a driven primary
+        input (:class:`NetlistError`), and a wrong input count
+        (``ValueError``).  The flip-flop list is filled on the way.
+        """
+        netlist = cls(name)
+        gates = netlist._gates
+        driver = netlist._driver
+        flip_flops: List[Gate] = []
+        for gate_name, cell, gate_inputs, output in rows:
+            if gate_name in gates:
+                raise NetlistError(f"duplicate gate name {gate_name!r}")
+            if output in driver:
+                raise NetlistError(
+                    f"net {output!r} already driven by "
+                    f"{driver[output].name!r}"
+                )
+            gate = Gate(gate_name, cell, gate_inputs, output)
+            gates[gate_name] = driver[output] = gate
+            if cell.sequential:
+                flip_flops.append(gate)
+        for net in inputs:
+            if net in driver:
+                raise NetlistError(
+                    f"net {net!r} already driven; cannot be an input"
+                )
+            if net not in netlist._input_set:
+                netlist.primary_inputs.append(net)
+                netlist._input_set.add(net)
+        for net in outputs:
+            if net not in netlist._output_set:
+                netlist.primary_outputs.append(net)
+                netlist._output_set.add(net)
+        netlist.revision = (
+            len(gates) + len(netlist.primary_inputs)
+            + len(netlist.primary_outputs)
+        )
+        netlist._ff_cache = (netlist.revision, flip_flops)
+        return netlist
 
     # ------------------------------------------------------------------
     # construction
@@ -132,10 +198,11 @@ class Netlist:
             raise NetlistError(f"net {output!r} is a primary input")
         gate = Gate(name, cell, inputs, output)
         self._gates[name] = gate
-        self._order[name] = None
         self._driver[output] = gate
-        for net in gate.inputs:
-            self._fanouts.setdefault(net, []).append(gate)
+        fanouts = self._fanouts
+        if fanouts is not None:
+            for net in gate.inputs:
+                fanouts.setdefault(net, []).append(gate)
         if cell.sequential:
             self._leaf_cache = None
         self._position_cache = None
@@ -145,13 +212,14 @@ class Netlist:
     def remove_gate(self, name: str) -> Gate:
         """Remove a gate; its output net becomes undriven."""
         gate = self._gates.pop(name)
-        del self._order[name]
         self._position_cache = None
         del self._driver[gate.output]
-        for net in gate.inputs:
-            self._fanouts[net].remove(gate)
-            if not self._fanouts[net]:
-                del self._fanouts[net]
+        fanouts = self._fanouts
+        if fanouts is not None:
+            for net in gate.inputs:
+                fanouts[net].remove(gate)
+                if not fanouts[net]:
+                    del fanouts[net]
         if gate.is_ff:
             self._leaf_cache = None
         self.revision += 1
@@ -167,19 +235,22 @@ class Netlist:
         """Swap a gate's cell/inputs in place, keeping its file position."""
         old = self._gates[name]
         new_output = output if output is not None else old.output
+        # The replacement joins the end of each fanout list it enters,
+        # not its file position, so the index must exist from here on.
+        fanouts = self._fanout_index()
         # Detach old connectivity.
         del self._driver[old.output]
         for net in old.inputs:
-            self._fanouts[net].remove(old)
-            if not self._fanouts[net]:
-                del self._fanouts[net]
+            fanouts[net].remove(old)
+            if not fanouts[net]:
+                del fanouts[net]
         if new_output in self._driver:
             raise NetlistError(f"net {new_output!r} already driven")
         gate = Gate(name, cell, inputs, new_output)
-        self._gates[name] = gate  # name keeps its slot in _order
+        self._gates[name] = gate  # the name keeps its file position
         self._driver[new_output] = gate
         for net in gate.inputs:
-            self._fanouts.setdefault(net, []).append(gate)
+            fanouts.setdefault(net, []).append(gate)
         if old.is_ff or gate.is_ff:
             self._leaf_cache = None
         self.revision += 1
@@ -200,9 +271,9 @@ class Netlist:
     def has_net(self, net: str) -> bool:
         return (
             net in self._driver
-            or net in self._fanouts
             or net in self._input_set
             or net in self._output_set
+            or net in self._fanout_index()
         )
 
     def ports(self) -> List[str]:
@@ -214,8 +285,7 @@ class Netlist:
 
     def gates_in_file_order(self) -> Iterator[Gate]:
         """Gates in the order their defining lines appear in the file."""
-        for name in self._order:
-            yield self._gates[name]
+        return iter(self._gates.values())
 
     def gates(self) -> Iterator[Gate]:
         return self.gates_in_file_order()
@@ -242,41 +312,69 @@ class Netlist:
         """
         if self._position_cache is None:
             self._position_cache = {
-                name: pos for pos, name in enumerate(self._order)
+                name: pos for pos, name in enumerate(self._gates)
             }
         return self._position_cache
 
     def fanouts(self, net: str) -> Tuple[Gate, ...]:
         """Gates consuming ``net`` (possibly empty)."""
-        return tuple(self._fanouts.get(net, ()))
+        return tuple(self._fanout_index().get(net, ()))
+
+    def _fanout_index(self) -> Dict[str, List[Gate]]:
+        """The net -> consuming gates index, built on first use."""
+        fanouts = self._fanouts
+        if fanouts is None:
+            fanouts = self._fanouts = {}
+            for gate in self._gates.values():
+                for net in gate.inputs:
+                    fanouts.setdefault(net, []).append(gate)
+        return fanouts
+
+    def _read_nets(self) -> Iterable[str]:
+        """Every net some gate reads: the fanout index's keys once it is
+        built, else each gate's inputs (with repeats)."""
+        if self._fanouts is not None:
+            return self._fanouts
+        return chain.from_iterable(
+            map(attrgetter("inputs"), self._gates.values())
+        )
 
     def nets(self) -> Set[str]:
         """All net names appearing anywhere in the netlist."""
         result: Set[str] = set(self.primary_inputs)
         result.update(self.primary_outputs)
         result.update(self._driver)
-        result.update(self._fanouts)
+        result.update(self._read_nets())
         return result
 
     def internal_nets(self) -> Set[str]:
         """Nets that are neither primary inputs nor primary outputs."""
         result: Set[str] = set(self._driver)
-        result.update(self._fanouts)
+        result.update(self._read_nets())
         result -= self._input_set
         result -= self._output_set
         return result
 
     def flip_flops(self) -> List[Gate]:
         """All sequential gates, in file order."""
-        return [g for g in self.gates_in_file_order() if g.is_ff]
+        return list(self._flip_flops())
+
+    def _flip_flops(self) -> List[Gate]:
+        """The flip-flop list, scanned once per revision (read-only)."""
+        cached = self._ff_cache
+        if cached is None or cached[0] != self.revision:
+            cached = self._ff_cache = (self.revision, [
+                gate for gate in self._gates.values() if gate.cell.sequential
+            ])
+        return cached[1]
 
     def register_output_nets(self) -> Set[str]:
         """Output nets of flip-flops (fanin-cone leaves)."""
-        return {g.output for g in self.flip_flops()}
+        return {g.output for g in self._flip_flops()}
 
     def register_input_nets(self) -> List[str]:
         """Nets feeding flip-flop D pins, in file order (word candidates)."""
-        return [g.inputs[0] for g in self.flip_flops()]
+        return [g.inputs[0] for g in self._flip_flops()]
 
     def cone_leaf_nets(self) -> frozenset:
         """Nets at which fanin cones terminate: PIs and FF outputs.
@@ -300,11 +398,15 @@ class Netlist:
 
     @property
     def num_nets(self) -> int:
-        return len(self.nets())
+        """How many nets :meth:`nets` holds, counted once per revision."""
+        cached = self._net_count
+        if cached is None or cached[0] != self.revision:
+            cached = self._net_count = (self.revision, len(self.nets()))
+        return cached[1]
 
     @property
     def num_ffs(self) -> int:
-        return sum(1 for g in self._gates.values() if g.is_ff)
+        return len(self._flip_flops())
 
     # ------------------------------------------------------------------
     # structure
@@ -345,19 +447,18 @@ class Netlist:
                     ready.append(consumer)
         if len(order) != len(in_degree):
             raise NetlistError("combinational cycle detected")
-        order.extend(self.flip_flops())
+        order.extend(self._flip_flops())
         return order
 
     def copy(self, name: Optional[str] = None) -> "Netlist":
         """Deep-enough copy: fresh gates and indices, shared cell types."""
-        dup = Netlist(name or self.name)
-        dup.primary_inputs = list(self.primary_inputs)
-        dup.primary_outputs = list(self.primary_outputs)
-        dup._input_set = set(self._input_set)
-        dup._output_set = set(self._output_set)
-        for gate in self.gates_in_file_order():
-            dup.add_gate(gate.name, gate.cell, gate.inputs, gate.output)
-        return dup
+        return Netlist._from_rows(
+            name or self.name, self.primary_inputs, self.primary_outputs,
+            (
+                (gate.name, gate.cell, gate.inputs, gate.output)
+                for gate in self._gates.values()
+            ),
+        )
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same name, ports, and gate lines in order.

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cells import BUF, CellLibrary, CellType, LIBRARY, TIE0, TIE1
 from .netlist import Netlist, NetlistError
@@ -300,7 +300,10 @@ def _parse_recovering(
             if assign:
                 tie_counter = _apply_assign(netlist, assign, tie_counter)
                 continue
-            inst = _INSTANCE_RE.match(stmt)
+            # An instance ends with ")".  Checking that first keeps the
+            # regex from retrying a long statement that lacks one from
+            # every "(" in it, which is quadratic in its length.
+            inst = stmt.endswith(")") and _INSTANCE_RE.match(stmt)
             if inst:
                 _apply_instance(netlist, inst, library)
                 continue
@@ -329,6 +332,10 @@ def parse_verilog_file(path, library: CellLibrary = LIBRARY) -> Netlist:
         return parse_verilog(handle.read(), library)
 
 
+class _OffLayout(Exception):
+    """Internal: a line outside :func:`write_verilog`'s layout."""
+
+
 def _read_canonical(text: str, library: CellLibrary) -> Optional[Netlist]:
     """Read text in :func:`write_verilog`'s exact layout, or ``None``.
 
@@ -336,11 +343,12 @@ def _read_canonical(text: str, library: CellLibrary) -> Optional[Netlist]:
     two-space-indented statement per line — ``input``/``output``/``wire``
     of one plain identifier, or an instance with the writer's named pins
     (``.Q .D`` for flip-flops, ``.Z .S .A .B`` for muxes, ``.Z .A .B ...``
-    otherwise) — and ``endmodule`` on the last line.  Where it returns a
+    otherwise) — and ``endmodule`` on the last line.  The netlist is
+    built while the lines are read, by :meth:`Netlist._from_rows`, which
+    refuses what :meth:`Netlist.add_gate` refuses.  Where this returns a
     netlist, the general parser builds an equal one; on any other line,
-    an unknown cell, or a gate :meth:`Netlist.add_gate` refuses, it
-    returns ``None`` and leaves the text (and its diagnostics) to that
-    parser.
+    an unknown cell, or a refused gate, it returns ``None`` and leaves
+    the text (and its diagnostics) to that parser.
     """
     if "/" in text or "\\" in text:  # comments, escaped identifiers
         return None
@@ -352,43 +360,58 @@ def _read_canonical(text: str, library: CellLibrary) -> Optional[Netlist]:
     header = _CANON_HEADER_RE.fullmatch(lines[0])
     if header is None:  # the port list is ignored, as the parser does
         return None
-    netlist = Netlist(header.group(1))
-    add_gate = netlist.add_gate
+    inputs: List[str] = []
+    outputs: List[str] = []
+    try:
+        return Netlist._from_rows(
+            header.group(1), inputs, outputs,
+            _canonical_rows(lines, library, inputs, outputs),
+        )
+    except (_OffLayout, ValueError):  # NetlistError, or an arity check
+        return None
+
+
+def _canonical_rows(
+    lines: List[str],
+    library: CellLibrary,
+    inputs: List[str],
+    outputs: List[str],
+) -> Iterator[Tuple[str, CellType, Tuple[str, ...], str]]:
+    """The gate rows of the statement lines ``lines[1:-1]``, for
+    :meth:`Netlist._from_rows`; port declarations are appended to
+    ``inputs``/``outputs`` on the way.  Raises :class:`_OffLayout` on a
+    line outside the layout or an instance of an unknown cell."""
     declaration = _CANON_DECL_RE.fullmatch
     instance = _CANON_INSTANCE_RE.fullmatch
     pins_of = _CANON_PIN_RE.findall
     cells: Dict[str, CellType] = {}
-    try:
-        for index in range(1, len(lines) - 1):
-            line = lines[index]
-            decl = declaration(line)
-            if decl is not None:
-                kind, net = decl.groups()
-                if kind == "input":
-                    netlist.add_input(net)
-                elif kind == "output":
-                    netlist.add_output(net)
-                continue
-            match = instance(line)
-            if match is None:
-                return None
-            cell_name, name, out_pin, output, connections = match.groups()
-            cell = cells.get(cell_name)
-            if cell is None:
-                if (
-                    cell_name.startswith(_KEYWORD_PREFIXES)
-                    or cell_name not in library
-                ):
-                    return None
-                cell = cells[cell_name] = library.get(cell_name)
-            pairs = pins_of(connections)
-            pins = tuple([pin for pin, _ in pairs])
-            if (out_pin, pins) != _pin_names(cell, len(pins)):
-                return None
-            add_gate(name, cell, [net for _, net in pairs], output)
-    except ValueError:  # NetlistError, or a cell's arity check
-        return None
-    return netlist
+    for index in range(1, len(lines) - 1):
+        line = lines[index]
+        decl = declaration(line)
+        if decl is not None:
+            kind, net = decl.groups()
+            if kind == "input":
+                inputs.append(net)
+            elif kind == "output":
+                outputs.append(net)
+            continue
+        match = instance(line)
+        if match is None:
+            raise _OffLayout
+        cell_name, name, out_pin, output, connections = match.groups()
+        cell = cells.get(cell_name)
+        if cell is None:
+            if (
+                cell_name.startswith(_KEYWORD_PREFIXES)
+                or cell_name not in library
+            ):
+                raise _OffLayout
+            cell = cells[cell_name] = library.get(cell_name)
+        pairs = pins_of(connections)
+        pins = tuple([pin for pin, _ in pairs])
+        if (out_pin, pins) != _pin_names(cell, len(pins)):
+            raise _OffLayout
+        yield name, cell, tuple([net for _, net in pairs]), output
 
 
 def _apply_declaration(
@@ -468,7 +491,10 @@ def _apply_instance(
             f"unknown cell type {cell_name!r} on instance {inst_name!r}",
             token=cell_name,
         ) from exc
-    named = _NAMED_PIN_RE.findall(body)
+    # A pin ends with ")", so none starts after the body's last one.
+    # The bound keeps the lazy match from scanning to the end of the body
+    # from every "." after it, which is quadratic in its length.
+    named = _NAMED_PIN_RE.findall(body, 0, body.rfind(")") + 1)
     if named:
         pins: Dict[str, str] = {
             pin.upper(): _canon_net(net) for pin, net in named if net.strip()

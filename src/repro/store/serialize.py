@@ -24,6 +24,7 @@ import hashlib
 import json
 from typing import Dict
 
+from ..core.stages import AnalysisEngine
 from ..core.words import (
     SIGNATURE_KERNEL,
     CacheStats,
@@ -62,6 +63,20 @@ def _trace_to_dict(trace: StageTrace) -> Dict:
     }
 
 
+#: Every stage name in run order: ``regfeat``'s ``features`` and
+#: ``pairing``, then the six stages of the engine that ``ours`` and
+#: ``base`` run; both end with ``emission``.  Envelopes are stored with
+#: sorted keys, so a loaded trace lists its stages in this order, as the
+#: run that stored it did.
+_STAGE_RANK = {
+    name: rank
+    for rank, name in enumerate((
+        "features", "pairing",
+        *(stage.name for stage in AnalysisEngine.stages),
+    ))
+}
+
+
 def _trace_from_dict(payload: Dict) -> StageTrace:
     trace = StageTrace()
     for name, value in payload.get("counters", {}).items():
@@ -72,7 +87,13 @@ def _trace_from_dict(payload: Dict) -> StageTrace:
     # cache counters of retired caches, are ignored: no past value of
     # either knob changed a result.
     trace.backend = payload.get("backend", "ours")
-    trace.stage_seconds = dict(payload.get("stage_seconds", {}))
+    stored = payload.get("stage_seconds", {})
+    trace.stage_seconds = {
+        name: stored[name]
+        for name in sorted(
+            stored, key=lambda name: _STAGE_RANK.get(name, len(_STAGE_RANK))
+        )
+    }
     cache_fields = payload.get("cache", {})
     trace.cache = CacheStats(**{
         name: cache_fields.get(name, 0)

@@ -1,16 +1,35 @@
-"""Suite-wide checks.
+"""Suite-wide checks and shared designs.
 
 A test that starts ``python -m repro.batch`` must also stop it and its
 pool workers: a leaked worker keeps running after the suite ends (a hung
 one for a minute), competing with whatever runs next.  The session
 fixture below fails the run when a live ``repro.batch`` process still
 names this run's temporary directory on its command line.
+
+Synthesizing an ITC99 design is slow (b18 takes seconds), so the
+``itc99`` fixture builds each design once per run and hands every test
+its own copy.
 """
 
+import functools
 import os
 import time
 
 import pytest
+
+
+@functools.cache
+def _synthesized(name):
+    from repro.synth.designs import BENCHMARKS
+
+    return BENCHMARKS[name]()
+
+
+@pytest.fixture(scope="session")
+def itc99():
+    """``itc99(name)``: a private copy of ITC99 design ``name``,
+    synthesized once per test run."""
+    return lambda name: _synthesized(name).copy()
 
 
 def _live_batch_processes(basetemp: str):

@@ -150,8 +150,8 @@ class TestKernelSwitch:
 
 class TestDifferential:
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-    def test_byte_identical_on_itc99(self, name):
-        netlist = BENCHMARKS[name]()
+    def test_byte_identical_on_itc99(self, name, itc99):
+        netlist = itc99(name)
         result = identify_words(netlist, PipelineConfig())
         assert result_digest(result) == ITC99_DIGESTS[name], (
             f"result digest of {name} moved"

@@ -1,5 +1,7 @@
 """Tests for the experiment runner and its CLI."""
 
+import os
+import subprocess
 import sys
 
 import pytest
@@ -118,3 +120,31 @@ class TestCli:
         for deadline in ("0", "nan"):
             assert main(["b03", "--deadline", deadline]) == 2
             assert capsys.readouterr().err.startswith("error: deadline_s")
+
+    def test_module_entry_point_prints_no_runtime_warning(self):
+        """``python -m repro.eval.runner`` runs a module its package did
+        not import first, so runpy has nothing to warn about."""
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__)
+            ))),
+            "src",
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.eval.runner", "--help"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert "usage:" in done.stdout
+        assert "RuntimeWarning" not in done.stderr
+
+    def test_the_package_still_exports_the_runner(self):
+        import repro
+        import repro.eval
+
+        assert repro.eval.run_table1 is run_table1
+        assert repro.eval.run_benchmark is run_benchmark
+        assert repro.run_benchmark is run_benchmark
+        with pytest.raises(AttributeError):
+            repro.eval.no_such_name

@@ -175,6 +175,95 @@ class TestPorts:
         small.add_gate("g9", AND, ["x", "y"], "w")  # still legal here
 
 
+def _rows(netlist):
+    return [
+        (gate.name, gate.cell, gate.inputs, gate.output)
+        for gate in netlist.gates_in_file_order()
+    ]
+
+
+class TestRowConstructor:
+    """``Netlist._from_rows`` builds in one pass what ``add_input``,
+    ``add_output`` and ``add_gate`` build, and refuses what they refuse
+    whatever the order of declarations and gates."""
+
+    def test_equals_the_incremental_build(self, small):
+        built = Netlist._from_rows(
+            "small", ["x", "y", "x"], ["n2", "n2"], _rows(small)
+        )
+        assert built == small
+        assert built.revision == small.revision
+        assert built.flip_flops()[0].name == "ff"
+        assert (built.num_ffs, built.num_nets) == (1, 5)
+        assert built.fanouts("n1") == tuple(
+            built.gate(name) for name in ("ff", "g2")
+        )
+
+    @pytest.mark.parametrize("row", [
+        ("g1", AND, ("x", "y"), "other"),  # duplicate gate name
+        ("g3", AND, ("x", "y"), "n1"),     # a second driver of n1
+        ("g3", AND, ("n1", "q"), "x"),     # drives a primary input
+    ])
+    def test_refuses_what_add_gate_refuses(self, small, row):
+        with pytest.raises(NetlistError):
+            small.add_gate(*row)
+        with pytest.raises(NetlistError):
+            Netlist._from_rows("m", ["x", "y"], [], _rows(small) + [row])
+
+    def test_refuses_a_driven_net_declared_an_input_after_its_gate(
+        self, small
+    ):
+        with pytest.raises(NetlistError):
+            small.add_input("n1")
+        with pytest.raises(NetlistError):
+            Netlist._from_rows("m", ["x", "y", "n1"], [], _rows(small))
+
+    def test_refuses_a_wrong_input_count(self):
+        with pytest.raises(ValueError):
+            Netlist._from_rows("m", ["a"], [], [("g", AND, ("a",), "y")])
+
+
+class TestLazyFacts:
+    """The fanout index is built on the first query that needs it, and the
+    flip-flop list and net count are kept until the revision moves."""
+
+    def test_counts_and_net_sets_never_build_the_fanout_index(self, small):
+        fresh = small.copy()
+        assert fresh.num_nets == 5
+        assert fresh.nets() == {"x", "y", "n1", "q", "n2"}
+        assert fresh.internal_nets() == {"n1", "q"}
+        assert fresh.num_ffs == 1
+        assert fresh._fanouts is None
+        assert fresh.has_net("n1")  # a driven net: no index either
+        assert fresh._fanouts is None
+        assert fresh.fanouts("q") == (fresh.gate("g2"),)
+        assert fresh._fanouts is not None
+
+    def test_edits_before_the_index_is_built_match_edits_after(self, small):
+        lazy, eager = small.copy(), small.copy()
+        eager.fanouts("x")  # built before any edit
+        for netlist in (lazy, eager):
+            netlist.remove_gate("g2")
+            netlist.add_gate("g3", OR, ["q", "x"], "n3")
+            netlist.add_gate("g4", AND, ["x", "n1"], "n4")
+            netlist.replace_gate("g1", NAND, ["y", "x"])
+        for net in ("x", "y", "n1", "q", "n3", "n4"):
+            assert [g.name for g in lazy.fanouts(net)] == [
+                g.name for g in eager.fanouts(net)
+            ], net
+        assert [g.name for g in lazy.fanouts("x")] == ["g3", "g4", "g1"]
+
+    def test_stale_facts_are_recomputed_after_a_mutation(self, small):
+        assert (small.num_ffs, small.num_nets) == (1, 5)
+        small.add_gate("ff2", DFF, ["n2"], "q2")
+        assert (small.num_ffs, small.num_nets) == (2, 6)
+        assert [g.name for g in small.flip_flops()] == ["ff", "ff2"]
+        small.remove_gate("ff")
+        assert (small.num_ffs, small.num_nets) == (1, 6)
+        small.add_input("w")
+        assert small.num_nets == 7
+
+
 class TestEquality:
     def test_same_object_does_not_walk_the_gates(self, small, monkeypatch):
         def walk(self):

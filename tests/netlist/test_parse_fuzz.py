@@ -7,7 +7,8 @@ contract between them, checked on writer text and on line and character
 mutations of it:
 
 * the fast reader returns ``None`` or a netlist equal to the general
-  parser's (``==`` and ``netlist_digest``);
+  parser's (``==``, ``netlist_digest`` and every fact the netlist
+  answers, also after the same edits on both);
 * whenever the general parser raises, the fast reader returns ``None``.
 
 Separately, ``parse_verilog`` raises nothing but ``VerilogError`` and
@@ -194,6 +195,47 @@ def mutated_verilog(draw):
     return "\n".join(lines)
 
 
+def _row(gate):
+    return (gate.name, gate.cell, gate.inputs, gate.output)
+
+
+def _facts(netlist: Netlist):
+    """Everything a netlist answers about itself, gates as plain rows."""
+    nets = netlist.nets()
+    return {
+        "rows": [_row(gate) for gate in netlist.gates_in_file_order()],
+        "ports": (netlist.primary_inputs, netlist.primary_outputs),
+        "flip_flops": [_row(gate) for gate in netlist.flip_flops()],
+        "num_ffs": netlist.num_ffs,
+        "num_nets": netlist.num_nets,
+        "nets": nets,
+        "internal_nets": netlist.internal_nets(),
+        "leaves": netlist.cone_leaf_nets(),
+        "fanouts": {
+            net: [_row(gate) for gate in netlist.fanouts(net)]
+            for net in nets
+        },
+        "positions": netlist.file_positions(),
+        "revision": netlist.revision,
+    }
+
+
+def _edit(netlist: Netlist) -> None:
+    """Remove the middle gate, append a buffer of the last one's output,
+    then replace the first gate with its inputs reversed."""
+    names = [gate.name for gate in netlist.gates_in_file_order()]
+    if not names:
+        return
+    if len(names) > 2:
+        netlist.remove_gate(names[len(names) // 2])
+    netlist.add_gate(
+        "__edit", LIBRARY.get("BUF"), [netlist.gate(names[-1]).output],
+        "__edit_out",
+    )
+    first = netlist.gate(names[0])
+    netlist.replace_gate(first.name, first.cell, first.inputs[::-1])
+
+
 def _check_contract(text: str, library: CellLibrary = LIBRARY) -> None:
     fast = _read_canonical(text, library)
     try:
@@ -204,6 +246,14 @@ def _check_contract(text: str, library: CellLibrary = LIBRARY) -> None:
     if fast is not None:
         assert fast == general
         assert netlist_digest(fast) == netlist_digest(general)
+        assert _facts(fast) == _facts(general)
+        # Edited: the fast reader's netlist with its fanout index still
+        # unbuilt, the general parser's after every query above.
+        fast = _read_canonical(text, library)
+        _edit(fast)
+        _edit(general)
+        assert fast == general
+        assert _facts(fast) == _facts(general)
 
 
 class TestDifferential:
@@ -270,6 +320,26 @@ class TestDifferential:
                 _check_contract(text)
                 if list(variant) != pins:
                     assert _read_canonical(text, LIBRARY) is None, variant
+
+    @pytest.mark.parametrize("line", [
+        "  AND2 g1 (.Z(n9), .A(a), .B(b));",  # a duplicate gate name
+        "  AND2 g9 (.Z(y), .A(a), .B(b));",   # a second driver of y
+        "  AND2 g9 (.Z(a), .A(b), .B(b));",   # drives primary input a
+        "  input y;",                         # declares a driven net
+        "  AND2 g9 (.Z(n9), .A(a));",         # AND takes two inputs
+        "  INV g9 (.Z(n9), .A(a), .B(b));",   # INV takes one
+    ])
+    @pytest.mark.parametrize("at", ["before", "after"])
+    def test_what_add_gate_refuses_the_fast_reader_refuses(self, line, at):
+        body = [
+            "  input a;", "  input b;", "  output y;",
+            "  AND2 g1 (.Z(y), .A(a), .B(b));",
+        ]
+        body.insert(0 if at == "before" else len(body), line)
+        text = "\n".join(["module m (a, b, y);", *body, "endmodule", ""])
+        assert _read_canonical(text, LIBRARY) is None
+        with pytest.raises(VerilogError):
+            _parse_recovering(text, LIBRARY, 10)
 
     def test_sized_names_go_through_the_library(self):
         text = (
@@ -397,6 +467,42 @@ class TestErrors:
             "line 2:10: vector range [99999999999:0]"
         )
 
+    def test_parse_time_is_linear_in_a_statements_length(self):
+        """Regression: an instance of n unclosed ``.A(`` pins, or of n
+        ``(.A`` groups and no closing parenthesis, took time quadratic in
+        n (about 1 s at 12 KB).  The child times n and 2n of each, taking
+        turns, best of nine: a linear parser reads a ratio near 2, a
+        quadratic one near 4, or runs out the timeout."""
+        child = (
+            "import sys, time\n"
+            "from repro.netlist.verilog import VerilogError, parse_verilog\n"
+            "def once(text):\n"
+            "    started = time.perf_counter()\n"
+            "    try:\n"
+            "        parse_verilog(text)\n"
+            "    except VerilogError:\n"
+            "        pass\n"
+            "    return time.perf_counter() - started\n"
+            "for head, unit, tail in (('AND2 g (', '.A(', ');'),\n"
+            "                         ('AND2 g', '(.A', ';')):\n"
+            "    texts = [f'module m ();\\n{head}{unit * k}{tail}\\n"
+            "endmodule\\n' for k in (100000, 200000)]\n"
+            "    times = ([], [])\n"
+            "    for _ in range(9):\n"
+            "        for text, seen in zip(texts, times):\n"
+            "            seen.append(once(text))\n"
+            "    print(min(times[1]) / min(times[0]))\n"
+        )
+        src = os.path.join(REPO, "src")
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        ratios = [float(line) for line in done.stdout.split()]
+        assert len(ratios) == 2
+        assert all(ratio < 3.2 for ratio in ratios), ratios
+
     def test_vector_ranges_share_one_budget(self):
         """The cap is on the nets all ranges expand to together, so many
         names under one wide range cannot multiply past it either."""
@@ -419,8 +525,8 @@ class TestErrors:
 
 class TestCoverage:
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-    def test_itc99_writer_text_takes_the_fast_path(self, name):
-        netlist = BENCHMARKS[name]()
+    def test_itc99_writer_text_takes_the_fast_path(self, name, itc99):
+        netlist = itc99(name)
         fast = _read_canonical(write_verilog(netlist), LIBRARY)
         assert fast is not None
         assert fast == netlist

@@ -205,6 +205,36 @@ class TestOneEntryPerRequest:
         assert built == ["fig1"]
         assert report.num_nets == parse_verilog(text).num_nets
 
+    def test_cold_request_builds_the_netlist_in_one_pass(
+        self, tmp_path, monkeypatch
+    ):
+        """Writer text is read into the netlist with no ``add_gate``
+        call, and the request never builds the netlist's fanout index
+        or scans its gates for flip-flops again."""
+        parsed, added = [], []
+        original_parse, original_add = api._parse, Netlist.add_gate
+
+        def parse(*args):
+            netlist = original_parse(*args)
+            parsed.append((netlist, netlist._ff_cache))
+            return netlist
+
+        def add_gate(netlist, *args):
+            added.append(netlist)
+            return original_add(netlist, *args)
+
+        monkeypatch.setattr(api, "_parse", parse)
+        monkeypatch.setattr(Netlist, "add_gate", add_gate)
+        text = write_verilog(BENCHMARKS["b03"]())
+        report = Session(store=str(tmp_path / "store")).analyze_text(text)
+        assert report.cache == "miss"
+        ((netlist, flip_flops),) = parsed
+        assert added  # the reduction search builds its subcircuits
+        assert not any(other is netlist for other in added)
+        assert netlist._fanouts is None
+        assert netlist._ff_cache is flip_flops
+        assert flip_flops == (netlist.revision, netlist.flip_flops())
+
     def test_warm_triage_text_writes_nothing(self, tmp_path, text, writes):
         store = ArtifactStore(str(tmp_path / "store"))
         session = Session(store=store)

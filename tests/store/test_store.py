@@ -119,6 +119,25 @@ class TestSerialize:
         assert result_digest(restored) == result_digest(result)
         assert restored.trace.cache.as_dict() == result.trace.cache.as_dict()
 
+    @pytest.mark.parametrize("backend", ["ours", "base", "regfeat"])
+    def test_a_warm_trace_lists_its_stages_in_run_order(
+        self, netlist, tmp_path, backend
+    ):
+        """The stored envelope is key-sorted; a hit puts the stages back
+        in the order the cold run timed them."""
+        session = Session(
+            config=PipelineConfig(backend=backend),
+            store=str(tmp_path / "store"),
+        )
+        text = write_verilog(netlist)
+        cold = session.analyze_text(text)
+        warm = session.analyze_text(text)
+        assert (cold.cache, warm.cache) == ("miss", "hit")
+        stages = list(cold.trace["stage_seconds"])
+        assert stages != sorted(stages)
+        assert list(warm.trace["stage_seconds"]) == stages
+        assert warm.trace["stage_seconds"] == cold.trace["stage_seconds"]
+
     def test_degraded_results_are_refused(self, netlist):
         result = identify_words(netlist, PipelineConfig())
         result.trace.deadline_hit = True

@@ -19,6 +19,7 @@ import pytest
 
 import repro.api as api
 from repro.api import Session
+from repro.core import PipelineConfig, identify_words
 from repro.netlist import write_verilog
 from repro.netlist.verilog import VerilogError
 from repro.synth.designs import BENCHMARKS
@@ -178,3 +179,42 @@ class TestCollectorPause:
         assert not any(thread.is_alive() for thread in threads)
         assert not inside_on
         assert gc.isenabled()
+
+
+class TestEnginePause:
+    """``identify_words`` holds the same pause for every caller (Table 1,
+    fuzz campaigns, the scoreboard), and hands the collector back as it
+    found it after a return and after a raise."""
+
+    @pytest.fixture()
+    def netlist(self):
+        return BENCHMARKS["b03"]()
+
+    @staticmethod
+    def _hook(seen):
+        def hook(task):
+            seen.append(gc.isenabled())
+            raise RuntimeError("injected search fault")
+        return hook
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_a_return_and_a_raise(
+        self, netlist, enabled
+    ):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        seen = []
+        try:
+            result = identify_words(
+                netlist, PipelineConfig(fault_hook=self._hook(seen))
+            )
+            assert result.trace.degraded  # the fault was quarantined
+            assert gc.isenabled() == enabled
+            with pytest.raises(RuntimeError, match="injected"):
+                identify_words(netlist, PipelineConfig(
+                    fault_hook=self._hook(seen), strict=True,
+                ))
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen and not any(seen)
