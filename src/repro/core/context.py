@@ -11,8 +11,14 @@ indices ad hoc:
   and subgroups.
 * **Hash keys** are memoized by ``(net, levels)`` (the
   :class:`~repro.core.hashkey.SignatureIndex` scheme), in bulk per-level
-  tables for the levels bit signatures query.
-* **Signatures** are memoized per net.  A
+  tables for the levels bit signatures query, each key formatted once
+  per distinct shape.
+* **Shapes** (:meth:`shapes`) are interned: every bit of one root type
+  and sorted subtree-key multiset shares one
+  :class:`~repro.core.hashkey.BitShape`, which is all that matching
+  compares.
+* **Signatures** are memoized per net and built only on request (the
+  engine asks for the bits of partially matched subgroups).  A
   :class:`~repro.core.hashkey.Subtree` is plain data (root net and key);
   the few consumers that need its expanded tree ask :meth:`cone`.
 * **Incremental reduced re-hash** (:meth:`signatures_after_reduction`):
@@ -43,7 +49,9 @@ from ..netlist.cone import ConeNode, extract_cone
 from ..netlist.netlist import Netlist
 from .hashkey import (
     DEFAULT_DEPTH,
+    LEAF_SHAPE,
     LEAF_TOKEN,
+    BitShape,
     BitSignature,
     Subtree,
     fast_signature,
@@ -89,15 +97,17 @@ class AnalysisContext:
         self._netsets: Dict[Tuple[str, int], frozenset] = {}
         self._keys_precomputed = False
         # level -> {net: key} for levels 1..depth-1, filled by
-        # precompute_keys(); lets signature() resolve subtree keys with one
-        # plain-string dict probe (missing net == cone leaf == LEAF_TOKEN).
-        # Nets of one shape share one interned key string.
+        # precompute_keys(); lets shapes() and signature() resolve subtree
+        # keys with one plain-string dict probe (missing net == cone leaf
+        # == LEAF_TOKEN).  Nets of one shape share one key string.
         self._level_keys: Dict[int, Dict[str, str]] = {}
         # Signature memos: interned root types (signatures()) and one
         # Subtree per child net at depth-1 levels, shared by every gate
         # that reads the net (both signature paths).
         self._root_types: Dict[Tuple[str, int], str] = {}
         self._subtrees: Dict[str, Subtree] = {}
+        # shapes(): one BitShape per (cell name, sorted subtree keys).
+        self._shapes: Dict[tuple, BitShape] = {}
 
     # ------------------------------------------------------------------
     # cones
@@ -141,7 +151,7 @@ class AnalysisContext:
 
         The recursion itself is stat-free (it runs hundreds of thousands of
         times on large designs); hit/miss counters are maintained at the
-        subtree-query level by :meth:`signature` and
+        subtree-query level by :meth:`signature`, :meth:`shapes` and
         :meth:`precompute_keys`.
         """
         memo_key = (net, levels)
@@ -186,23 +196,31 @@ class AnalysisContext:
         The recursive :meth:`key` produces identical strings, but pays a
         Python call per (net, level) frame; one bulk pass over the driver
         index computes each level from the one below it with tight loops.
-        Each level interns its strings, so all nets of one shape share one
-        key object: real designs have few shapes per level (b18: 13/90/173
-        at levels 1/2/3 over 59k nets), and matching's string compares then
-        short-circuit on identity.  Idempotent; sub-contexts skip it (they
-        inherit from the parent).
+        A key is a function of the gate's cell and its children's keys,
+        and real designs have few of those per level (b18: 13/90/173 keys
+        at levels 1/2/3 over 59k nets), so each level formats a key once
+        per distinct ``(cell name, sorted child keys)`` and maps every net
+        of that shape to the one string: matching's string compares then
+        short-circuit on identity.  The memo is keyed by the cell's name,
+        not its :class:`~repro.netlist.cells.CellType`, whose dataclass
+        hash rehashes every field.  Idempotent; sub-contexts skip it
+        (they inherit from the parent).
         """
         if self._keys_precomputed:
             return
         self._keys_precomputed = True
         boundary = self.boundary
         nets: List[str] = []
-        gates = []
+        cells: List[str] = []
+        fanins: List[Tuple[str, ...]] = []
         for net, gate in self.netlist.drivers():
             if not gate.cell.sequential and net not in boundary:
                 nets.append(net)
-                gates.append(gate)
+                cells.append(gate.cell.name)
+                fanins.append(gate.inputs)
+        # Level 0 is all leaves: every child reads LEAF_TOKEN at level 1.
         prev: Dict[str, str] = {}
+        leaf = LEAF_TOKEN
         completed_levels = 0
         for level in range(1, self.depth):
             if self.budget is not None and self.budget.expired():
@@ -213,23 +231,20 @@ class AnalysisContext:
                 # boundary.
                 break
             cur: Dict[str, str] = {}
-            shapes: Dict[str, str] = {}
-            intern = shapes.setdefault
+            formatted: Dict[tuple, str] = {}
             get = prev.get
-            for net, gate in zip(nets, gates):
-                inputs = gate.inputs
-                if level == 1:
-                    key = f"({LEAF_TOKEN * len(inputs)}{gate.cell.name})"
-                elif len(inputs) == 2:
-                    a = get(inputs[0], LEAF_TOKEN)
-                    b = get(inputs[1], LEAF_TOKEN)
-                    if b < a:
-                        a, b = b, a
-                    key = f"({a}{b}{gate.cell.name})"
+            lookup = formatted.get
+            for net, cell, inputs in zip(nets, cells, fanins):
+                if len(inputs) == 2:
+                    a = get(inputs[0], leaf)
+                    b = get(inputs[1], leaf)
+                    shape = (cell, a, b) if a <= b else (cell, b, a)
                 else:
-                    parts = sorted([get(c, LEAF_TOKEN) for c in inputs])
-                    key = f"({''.join(parts)}{gate.cell.name})"
-                cur[net] = intern(key, key)
+                    shape = (cell, *sorted([get(c, leaf) for c in inputs]))
+                key = lookup(shape)
+                if key is None:
+                    key = formatted[shape] = f"({''.join(shape[1:])}{cell})"
+                cur[net] = key
             self._level_keys[level] = cur
             prev = cur
             completed_levels += 1
@@ -355,6 +370,61 @@ class AnalysisContext:
         stats.signature_hits += sig_hits
         stats.signature_misses += sig_misses
         stats.key_hits += key_hits
+        return out
+
+    def shapes(self, nets: Sequence[str]) -> List[BitShape]:
+        """The :class:`BitShape` of each of ``nets``: what matching compares.
+
+        A shape is a signature's ``root_type`` and ``sorted_keys``, read
+        off the depth-1 key table and interned per distinct ``(cell name,
+        sorted subtree keys)``, so bits of one shape share one record and
+        no per-bit object is built.  Nothing is counted: the signature
+        and key-hit counters describe the signatures :meth:`signatures`
+        builds, which the engine asks for only where its later stages
+        read subtrees.
+        """
+        levels = self.depth - 1
+        view = self._level_keys.get(levels)
+        if view is not None:
+            key_of = view.get  # a net absent from the table is a leaf
+        else:
+            # No key table (depth 1, a budget-cut precompute): the
+            # recursive path, counting the keys it computes.
+            keys = self._keys
+            stats = self.stats
+
+            def key_of(child: str) -> str:
+                key = keys.get((child, levels))
+                if key is None:
+                    stats.key_misses += 1
+                    key = self.key(child, levels)
+                return key
+
+        memo = self._shapes
+        driver_of = self.netlist.driver
+        boundary = self.boundary
+        leaf = LEAF_TOKEN
+        out: List[BitShape] = []
+        append = out.append
+        for net in nets:
+            driver = driver_of(net)
+            if driver is None or driver.cell.sequential or net in boundary:
+                append(LEAF_SHAPE)
+                continue
+            cell = driver.cell.name
+            inputs = driver.inputs
+            if len(inputs) == 2:
+                a = key_of(inputs[0]) or leaf
+                b = key_of(inputs[1]) or leaf
+                memo_key = (cell, a, b) if a <= b else (cell, b, a)
+            else:
+                memo_key = (cell, *sorted([key_of(c) or leaf for c in inputs]))
+            shape = memo.get(memo_key)
+            if shape is None:
+                shape = memo[memo_key] = BitShape(
+                    f"{cell}{len(inputs)}", memo_key[1:]
+                )
+            append(shape)
         return out
 
     # ------------------------------------------------------------------

@@ -9,8 +9,10 @@ expression of floorplanning [12] and the hash key of WordRev [6].
 
 A *bit signature* decomposes a candidate word bit into its root gate type
 plus the hash keys of its second-level subtrees (one per root fanin).
-Matching (Section 2.3), control-signal discovery (2.4) and post-reduction
-re-checking (2.5) all operate on these signatures.
+Control-signal discovery (2.4) and post-reduction re-checking (2.5)
+operate on these signatures; matching (2.3) needs only a bit's *shape*
+(:class:`BitShape`), the root type and sorted subtree keys without the
+nets.
 
 :func:`hash_key`, :func:`signature_of` and :class:`SignatureIndex` are the
 reference implementations — direct transcriptions of the paper kept for
@@ -32,6 +34,7 @@ __all__ = [
     "hash_key",
     "Subtree",
     "BitSignature",
+    "BitShape",
     "signature_of",
     "SignatureIndex",
     "DEFAULT_DEPTH",
@@ -103,6 +106,34 @@ class BitSignature:
 
     def subtrees_for_key(self, key: str) -> List[Subtree]:
         return [s for s in self.subtrees if s.key == key]
+
+
+class BitShape:
+    """The part of a :class:`BitSignature` that Section 2.3 compares.
+
+    ``root_type`` and ``sorted_keys`` as in the signature, without the
+    bit's net or its subtrees' root nets.  Real designs have few shapes
+    (b18: 129 over 39k candidate bits), and
+    :meth:`~repro.core.context.AnalysisContext.shapes` hands every bit
+    of one shape the same record, so within one context two bits have
+    equal shapes exactly when their records are the same object.
+    """
+
+    __slots__ = ("root_type", "sorted_keys")
+
+    def __init__(
+        self, root_type: Optional[str], sorted_keys: Tuple[str, ...]
+    ):
+        self.root_type = root_type
+        self.sorted_keys = sorted_keys
+
+    def __repr__(self) -> str:
+        return f"BitShape({self.root_type!r}, {self.sorted_keys!r})"
+
+
+#: The shape of every bit with no expandable driver (PI, register output,
+#: cone boundary); it chains with nothing.
+LEAF_SHAPE = BitShape(None, ())
 
 
 def fast_subtree(root_net: str, key: str) -> Subtree:

@@ -16,7 +16,7 @@ comparing bits with ``k_i`` and ``k_j`` subtrees costs ``O(k_i + k_j)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .hashkey import LEAF_TOKEN, BitSignature
 
@@ -25,6 +25,8 @@ __all__ = [
     "compare_bits",
     "PairMatch",
     "Subgroup",
+    "chain_runs",
+    "chains",
     "form_subgroups",
     "full_match_runs",
 ]
@@ -200,51 +202,62 @@ class Subgroup:
             self.dissimilar[sig.net] = roots
 
 
+def chains(prev, cur, allow_partial: bool = True) -> bool:
+    """The chain rule: whether bit ``cur`` joins its predecessor's subgroup.
+
+    Both bits must be non-leaf with one qualified root type, and either
+    match fully (equal, non-empty subtree-key multisets) or, with
+    ``allow_partial``, share a subtree key with real gates in it.  This
+    is :func:`compare_bits` reduced to the outcome chaining needs, with no
+    :class:`PairMatch` built.  It reads only ``root_type`` and
+    ``sorted_keys``, so it serves signatures and the engine's interned
+    :class:`~repro.core.hashkey.BitShape` records alike; the engine
+    decides each distinct pair of adjacent shapes once.
+    """
+    if prev.root_type is None or cur.root_type != prev.root_type:
+        return False
+    keys = cur.sorted_keys
+    if keys == prev.sorted_keys:
+        return bool(keys)
+    return allow_partial and _shares_structural_key(prev.sorted_keys, keys)
+
+
+def chain_runs(
+    items: Sequence, joins: Callable[[Any, Any], bool]
+) -> Iterator[Tuple[int, int]]:
+    """``(start, end)`` of each maximal run of ``items`` whose every item
+    ``joins`` the one before it, in order.
+
+    Each item is compared with its predecessor only (the paper's explicit
+    design choice: a bit joins at most one subgroup, the one of its
+    adjacent predecessor).
+    """
+    start = 0
+    for end in range(1, len(items)):
+        if not joins(items[end - 1], items[end]):
+            yield start, end
+            start = end
+    if items:
+        yield start, len(items)
+
+
 def form_subgroups(
     signatures: Sequence[BitSignature], allow_partial: bool = True
 ) -> List[Subgroup]:
     """Split a first-level group into subgroups by sequential comparison.
 
-    Each bit is compared with the bit before it only (the paper's explicit
-    design choice: a bit joins at most one subgroup, the one of its adjacent
-    predecessor).  With ``allow_partial=False`` this degenerates into the
-    shape-hashing baseline's grouping, where only full matches chain.
+    Runs of bits that :func:`chains` links become subgroups.  With
+    ``allow_partial=False`` this degenerates into the shape-hashing
+    baseline's grouping, where only full matches chain.
     """
-    subgroups: List[Subgroup] = []
-    current: List[BitSignature] = []
-    for sig in signatures:
-        if not current:
-            current = [sig]
-            continue
-        # Inline tri-state comparison (same outcome as compare_bits, which
-        # stays the readable reference): a full match is an equality test
-        # on the sorted key tuples; a partial match needs one shared
-        # structural key.  No PairMatch is materialized on this hot path.
-        prev = current[-1]
-        chains = (
-            prev.root_type is not None
-            and sig.root_type == prev.root_type
-            and (
-                (
-                    sig.sorted_keys == prev.sorted_keys
-                    and bool(sig.sorted_keys)
-                )
-                or (
-                    allow_partial
-                    and _shares_structural_key(
-                        prev.sorted_keys, sig.sorted_keys
-                    )
-                )
-            )
-        )
-        if chains:
-            current.append(sig)
-        else:
-            subgroups.append(_make_subgroup(current))
-            current = [sig]
-    if current:
-        subgroups.append(_make_subgroup(current))
-    return subgroups
+
+    def joins(prev: BitSignature, cur: BitSignature) -> bool:
+        return chains(prev, cur, allow_partial)
+
+    return [
+        _make_subgroup(signatures[start:end])
+        for start, end in chain_runs(signatures, joins)
+    ]
 
 
 def _make_subgroup(signatures: List[BitSignature]) -> Subgroup:
@@ -260,28 +273,14 @@ def full_match_runs(
 
     Equivalent to ``form_subgroups(signatures, allow_partial=False)``
     flattened to signature lists, but without constructing
-    :class:`Subgroup` bookkeeping — this is the hot re-check after every
+    :class:`Subgroup` bookkeeping — this is the re-check after every
     control-signal assignment, where only the partition matters.
-
-    Two adjacent bits chain exactly when :func:`compare_bits` reports a
-    full match: both non-leaf, same qualified root type, identical and
-    non-empty subtree key multisets.
     """
-    runs: List[List[BitSignature]] = []
-    current: List[BitSignature] = []
-    for sig in signatures:
-        if current:
-            prev = current[-1]
-            if (
-                prev.root_type is not None
-                and sig.root_type == prev.root_type
-                and sig.sorted_keys == prev.sorted_keys
-                and sig.sorted_keys
-            ):
-                current.append(sig)
-                continue
-            runs.append(current)
-        current = [sig]
-    if current:
-        runs.append(current)
-    return runs
+    return [
+        list(signatures[start:end])
+        for start, end in chain_runs(signatures, _full_match)
+    ]
+
+
+def _full_match(prev: BitSignature, cur: BitSignature) -> bool:
+    return chains(prev, cur, allow_partial=False)

@@ -8,10 +8,12 @@ small object consuming and producing typed artifacts on a shared
 stage                   artifact produced
 ======================  ===================================================
 :class:`GroupingStage`  ``groups`` — first-level candidate groups (Sec 2.2)
-:class:`SignatureStage` ``group_signatures`` — bit signatures via the
+:class:`SignatureStage` ``group_shapes`` — each bit's interned
+                        :class:`~repro.core.hashkey.BitShape` via the
                         shared :class:`~repro.core.context.AnalysisContext`
-:class:`MatchingStage`  ``tasks`` — classified :class:`SubgroupTask` list
-                        (Sec 2.3)
+:class:`MatchingStage`  ``runs`` — every subgroup in task order (Sec 2.3),
+                        and ``tasks`` — a :class:`SubgroupTask`, with bit
+                        signatures, per partially matched subgroup
 :class:`ControlStage`   per-task control-signal candidates (Sec 2.4)
 :class:`ReductionStage` per-task :class:`SubgroupOutcome` from the
                         assignment search (Sec 2.5), one subgroup at a
@@ -41,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .. import metrics as _metrics
 from ..netlist.cone import extract_subcircuit
@@ -50,8 +52,8 @@ from ..netlist.validate import diagnose
 from .context import AnalysisContext
 from .control import ControlSignalCandidate, find_control_signals
 from .grouping import group_by_adjacency, group_register_inputs
-from .hashkey import BitSignature
-from .matching import Subgroup, form_subgroups, full_match_runs
+from .hashkey import BitShape, BitSignature
+from .matching import Subgroup, chain_runs, chains, full_match_runs
 from .reduction import InfeasibleAssignment, reduce_netlist
 from .resilience import (
     BudgetExceeded,
@@ -92,19 +94,17 @@ PIPELINE_VERSION = "2.0.0"
 
 @dataclass
 class SubgroupTask:
-    """One subgroup's unit of work, classified by the matching stage.
+    """One partially matched subgroup's unit of work: control discovery
+    and reduction search.
 
-    ``kind`` is one of ``"singleton"`` (one bit — emitted alone),
-    ``"full"`` (already fully matched — emitted as a word), ``"mixed"``
-    (degenerate, no bits — emitted as its full-match partition), or
-    ``"partial"`` (partially matched — goes through control discovery and
-    reduction search).  With partial matching off (``backend="base"``)
-    every subgroup of two or more bits is fully matched.
+    ``index`` is the subgroup's position among all of the run's subgroups
+    (``StageArtifacts.runs``), the index failure records report.  Only
+    these subgroups carry bit signatures; a single bit or a run of one
+    shape (a fully matched word) needs neither.
     """
 
     index: int
     subgroup: Subgroup
-    kind: str
     candidates: List[ControlSignalCandidate] = field(default_factory=list)
     outcome: Optional["SubgroupOutcome"] = None
 
@@ -138,7 +138,13 @@ class StageArtifacts:
     result: IdentificationResult
     budget: RunBudget = field(default_factory=RunBudget)
     groups: List[List[str]] = field(default_factory=list)
-    group_signatures: List[List[BitSignature]] = field(default_factory=list)
+    group_shapes: List[List[BitShape]] = field(default_factory=list)
+    #: Every subgroup in task order (a subgroup's task index is its
+    #: position here): a single bit's net, a one-shape run's bits, or the
+    #: :class:`SubgroupTask` of a partially matched subgroup.
+    runs: List[Union[str, Tuple[str, ...], SubgroupTask]] = field(
+        default_factory=list
+    )
     tasks: List[SubgroupTask] = field(default_factory=list)
 
     @property
@@ -174,49 +180,61 @@ class GroupingStage(Stage):
 
 
 class SignatureStage(Stage):
-    """Compute bit signatures through the shared context's caches."""
+    """Compute each candidate bit's shape through the shared context."""
 
     name = "signatures"
 
     def run(self, art: StageArtifacts) -> None:
         art.context.precompute_keys()
-        art.group_signatures = [
-            art.context.signatures(group) for group in art.groups
-        ]
+        art.group_shapes = [art.context.shapes(group) for group in art.groups]
 
 
 class MatchingStage(Stage):
-    """Form subgroups (Section 2.3) and classify each into a task."""
+    """Form subgroups (Section 2.3) and make a task of each partial one.
+
+    Bits chain by shape (:func:`~repro.core.matching.chains`), and each
+    distinct pair of adjacent shapes is decided once.  A run of one bit
+    is recorded as its net, and a run of one shape, a fully matched word,
+    as its bits: neither needs a bit signature.  A run of several shapes
+    is a partially matched subgroup; control and reduction read its
+    dissimilar subtrees, so only its bits get signatures, through
+    :meth:`~repro.core.context.AnalysisContext.signatures`.  With
+    ``backend="base"`` only full matches chain, so no signature is built.
+    """
 
     name = "matching"
 
     def run(self, art: StageArtifacts) -> None:
-        config = art.config
-        tasks: List[SubgroupTask] = []
-        for signatures in art.group_signatures:
-            subgroups = form_subgroups(
-                signatures, allow_partial=config.allow_partial
-            )
-            art.trace.num_subgroups += len(subgroups)
-            for subgroup in subgroups:
-                tasks.append(
-                    SubgroupTask(
-                        index=len(tasks),
-                        subgroup=subgroup,
-                        kind=self._classify(subgroup),
-                    )
-                )
-        art.tasks = tasks
+        allow_partial = art.config.allow_partial
+        signatures = art.context.signatures
+        decided: Dict[Tuple[BitShape, BitShape], bool] = {}
 
-    @staticmethod
-    def _classify(subgroup: Subgroup) -> str:
-        if len(subgroup.signatures) == 1:
-            return "singleton"
-        if subgroup.fully_matched:
-            return "full"
-        if not subgroup.partially_matched:
-            return "mixed"
-        return "partial"
+        def joins(prev: BitShape, cur: BitShape) -> bool:
+            pair = (prev, cur)
+            joined = decided.get(pair)
+            if joined is None:
+                joined = decided[pair] = chains(prev, cur, allow_partial)
+            return joined
+
+        runs: List[Union[str, Tuple[str, ...], SubgroupTask]] = []
+        tasks: List[SubgroupTask] = []
+        for group, shapes in zip(art.groups, art.group_shapes):
+            for start, end in chain_runs(shapes, joins):
+                if end - start == 1:
+                    runs.append(group[start])
+                    continue
+                first = shapes[start]
+                if all(shape is first for shape in shapes[start + 1:end]):
+                    runs.append(tuple(group[start:end]))
+                    continue
+                subgroup = Subgroup(signatures(group[start:end]))
+                subgroup.finalize()
+                task = SubgroupTask(index=len(runs), subgroup=subgroup)
+                runs.append(task)
+                tasks.append(task)
+        art.runs = runs
+        art.tasks = tasks
+        art.trace.num_subgroups += len(runs)
 
 
 class ControlStage(Stage):
@@ -227,8 +245,6 @@ class ControlStage(Stage):
     def run(self, art: StageArtifacts) -> None:
         cap = art.config.max_control_signals
         for task in art.tasks:
-            if task.kind != "partial":
-                continue
             art.trace.num_partially_matched_subgroups += 1
             task.candidates = find_control_signals(
                 task.subgroup, context=art.context
@@ -253,8 +269,7 @@ class ReductionStage(Stage):
 
     def run(self, art: StageArtifacts) -> None:
         for task in art.tasks:
-            if task.kind == "partial":
-                task.outcome = self.guarded_search(art, task)
+            task.outcome = self.guarded_search(art, task)
 
     def guarded_search(
         self, art: StageArtifacts, task: SubgroupTask
@@ -395,27 +410,22 @@ class ReductionStage(Stage):
 
 
 class EmissionStage(Stage):
-    """Merge per-subgroup outcomes into the result, in task order."""
+    """Merge every subgroup into the result, in task order."""
 
     name = "emission"
 
     def run(self, art: StageArtifacts) -> None:
         result = art.result
         trace = art.trace
-        for task in art.tasks:
-            subgroup = task.subgroup
-            if task.kind == "singleton":
-                result.singletons.extend(subgroup.bits)
-            elif task.kind == "full":
+        for run in art.runs:
+            if isinstance(run, str):
+                result.singletons.append(run)
+            elif isinstance(run, tuple):
                 trace.num_fully_matched_subgroups += 1
-                result.words.append(Word(tuple(subgroup.bits)))
-            elif task.kind == "mixed":
-                _emit_partition(
-                    full_match_runs(subgroup.signatures), None, result
-                )
+                result.words.append(Word(run))
             else:
-                outcome = task.outcome or SubgroupOutcome(
-                    partition=full_match_runs(subgroup.signatures)
+                outcome = run.outcome or SubgroupOutcome(
+                    partition=full_match_runs(run.subgroup.signatures)
                 )
                 trace.num_assignments_tried += outcome.assignments_tried
                 trace.num_infeasible_assignments += outcome.infeasible

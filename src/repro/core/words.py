@@ -92,6 +92,14 @@ class CacheStats:
     caches, aggregated deterministically across every context a run creates
     (the engine's shared context plus one per reduction-searched subgroup).
 
+    ``signature_hits`` / ``signature_misses`` count the bit signatures a
+    run builds or reuses.  The engine matches bits by interned shape and
+    asks for signatures only for the bits of partially matched subgroups
+    (and a reduction search's sub-context for the bits it re-checks), so
+    a ``backend="base"`` run counts none.  ``key_hits`` counts the
+    subtree keys those signatures read; ``key_misses`` counts the keys a
+    run computes (the bulk precompute: every eligible net per level).
+
     ``reduced_keys_reused`` / ``reduced_keys_rehashed`` record the incremental
     re-check after each control-signal assignment: reused keys were taken
     verbatim from the unreduced circuit because the assignment provably did

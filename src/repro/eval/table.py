@@ -35,7 +35,11 @@ class BenchmarkRow:
 
 
 def average_row(rows: Sequence[BenchmarkRow]) -> BenchmarkRow:
-    """The "Average" row of Table 1 (arithmetic means over benchmarks)."""
+    """The "Average" row of Table 1: arithmetic means over benchmarks.
+
+    The count columns (#gates, #nets, #FF, #Words) hold their means
+    rounded to whole numbers; #Ctrl is the total over the benchmarks.
+    """
     if not rows:
         raise ValueError("no rows to average")
 
@@ -59,11 +63,11 @@ def average_row(rows: Sequence[BenchmarkRow]) -> BenchmarkRow:
 
     return BenchmarkRow(
         name="Average",
-        num_gates=0,
-        num_nets=0,
-        num_ffs=0,
-        num_words=0,
-        avg_word_size=0.0,
+        num_gates=round(mean([row.num_gates for row in rows])),
+        num_nets=round(mean([row.num_nets for row in rows])),
+        num_ffs=round(mean([row.num_ffs for row in rows])),
+        num_words=round(mean([row.num_words for row in rows])),
+        avg_word_size=mean([row.avg_word_size for row in rows]),
         base=tech_mean("Base"),
         ours=tech_mean("Ours"),
     )

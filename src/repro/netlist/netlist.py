@@ -232,9 +232,22 @@ class Netlist:
         inputs: Sequence[str],
         output: Optional[str] = None,
     ) -> Gate:
-        """Swap a gate's cell/inputs in place, keeping its file position."""
+        """Swap a gate's cell/inputs in place, keeping its file position.
+
+        Refuses, leaving the netlist as it was, inputs the cell's arity
+        does not allow and, as :meth:`add_gate` does, an output that
+        another gate drives or that is a primary input.
+        """
         old = self._gates[name]
         new_output = output if output is not None else old.output
+        gate = Gate(name, cell, inputs, new_output)  # checks the arity
+        driver = self._driver.get(new_output)
+        if driver is not None and driver is not old:
+            raise NetlistError(
+                f"net {new_output!r} already driven by {driver.name!r}"
+            )
+        if new_output in self._input_set:
+            raise NetlistError(f"net {new_output!r} is a primary input")
         # The replacement joins the end of each fanout list it enters,
         # not its file position, so the index must exist from here on.
         fanouts = self._fanout_index()
@@ -244,9 +257,6 @@ class Netlist:
             fanouts[net].remove(old)
             if not fanouts[net]:
                 del fanouts[net]
-        if new_output in self._driver:
-            raise NetlistError(f"net {new_output!r} already driven")
-        gate = Gate(name, cell, inputs, new_output)
         self._gates[name] = gate  # the name keeps its file position
         self._driver[new_output] = gate
         for net in gate.inputs:

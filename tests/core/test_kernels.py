@@ -1,21 +1,34 @@
-"""The signature kernel: the bulk path against its per-net references.
+"""The signature kernel: the engine's shape path and the bulk signature
+path against their per-net references.
 
-The Section 2.3 step — per-bit fanin-cone hash keys and bit signatures —
-has one implementation, :class:`~repro.core.context.AnalysisContext`.
-The engine runs its bulk pass: :meth:`~AnalysisContext.precompute_keys`
-fills interned per-level key tables, then
-:meth:`~AnalysisContext.signatures` builds a whole group in one loop.
-That pass must equal the per-net reference
+The Section 2.3 step — per-bit fanin-cone hash keys, bit shapes and bit
+signatures — has one implementation,
+:class:`~repro.core.context.AnalysisContext`.  The engine runs its bulk
+pass: :meth:`~AnalysisContext.precompute_keys` fills per-level key
+tables, formatting each key once per distinct shape;
+:meth:`~AnalysisContext.shapes` gives every candidate bit its interned
+shape, which is all matching compares; and
+:meth:`~AnalysisContext.signatures` builds bit signatures for the bits
+of partially matched subgroups only, the subgroups control and
+reduction read.  The bulk signatures must equal the per-net reference
 (:meth:`AnalysisContext.signature` on the recursive key path) and the
-paper transcription (:class:`~repro.core.hashkey.SignatureIndex`) key for
-key, with the same cache counters.  This suite pins it three ways:
+paper transcription (:class:`~repro.core.hashkey.SignatureIndex`) key
+for key, with the same cache counters, and the engine's subgroups must
+equal :func:`~repro.core.matching.form_subgroups` over those
+signatures.  This suite pins it five ways:
 
 1. on all twelve ITC99 designs: bulk ≡ per-net ≡ ``SignatureIndex`` over
    every candidate group, and each design's ``result_digest`` equals its
    pinned value;
 2. the cache-on ≡ cache-off determinism oracle;
 3. Hypothesis properties on random sequential designs — duplicate fanins
-   included, where one shared subtree fills two slots of a signature.
+   included, where one shared subtree fills two slots of a signature;
+4. a Hypothesis differential of the engine's subgroups (bits, kind,
+   dissimilar subtrees, task index) against ``form_subgroups``, over
+   depths 1–5, both groupings, both staged backends, and key tables cut
+   short, with registers that share a D net;
+5. counts on b18 (signatures only for the bits of partially matched
+   subgroups, none for Base) and the task indices a ``fault_hook`` sees.
 
 ``TestKernelSwitch`` pins that the removed ``kernel``, ``jobs`` and
 ``cone_cache`` knobs stay removed.
@@ -32,10 +45,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
+from repro.core import stages
 from repro.core.context import AnalysisContext
 from repro.core.grouping import group_by_adjacency
 from repro.core.hashkey import SignatureIndex
+from repro.core.matching import form_subgroups
 from repro.core.pipeline import PipelineConfig, identify_words
+from repro.core.words import IdentificationResult
 from repro.netlist.builder import NetlistBuilder
 from repro.store import ArtifactStore, result_digest
 from repro.synth.designs import BENCHMARKS
@@ -239,3 +255,199 @@ class TestProperties:
             assert len({id(key) for key in table.values()}) == len(
                 set(table.values())
             )
+
+
+# ----------------------------------------------------------------------
+# the engine's shape path against form_subgroups
+# ----------------------------------------------------------------------
+
+@st.composite
+def word_like_designs(draw):
+    """Random sequential netlists built in runs of one gate kind, so that
+    both groupings find groups with full, partial and broken chains.
+
+    Fanins are drawn with replacement (duplicate fanins).  A run may be
+    registered bit by bit, which ``grouping="registers"`` groups, and a
+    register may get a twin on the same D net, which that grouping then
+    lists twice in one group.
+    """
+    b = NetlistBuilder("shapes")
+    nets = list(b.inputs("pa", "pb", "pc", "pd"))
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(_CELLS + ("dff",)))
+        if kind == "dff":
+            nets.append(b.dff(draw(st.sampled_from(nets))))
+            continue
+        width = draw(st.integers(min_value=2, max_value=3))
+        run = []
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            if kind == "inv":
+                run.append(b.inv(draw(st.sampled_from(nets))))
+            else:
+                fanin = [draw(st.sampled_from(nets)) for _ in range(width)]
+                run.append(getattr(b, kind)(*fanin))
+        nets.extend(run)
+        if draw(st.booleans()):
+            for d in run:
+                nets.append(b.dff(d))
+                if draw(st.booleans()):
+                    nets.append(b.dff(d))
+    netlist = b.netlist
+    for net in nets[4:]:
+        if not netlist.fanouts(net):
+            netlist.add_output(net)
+    return netlist
+
+
+class _CutAfter:
+    """A run budget that expires after ``levels`` key-table levels."""
+
+    def __init__(self, levels):
+        self.left = levels
+
+    def expired(self):
+        self.left -= 1
+        return self.left < 0
+
+
+def _engine_subgroups(netlist, config, cut=None):
+    """The engine's subgroups after matching, as ``(bits, kind,
+    dissimilar, task index)``, and the artifacts they came from."""
+    context = AnalysisContext(netlist, config.depth)
+    if cut is not None:
+        context.budget = _CutAfter(cut)
+        context.precompute_keys()
+    art = stages.StageArtifacts(
+        netlist=netlist, config=config, context=context,
+        result=IdentificationResult(),
+    )
+    for stage in (
+        stages.GroupingStage(), stages.SignatureStage(),
+        stages.MatchingStage(),
+    ):
+        stage.run(art)
+    found = []
+    for index, run in enumerate(art.runs):
+        if isinstance(run, str):
+            found.append(([run], "singleton", {run: []}, index))
+        elif isinstance(run, tuple):
+            found.append((list(run), "full", dict.fromkeys(run, []), index))
+        else:
+            subgroup = run.subgroup
+            found.append(
+                (subgroup.bits, "partial", subgroup.dissimilar, run.index)
+            )
+    return found, art
+
+
+def _reference_subgroups(netlist, config, groups):
+    """``form_subgroups`` over per-net signatures on the recursive key
+    path, classified as the engine's tasks were before shapes."""
+    context = AnalysisContext(netlist, config.depth)
+    found = []
+    for group in groups:
+        for subgroup in form_subgroups(
+            context.signatures(group), config.allow_partial
+        ):
+            if len(subgroup.signatures) == 1:
+                kind = "singleton"
+            elif subgroup.fully_matched:
+                kind = "full"
+            else:
+                kind = "partial"
+            found.append(
+                (subgroup.bits, kind, subgroup.dissimilar, len(found))
+            )
+    return found
+
+
+class TestShapePath:
+    @pytest.mark.parametrize("backend", ["ours", "base"])
+    @pytest.mark.parametrize("grouping", ["adjacency", "registers"])
+    @given(
+        netlist=word_like_designs(),
+        depth=st.integers(min_value=1, max_value=5),
+        cut=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    )
+    def test_engine_subgroups_equal_form_subgroups(
+        self, netlist, depth, grouping, backend, cut
+    ):
+        config = PipelineConfig(
+            depth=depth, grouping=grouping, backend=backend
+        )
+        found, art = _engine_subgroups(netlist, config, cut)
+        assert found == _reference_subgroups(netlist, config, art.groups)
+        assert art.trace.num_subgroups == len(found)
+        assert art.tasks == [
+            run for run in art.runs if isinstance(run, stages.SubgroupTask)
+        ]
+        stats = art.context.stats
+        # Signatures only for the bits of partially matched subgroups
+        # (a net listed twice is a memo hit), none at all for Base.
+        assert stats.signature_hits + stats.signature_misses == sum(
+            len(task.subgroup.signatures) for task in art.tasks
+        )
+        if backend == "base":
+            assert not art.tasks and stats.signature_misses == 0
+
+    @given(word_like_designs())
+    def test_bits_of_one_shape_share_one_record(self, netlist):
+        context = AnalysisContext(netlist, 4)
+        context.precompute_keys()
+        nets = [net for net, _ in netlist.drivers()]
+        signatures = AnalysisContext(netlist, 4).signatures(nets)
+        by_value = {}
+        for shape, sig in zip(context.shapes(nets), signatures):
+            assert shape.root_type == sig.root_type
+            assert shape.sorted_keys == sig.sorted_keys
+            assert by_value.setdefault(
+                (shape.root_type, shape.sorted_keys), shape
+            ) is shape
+        assert context.stats.signature_misses == 0
+
+
+class TestShapeCounts:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of the Subgroups and SubgroupTasks the engine builds."""
+        counts = {"Subgroup": 0, "SubgroupTask": 0}
+
+        def counting(cls):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    counts[cls.__name__] += 1
+                    super().__init__(*args, **kwargs)
+
+            return Counted
+
+        monkeypatch.setattr(stages, "Subgroup", counting(stages.Subgroup))
+        monkeypatch.setattr(
+            stages, "SubgroupTask", counting(stages.SubgroupTask)
+        )
+        return counts
+
+    @pytest.mark.parametrize(
+        "backend, signatures, subgroups",
+        [("ours", 13914, 484), ("base", 0, 0)],
+    )
+    def test_b18_signs_only_partial_subgroups(
+        self, itc99, built, backend, signatures, subgroups
+    ):
+        result = identify_words(itc99("b18"), PipelineConfig(backend=backend))
+        trace = result.trace
+        assert trace.num_partially_matched_subgroups == subgroups
+        # The 22,244 single-bit and 276 one-shape subgroups of Ours build
+        # no Subgroup, no SubgroupTask and no bit signature.
+        assert built == {"Subgroup": subgroups, "SubgroupTask": subgroups}
+        assert trace.cache.signature_misses == signatures
+        assert trace.cache.signature_hits == 0
+        assert trace.cache.key_misses == 177432
+
+    @pytest.mark.parametrize("name, indices", [
+        ("b03", [49, 51, 52]),
+        ("b12", [246, 250, 254, 258, 262, 266, 270, 274, 275, 276, 277]),
+    ])
+    def test_fault_hook_task_indices(self, itc99, name, indices):
+        seen = []
+        identify_words(itc99(name), PipelineConfig(fault_hook=seen.append))
+        assert [task.index for task in seen] == indices

@@ -1,5 +1,7 @@
 """Tests for golden-reference extraction and Table 1 rendering."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.eval import (
@@ -84,6 +86,25 @@ class TestTable:
         assert avg.ours.pct_full == pytest.approx(80.0)
         # Control signals are summed, as in the paper's table footer style.
         assert avg.ours.num_control_signals == 4
+
+    def test_average_row_means_the_design_columns(self):
+        rows = [
+            make_row("x", 50.0, 70.0),
+            replace(
+                make_row("y", 70.0, 90.0), num_gates=201, num_nets=240,
+                num_ffs=61, num_words=14, avg_word_size=4.5,
+            ),
+        ]
+        avg = average_row(rows)
+        # 150.5 gates and 45.5 flip-flops round half to even.
+        assert (avg.num_gates, avg.num_nets, avg.num_ffs, avg.num_words) == (
+            150, 180, 46, 12,
+        )
+        assert avg.avg_word_size == pytest.approx(3.75)
+        line = render_table(rows).splitlines()[-2]
+        assert line.split()[:6] == [
+            "Average", "150", "180", "46", "12", "3.75",
+        ]
 
     def test_average_of_nothing_raises(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from repro.netlist import (
     DFF,
     INV,
     NAND,
+    NOR,
     Netlist,
     NetlistError,
     NetlistBuilder,
@@ -99,6 +100,49 @@ class TestMutation:
     def test_replace_gate_rejects_taken_output(self, small):
         with pytest.raises(NetlistError):
             small.replace_gate("g2", BUF, ["n1"], output="q")
+
+    @staticmethod
+    def _connectivity(netlist):
+        """Every gate line, and each net's driver and fanout gate names."""
+        return (
+            [repr(gate) for gate in netlist.gates_in_file_order()],
+            {
+                net: (
+                    getattr(netlist.driver(net), "name", None),
+                    sorted(gate.name for gate in netlist.fanouts(net)),
+                )
+                for net in sorted(netlist.nets())
+            },
+        )
+
+    @pytest.mark.parametrize("call, error", [
+        # Another gate drives the new output.
+        (("g1", AND, ["x", "y"], "q"), NetlistError),
+        # The new output is a primary input.
+        (("g1", AND, ["x", "y"], "x"), NetlistError),
+        # AND takes at least two inputs.
+        (("g1", AND, ["x"]), ValueError),
+        (("g2", AND, ["n1"], "fresh"), ValueError),
+    ])
+    def test_refused_replacement_leaves_the_netlist_unedited(
+        self, small, call, error
+    ):
+        before = small.copy()
+        revision = small.revision
+        small.fanouts("x")  # the fanout index is built, as synthesis has it
+        with pytest.raises(error):
+            small.replace_gate(*call)
+        assert self._connectivity(small) == self._connectivity(before)
+        assert small == before
+        assert small.revision == revision
+
+    def test_replacement_may_keep_or_move_its_own_output(self, small):
+        small.replace_gate("g1", NOR, ["y", "x"], output="n1")
+        assert small.driver("n1").cell is NOR
+        small.replace_gate("g2", OR, ["n1", "q"], output="m")
+        assert small.driver("n2") is None
+        assert small.driver("m").name == "g2"
+        assert [g.name for g in small.fanouts("q")] == ["g2"]
 
 
 class TestTopologicalOrder:
