@@ -3,11 +3,11 @@
 
 Base (``backend="base"``, shape hashing) chains bits on full matches
 only, so its matching never needs bit signatures, while Ours builds them
-for the bits of partially matched subgroups.  The script synthesizes one
-design (b18 by default) and runs ``identify_words`` on it alternately
-with ``backend="base"`` and ``backend="ours"``, ``--repeats`` times each,
-with the cyclic garbage collector off as it is inside a request.  It
-exits 1 when Ours's ``result_digest`` differs from the pin in
+for the bits of partially matched subgroups.  The script synthesizes b18
+and runs ``identify_words`` on it alternately with ``backend="base"``
+and ``backend="ours"``, ten times each (``identify_words`` pauses the
+cyclic garbage collector itself, as inside a request).  It exits 1 when
+Ours's ``result_digest`` differs from the pin in
 ``tests/core/test_kernels.py``, when Base's differs between runs, or when
 Base's median ``signatures`` + ``matching`` stage time is more than
 ``--max-ratio`` times Ours's.  Gating on a ratio rather than on seconds
@@ -15,13 +15,11 @@ keeps the check meaningful on noisy shared runners.
 
 Usage::
 
-    PYTHONPATH=src python scripts/stage_speed.py \\
-        [--design b18] [--repeats 10] [--max-ratio 0.8]
+    PYTHONPATH=src python scripts/stage_speed.py [--max-ratio 0.8]
 """
 
 import argparse
 import ast
-import gc
 import os
 import statistics
 import sys
@@ -33,13 +31,15 @@ from repro.core.pipeline import PipelineConfig, identify_words  # noqa: E402
 from repro.store import result_digest  # noqa: E402
 from repro.synth.designs import BENCHMARKS  # noqa: E402
 
+DESIGN = "b18"
+REPEATS = 10
 BACKENDS = ("base", "ours")
 STAGES = ("signatures", "matching")
 
 
-def pinned_digests():
-    """``ITC99_DIGESTS`` of ``tests/core/test_kernels.py``: Ours's
-    ``result_digest`` per design, read without importing the test."""
+def pinned_digest():
+    """Ours's ``result_digest`` of :data:`DESIGN` from ``ITC99_DIGESTS`` in
+    ``tests/core/test_kernels.py``, read without importing the test."""
     path = os.path.join(REPO, "tests", "core", "test_kernels.py")
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
@@ -48,44 +48,35 @@ def pinned_digests():
             getattr(target, "id", None) == "ITC99_DIGESTS"
             for target in node.targets
         ):
-            return ast.literal_eval(node.value)
+            return ast.literal_eval(node.value)[DESIGN]
     raise LookupError(f"no ITC99_DIGESTS in {path}")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--design", default="b18", choices=sorted(BENCHMARKS))
-    parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--max-ratio", type=float, default=0.8)
     args = parser.parse_args(argv)
 
-    netlist = BENCHMARKS[args.design]()
+    netlist = BENCHMARKS[DESIGN]()
     timings = {backend: [] for backend in BACKENDS}
     digests = {backend: set() for backend in BACKENDS}
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(args.repeats):
-            for backend in BACKENDS:
-                result = identify_words(
-                    netlist, PipelineConfig(backend=backend)
-                )
-                seconds = result.trace.stage_seconds
-                timings[backend].append(sum(seconds[s] for s in STAGES))
-                digests[backend].add(result_digest(result))
-                del result
-    finally:
-        gc.enable()
+    for _ in range(REPEATS):
+        for backend in BACKENDS:
+            result = identify_words(netlist, PipelineConfig(backend=backend))
+            seconds = result.trace.stage_seconds
+            timings[backend].append(sum(seconds[s] for s in STAGES))
+            digests[backend].add(result_digest(result))
+            del result
 
     base = statistics.median(timings["base"])
     ours = statistics.median(timings["ours"])
     ratio = base / ours
     print(
-        f"{args.design} signatures + matching, median of {args.repeats}: "
+        f"{DESIGN} signatures + matching, median of {REPEATS}: "
         f"base {base:.3f}s, ours {ours:.3f}s, "
         f"ratio {ratio:.2f}x (bound {args.max_ratio:.2f}x)"
     )
-    pin = pinned_digests()[args.design]
+    pin = pinned_digest()
     if digests["ours"] != {pin}:
         print(f"FAIL: ours's result digests {sorted(digests['ours'])} "
               f"differ from the pin {pin}")

@@ -18,7 +18,8 @@ indices ad hoc:
   :class:`~repro.core.hashkey.BitShape`, which is all that matching
   compares.
 * **Signatures** are memoized per net and built only on request (the
-  engine asks for the bits of partially matched subgroups).  A
+  engine asks for the bits of partially matched subgroups): a bit's
+  interned shape plus its subtrees.  A
   :class:`~repro.core.hashkey.Subtree` is plain data (root net and key);
   the few consumers that need its expanded tree ask :meth:`cone`.
 * **Incremental reduced re-hash** (:meth:`signatures_after_reduction`):
@@ -43,7 +44,7 @@ for the observability layer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.cone import ConeNode, extract_cone
 from ..netlist.netlist import Netlist
@@ -97,14 +98,13 @@ class AnalysisContext:
         self._netsets: Dict[Tuple[str, int], frozenset] = {}
         self._keys_precomputed = False
         # level -> {net: key} for levels 1..depth-1, filled by
-        # precompute_keys(); lets shapes() and signature() resolve subtree
-        # keys with one plain-string dict probe (missing net == cone leaf
-        # == LEAF_TOKEN).  Nets of one shape share one key string.
+        # precompute_keys(); lets shapes() and signatures() resolve
+        # subtree keys with one plain-string dict probe (missing net ==
+        # cone leaf == LEAF_TOKEN).  Nets of one shape share one key
+        # string.
         self._level_keys: Dict[int, Dict[str, str]] = {}
-        # Signature memos: interned root types (signatures()) and one
-        # Subtree per child net at depth-1 levels, shared by every gate
-        # that reads the net (both signature paths).
-        self._root_types: Dict[Tuple[str, int], str] = {}
+        # One Subtree per child net at depth-1 levels, shared by every
+        # signature that reads the net.
         self._subtrees: Dict[str, Subtree] = {}
         # shapes(): one BitShape per (cell name, sorted subtree keys).
         self._shapes: Dict[tuple, BitShape] = {}
@@ -151,7 +151,7 @@ class AnalysisContext:
 
         The recursion itself is stat-free (it runs hundreds of thousands of
         times on large designs); hit/miss counters are maintained at the
-        subtree-query level by :meth:`signature`, :meth:`shapes` and
+        subtree-query level by :meth:`signatures`, :meth:`shapes` and
         :meth:`precompute_keys`.
         """
         memo_key = (net, levels)
@@ -255,122 +255,63 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     def signature(self, net: str) -> BitSignature:
         """The :class:`BitSignature` of ``net`` at this context's depth."""
-        cached = self._signatures.get(net)
-        if cached is not None:
-            self.stats.signature_hits += 1
-            return cached
-        self.stats.signature_misses += 1
-        driver = self.netlist.driver(net)
-        if driver is None or driver.is_ff or net in self.boundary:
-            sig = BitSignature(net, None, (), ())
-        else:
-            levels = self.depth - 1
-            stats = self.stats
-            inputs = driver.inputs
-            level_keys = self._level_keys.get(levels)
-            if level_keys is not None:
-                # Precomputed table: one string probe per subtree; a net
-                # absent from the table is a cone leaf (key LEAF_TOKEN).
-                get = level_keys.get
-                keys_of = [get(child) or LEAF_TOKEN for child in inputs]
-                stats.key_hits += len(keys_of)
-            else:
-                keys = self._keys
-                keys_of = []
-                for child in inputs:
-                    key = keys.get((child, levels))
-                    if key is not None:
-                        stats.key_hits += 1
-                    else:
-                        stats.key_misses += 1
-                        key = self.key(child, levels)
-                    keys_of.append(key)
-            shared = self._subtrees
-            subtrees = []
-            for child, key in zip(inputs, keys_of):
-                subtree = shared.get(child)
-                if subtree is None:
-                    subtree = shared[child] = Subtree(child, key)
-                subtrees.append(subtree)
-            subtrees = tuple(subtrees)
-            if len(keys_of) == 2:
-                a, b = keys_of
-                sorted_keys = (a, b) if a <= b else (b, a)
-            else:
-                sorted_keys = tuple(sorted(keys_of))
-            root_type = f"{driver.cell.name}{len(inputs)}"
-            sig = BitSignature(net, root_type, subtrees, sorted_keys)
-        self._signatures[net] = sig
-        return sig
+        return self.signatures((net,))[0]
 
-    def signatures(self, nets: Sequence[str]) -> List[BitSignature]:
-        """``[self.signature(net) for net in nets]``, built in one loop.
+    def signatures(
+        self,
+        nets: Sequence[str],
+        shapes: Optional[Sequence[BitShape]] = None,
+    ) -> List[BitSignature]:
+        """The :class:`BitSignature` of each of ``nets``, memoized per net.
 
-        With the depth-1 key table precomputed, a whole group is built
-        without per-net method calls: memo probes and stat bumps are
-        batched, the frozen dataclasses go through the fast constructors,
-        and fanout shares one :class:`Subtree` per child net (a subtree is
-        a pure function of its child within one context), a gate listing
-        the same input twice included.  Keys, signatures and counters
-        equal the per-net path.
+        A signature is its bit's interned :meth:`shapes` record (root
+        type and sorted subtree keys) plus one :class:`Subtree` per root
+        fanin.  ``shapes`` are the nets' records when the caller already
+        has them (the engine passes the ones matching compared), so no
+        shape is derived twice; otherwise they are derived here for the
+        nets not yet memoized.  Fanout shares one :class:`Subtree` per
+        child net (a subtree is a pure function of its child within one
+        context), a gate listing the same input twice included.  A net
+        listed twice is built once and counted as a hit the second time.
         """
-        view = self._level_keys.get(self.depth - 1)
-        if view is None:
-            return [self.signature(net) for net in nets]
         memo = self._signatures
+        if shapes is None:
+            missing = [net for net in dict.fromkeys(nets) if net not in memo]
+            nets_shapes = zip(missing, self.shapes(missing))
+        else:
+            nets_shapes = zip(nets, shapes)
+        key_of = self._subtree_key_reader()
         driver_of = self.netlist.driver
-        boundary = self.boundary
-        vget = view.get
-        root_types = self._root_types
         subtrees_of = self._subtrees
         sub_get = subtrees_of.get
         leaf = LEAF_TOKEN
         new_subtree = fast_subtree
-        out: List[BitSignature] = []
-        append = out.append
-        sig_hits = sig_misses = key_hits = 0
-        for net in nets:
-            sig = memo.get(net)
-            if sig is not None:
-                sig_hits += 1
-                append(sig)
+        built = key_hits = 0
+        for net, shape in nets_shapes:
+            if net in memo:
                 continue
-            sig_misses += 1
-            driver = driver_of(net)
-            if driver is None or driver.cell.sequential or net in boundary:
-                sig = fast_signature(net, None, (), ())
-            else:
-                inputs = driver.inputs
-                arity = len(inputs)
-                key_hits += arity
-                subtrees = []
-                keys_of = []
-                for child in inputs:
-                    subtree = sub_get(child)
-                    if subtree is None:
-                        subtree = subtrees_of[child] = new_subtree(
-                            child, vget(child) or leaf
-                        )
-                    subtrees.append(subtree)
-                    keys_of.append(subtree.key)
-                subtrees = tuple(subtrees)
-                if arity == 2:
-                    a, b = keys_of
-                    sorted_keys = (a, b) if a <= b else (b, a)
-                else:
-                    sorted_keys = tuple(sorted(keys_of))
-                cell = driver.cell.name
-                root_type = root_types.get((cell, arity))
-                if root_type is None:
-                    root_type = root_types[(cell, arity)] = f"{cell}{arity}"
-                sig = fast_signature(net, root_type, subtrees, sorted_keys)
-            memo[net] = sig
-            append(sig)
+            built += 1
+            if shape.root_type is None:
+                memo[net] = fast_signature(net, None, (), ())
+                continue
+            inputs = driver_of(net).inputs
+            key_hits += len(inputs)
+            subtrees = []
+            for child in inputs:
+                subtree = sub_get(child)
+                if subtree is None:
+                    subtree = subtrees_of[child] = new_subtree(
+                        child, key_of(child) or leaf
+                    )
+                subtrees.append(subtree)
+            memo[net] = fast_signature(
+                net, shape.root_type, tuple(subtrees), shape.sorted_keys
+            )
         stats = self.stats
-        stats.signature_hits += sig_hits
-        stats.signature_misses += sig_misses
+        stats.signature_misses += built
+        stats.signature_hits += len(nets) - built
         stats.key_hits += key_hits
-        return out
+        return [memo[net] for net in nets]
 
     def shapes(self, nets: Sequence[str]) -> List[BitShape]:
         """The :class:`BitShape` of each of ``nets``: what matching compares.
@@ -378,28 +319,13 @@ class AnalysisContext:
         A shape is a signature's ``root_type`` and ``sorted_keys``, read
         off the depth-1 key table and interned per distinct ``(cell name,
         sorted subtree keys)``, so bits of one shape share one record and
-        no per-bit object is built.  Nothing is counted: the signature
-        and key-hit counters describe the signatures :meth:`signatures`
-        builds, which the engine asks for only where its later stages
-        read subtrees.
+        no per-bit object is built.  :meth:`signatures` takes its bits'
+        shapes from here.  Only keys computed without a table are
+        counted: the signature and key-hit counters describe the
+        signatures :meth:`signatures` builds, which the engine asks for
+        only where its later stages read subtrees.
         """
-        levels = self.depth - 1
-        view = self._level_keys.get(levels)
-        if view is not None:
-            key_of = view.get  # a net absent from the table is a leaf
-        else:
-            # No key table (depth 1, a budget-cut precompute): the
-            # recursive path, counting the keys it computes.
-            keys = self._keys
-            stats = self.stats
-
-            def key_of(child: str) -> str:
-                key = keys.get((child, levels))
-                if key is None:
-                    stats.key_misses += 1
-                    key = self.key(child, levels)
-                return key
-
+        key_of = self._subtree_key_reader()
         memo = self._shapes
         driver_of = self.netlist.driver
         boundary = self.boundary
@@ -426,6 +352,28 @@ class AnalysisContext:
                 )
             append(shape)
         return out
+
+    def _subtree_key_reader(self) -> Callable[[str], Optional[str]]:
+        """``child -> key`` at level ``depth - 1``, the level of a bit's
+        subtrees.  With the key table that is a plain probe, ``None`` for
+        a cone leaf (callers read it ``or LEAF_TOKEN``).  Without one
+        (depth 1, a budget-cut precompute) it is the recursive
+        :meth:`key`, counting a miss for each key not yet memoized."""
+        levels = self.depth - 1
+        view = self._level_keys.get(levels)
+        if view is not None:
+            return view.get
+        keys = self._keys
+        stats = self.stats
+
+        def key_of(child: str) -> str:
+            key = keys.get((child, levels))
+            if key is None:
+                stats.key_misses += 1
+                key = self.key(child, levels)
+            return key
+
+        return key_of
 
     # ------------------------------------------------------------------
     # cone net sets

@@ -223,18 +223,21 @@ def chains(prev, cur, allow_partial: bool = True) -> bool:
 
 
 def chain_runs(
-    items: Sequence, joins: Callable[[Any, Any], bool]
+    items: Sequence,
+    allow_partial: bool,
+    joins: Callable[[Any, Any, bool], bool] = chains,
 ) -> Iterator[Tuple[int, int]]:
     """``(start, end)`` of each maximal run of ``items`` whose every item
-    ``joins`` the one before it, in order.
+    chains to the one before it, in order.
 
     Each item is compared with its predecessor only (the paper's explicit
     design choice: a bit joins at most one subgroup, the one of its
-    adjacent predecessor).
+    adjacent predecessor), by ``joins(prev, cur, allow_partial)``:
+    :func:`chains`, or the engine's memo of it over interned shapes.
     """
     start = 0
     for end in range(1, len(items)):
-        if not joins(items[end - 1], items[end]):
+        if not joins(items[end - 1], items[end], allow_partial):
             yield start, end
             start = end
     if items:
@@ -250,13 +253,9 @@ def form_subgroups(
     ``allow_partial=False`` this degenerates into the shape-hashing
     baseline's grouping, where only full matches chain.
     """
-
-    def joins(prev: BitSignature, cur: BitSignature) -> bool:
-        return chains(prev, cur, allow_partial)
-
     return [
         _make_subgroup(signatures[start:end])
-        for start, end in chain_runs(signatures, joins)
+        for start, end in chain_runs(signatures, allow_partial)
     ]
 
 
@@ -273,14 +272,30 @@ def full_match_runs(
 
     Equivalent to ``form_subgroups(signatures, allow_partial=False)``
     flattened to signature lists, but without constructing
-    :class:`Subgroup` bookkeeping — this is the re-check after every
+    :class:`Subgroup` bookkeeping — this is the hot re-check after every
     control-signal assignment, where only the partition matters.
+
+    Two adjacent bits chain exactly when :func:`compare_bits` reports a
+    full match: both non-leaf, same qualified root type, identical and
+    non-empty subtree key multisets.  That is the full-match case of
+    :func:`chains`, kept inline: a call per adjacent pair through
+    :func:`chain_runs` made b18's reduction stage measurably slower.
     """
-    return [
-        list(signatures[start:end])
-        for start, end in chain_runs(signatures, _full_match)
-    ]
-
-
-def _full_match(prev: BitSignature, cur: BitSignature) -> bool:
-    return chains(prev, cur, allow_partial=False)
+    runs: List[List[BitSignature]] = []
+    current: List[BitSignature] = []
+    for sig in signatures:
+        if current:
+            prev = current[-1]
+            if (
+                prev.root_type is not None
+                and sig.root_type == prev.root_type
+                and sig.sorted_keys == prev.sorted_keys
+                and sig.sorted_keys
+            ):
+                current.append(sig)
+                continue
+            runs.append(current)
+        current = [sig]
+    if current:
+        runs.append(current)
+    return runs

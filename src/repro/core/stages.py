@@ -209,7 +209,7 @@ class MatchingStage(Stage):
         signatures = art.context.signatures
         decided: Dict[Tuple[BitShape, BitShape], bool] = {}
 
-        def joins(prev: BitShape, cur: BitShape) -> bool:
+        def joins(prev: BitShape, cur: BitShape, allow_partial: bool) -> bool:
             pair = (prev, cur)
             joined = decided.get(pair)
             if joined is None:
@@ -219,7 +219,7 @@ class MatchingStage(Stage):
         runs: List[Union[str, Tuple[str, ...], SubgroupTask]] = []
         tasks: List[SubgroupTask] = []
         for group, shapes in zip(art.groups, art.group_shapes):
-            for start, end in chain_runs(shapes, joins):
+            for start, end in chain_runs(shapes, allow_partial, joins):
                 if end - start == 1:
                     runs.append(group[start])
                     continue
@@ -227,7 +227,9 @@ class MatchingStage(Stage):
                 if all(shape is first for shape in shapes[start + 1:end]):
                     runs.append(tuple(group[start:end]))
                     continue
-                subgroup = Subgroup(signatures(group[start:end]))
+                subgroup = Subgroup(
+                    signatures(group[start:end], shapes[start:end])
+                )
                 subgroup.finalize()
                 task = SubgroupTask(index=len(runs), subgroup=subgroup)
                 runs.append(task)

@@ -26,7 +26,9 @@ signatures.  This suite pins it five ways:
 4. a Hypothesis differential of the engine's subgroups (bits, kind,
    dissimilar subtrees, task index) against ``form_subgroups``, over
    depths 1–5, both groupings, both staged backends, and key tables cut
-   short, with registers that share a D net;
+   short, with registers that share a D net, and of the reduction
+   search's inline re-check ``full_match_runs`` against
+   ``form_subgroups(..., allow_partial=False)``;
 5. counts on b18 (signatures only for the bits of partially matched
    subgroups, none for Base) and the task indices a ``fault_hook`` sees.
 
@@ -49,7 +51,7 @@ from repro.core import stages
 from repro.core.context import AnalysisContext
 from repro.core.grouping import group_by_adjacency
 from repro.core.hashkey import SignatureIndex
-from repro.core.matching import form_subgroups
+from repro.core.matching import form_subgroups, full_match_runs
 from repro.core.pipeline import PipelineConfig, identify_words
 from repro.core.words import IdentificationResult
 from repro.netlist.builder import NetlistBuilder
@@ -389,6 +391,20 @@ class TestShapePath:
         )
         if backend == "base":
             assert not art.tasks and stats.signature_misses == 0
+
+    @given(word_like_designs(), st.integers(min_value=1, max_value=5))
+    def test_full_match_runs_equal_form_subgroups(self, netlist, depth):
+        """The reduction search's re-check states the full-match case of
+        the chain rule inline; it must split as ``form_subgroups`` does."""
+        context = AnalysisContext(netlist, depth)
+        for group in group_by_adjacency(netlist) + [
+            netlist.register_input_nets()
+        ]:
+            signatures = context.signatures(group)
+            assert full_match_runs(signatures) == [
+                subgroup.signatures
+                for subgroup in form_subgroups(signatures, allow_partial=False)
+            ]
 
     @given(word_like_designs())
     def test_bits_of_one_shape_share_one_record(self, netlist):

@@ -12,7 +12,8 @@ from repro.core import (
     root_type_of,
     signature_of,
 )
-from repro.core.matching import _merge_compare
+from repro.core.hashkey import BitSignature
+from repro.core.matching import _merge_compare, full_match_runs
 from repro.netlist import NetlistBuilder
 
 
@@ -123,6 +124,15 @@ class TestFormSubgroups:
         sigs = [signature_of(nl, n) for n in bits]
         groups = form_subgroups(sigs, allow_partial=False)
         assert [len(g.bits) for g in groups] == [2, 1]
+
+    def test_input_free_gates_never_chain(self):
+        """Bits driven by a constant cell (a TIE a reduction leaves) have
+        an empty key multiset and chain neither in ``form_subgroups`` nor
+        in the re-check, which states the full-match rule inline."""
+        tied = [BitSignature(net, "TIE00", (), ()) for net in ("t0", "t1")]
+        groups = form_subgroups(tied, allow_partial=False)
+        assert [len(g.bits) for g in groups] == [1, 1]
+        assert [len(run) for run in full_match_runs(tied)] == [1, 1]
 
     def test_chain_breaks_on_no_match(self):
         nl, bits = build_group(n_full=2, n_partial=0, n_other=2)
