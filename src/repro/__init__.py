@@ -45,27 +45,57 @@ The store-less library entry points ``identify_words`` and
 ``shape_hashing`` live in :mod:`repro.core`.
 """
 
-from .api import AnalysisReport, Session
-from .core import (
-    IdentificationResult,
-    PipelineConfig,
-    Word,
-)
-from .eval import evaluate, extract_reference_words
-from .netlist import Netlist, NetlistBuilder, parse_verilog, write_verilog
-from .store import ArtifactStore
+from __future__ import annotations
+
+import importlib
+import sys
+from typing import Callable, Dict, Mapping, Sequence
 
 __version__ = "5.0.0"
 
 
-def __getattr__(name):
-    # Resolved on first use, so importing repro leaves repro.eval.runner
-    # unimported (see repro.eval).
-    if name == "run_benchmark":
-        from .eval.runner import run_benchmark
+def _lazy_exports(
+    package: str, exports: Mapping[str, Sequence[str]]
+) -> Callable[[str], object]:
+    """A module ``__getattr__`` (PEP 562) that imports a package's public
+    names on first use.
 
-        return run_benchmark
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    ``exports`` maps a submodule, relative to ``package``, to the names
+    it defines.  A name resolves from its submodule and is then bound in
+    the package, so it resolves once; any other name raises
+    ``AttributeError``, which leaves ``from package import submodule`` to
+    the import system.  ``repro``, ``repro.core`` and ``repro.netlist``
+    re-export this way, so a command loads only the modules it runs:
+    ``repro --help`` none of them, and an analysis neither the simulator,
+    the equivalence checker nor the evaluation harness.
+    """
+    owners: Dict[str, str] = {
+        name: module for module, names in exports.items() for name in names
+    }
+
+    def __getattr__(name: str) -> object:
+        module = owners.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_exports(__name__, {
+    ".api": ("AnalysisReport", "Session"),
+    ".core": ("IdentificationResult", "PipelineConfig", "Word"),
+    ".eval": ("evaluate", "extract_reference_words"),
+    ".eval.runner": ("run_benchmark",),
+    ".netlist": (
+        "Netlist", "NetlistBuilder", "parse_verilog", "write_verilog",
+    ),
+    ".store": ("ArtifactStore",),
+})
 
 __all__ = [
     "AnalysisReport",

@@ -33,7 +33,6 @@ from __future__ import annotations
 import errno
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, List, Optional, Sequence, Tuple, Union,
@@ -684,6 +683,8 @@ class Session:
         ]
         reports: List[Optional[AnalysisReport]] = [None] * len(sources)
         if jobs > 1 and len(paths) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             store_root = self.store.root if self.store is not None else None
             max_workers = min(jobs, len(paths))
             with ProcessPoolExecutor(max_workers=max_workers) as pool:

@@ -45,11 +45,8 @@ from typing import Optional, Sequence
 
 from .api import AnalysisReport, Session
 from .core import PipelineConfig
-from .core.modules import identify_operators
-from .core.propagation import propagate_words
 from .core.resilience import BudgetExceeded, PreflightError
 from .core.words import SIGNATURE_KERNEL
-from .eval import evaluate, extract_reference_words
 from .exitcodes import EXIT_CHECK_FAILED, EXIT_OK, EXIT_STRICT, EXIT_USAGE
 from .netlist.bench import BenchError
 from .netlist.verilog import VerilogError
@@ -276,7 +273,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     derived = None
     operators = None
     all_words = list(result.words)
+    # The flags' modules are imported only when the flag is given, so a
+    # plain run loads none of them (tests/test_imports.py).
     if args.propagate:
+        from .core.propagation import propagate_words
+
         grown = propagate_words(netlist, result.words)
         derived = grown.derived
         all_words = grown.words
@@ -315,6 +316,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  [{word.width:>2}] {', '.join(word.bits)}")
 
     if args.operators:
+        from .core.modules import identify_operators
+
         operators = [
             m for m in identify_operators(netlist, all_words)
             if m.kind != "buf"
@@ -324,6 +327,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  {match.describe()}")
 
     if args.score:
+        from .eval import evaluate, extract_reference_words
+
         reference = extract_reference_words(netlist)
         if not reference:
             # A netlist with no recoverable golden register names has

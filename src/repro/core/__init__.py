@@ -9,37 +9,38 @@ stages the paper motivates are implemented as well: :mod:`propagation`
 (datapath-operator recognition over recovered words).
 """
 
-from .baseline import shape_hashing
-from .context import AnalysisContext
-from .control import ControlSignalCandidate, find_control_signals
-from .grouping import group_by_adjacency, group_register_inputs, root_type_of
-from .hashkey import BitSignature, SignatureIndex, Subtree, hash_key, signature_of
-from .matching import (
-    MatchKind,
-    PairMatch,
-    Subgroup,
-    compare_bits,
-    form_subgroups,
-    full_match_runs,
-)
-from .modules import OperatorMatch, identify_operators
-from .pipeline import PipelineConfig, identify_words
-from .propagation import PropagationResult, propagate_words
-from .reduction import (
-    InfeasibleAssignment,
-    ReducedNetlist,
-    propagate_constants,
-    reduce_netlist,
-    sweep_dead_logic,
-)
-from .stages import AnalysisEngine
-from .words import (
-    CacheStats,
-    ControlAssignment,
-    IdentificationResult,
-    StageTrace,
-    Word,
-)
+from .. import _lazy_exports
+
+# Each public name is imported from its module on first use: an analysis
+# never loads modules or propagation.
+__getattr__ = _lazy_exports(__name__, {
+    ".baseline": ("shape_hashing",),
+    ".context": ("AnalysisContext",),
+    ".control": ("ControlSignalCandidate", "find_control_signals"),
+    ".grouping": (
+        "group_by_adjacency", "group_register_inputs", "root_type_of",
+    ),
+    ".hashkey": (
+        "BitSignature", "SignatureIndex", "Subtree", "hash_key",
+        "signature_of",
+    ),
+    ".matching": (
+        "MatchKind", "PairMatch", "Subgroup", "compare_bits",
+        "form_subgroups", "full_match_runs",
+    ),
+    ".modules": ("OperatorMatch", "identify_operators"),
+    ".pipeline": ("PipelineConfig", "identify_words"),
+    ".propagation": ("PropagationResult", "propagate_words"),
+    ".reduction": (
+        "InfeasibleAssignment", "ReducedNetlist", "propagate_constants",
+        "reduce_netlist", "sweep_dead_logic",
+    ),
+    ".stages": ("AnalysisEngine",),
+    ".words": (
+        "CacheStats", "ControlAssignment", "IdentificationResult",
+        "StageTrace", "Word",
+    ),
+})
 
 __all__ = [
     "shape_hashing",

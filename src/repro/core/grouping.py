@@ -20,7 +20,7 @@ register file order instead.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Set
 
 from ..netlist.netlist import Gate, Netlist
 
@@ -62,9 +62,13 @@ def group_by_adjacency(netlist: Netlist) -> List[List[str]]:
     return groups
 
 
-def _flush(groups: List[List[str]], current: List[str]) -> None:
+def _flush(groups: List[List[str]], current: List[str]) -> bool:
+    """Keep the run ``current`` as a group if it has two nets or more;
+    say whether it was kept."""
     if len(current) >= 2:
         groups.append(current)
+        return True
+    return False
 
 
 def group_register_inputs(netlist: Netlist) -> List[List[str]]:
@@ -73,23 +77,30 @@ def group_register_inputs(netlist: Netlist) -> List[List[str]]:
     Scans flip-flops in file order and groups consecutive D-input nets whose
     drivers share a root gate type.  Useful when the netlist's combinational
     line order has been shuffled (e.g. alphabetized by a tool) but register
-    order survives.
+    order survives.  A flip-flop whose D net is already listed, in a group
+    or in the current run, neither joins the run nor breaks it: registers
+    that share a D net list it once.
     """
     groups: List[List[str]] = []
+    grouped: Set[str] = set()  # the nets of ``groups``
     current: List[str] = []
     current_type: str = ""
     for ff in netlist.flip_flops():
         d_net = ff.inputs[0]
+        if d_net in grouped or d_net in current:
+            continue
         driver = netlist.driver(d_net)
         if driver is None or not _groupable(driver):
-            _flush(groups, current)
+            if _flush(groups, current):
+                grouped.update(current)
             current, current_type = [], ""
             continue
         gate_type = root_type_of(driver)
         if gate_type == current_type:
             current.append(d_net)
         else:
-            _flush(groups, current)
+            if _flush(groups, current):
+                grouped.update(current)
             current = [d_net]
             current_type = gate_type
     _flush(groups, current)

@@ -71,8 +71,17 @@ class Subtree:
     ``context.cone(root_net, depth - 1)``.
     """
 
+    # No instance dict: there is one per child net of every signed bit.
+    # Declared here, as dataclass(slots=True) needs Python 3.10.
+    __slots__ = ("root_net", "key")
+
     root_net: str
     key: str
+
+    def __reduce__(self):
+        # A frozen slotted instance cannot have its slots set back by
+        # copy or pickle, so both rebuild it through __init__.
+        return (Subtree, (self.root_net, self.key))
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,9 @@ class BitSignature:
     one entry per root fanin, and ``sorted_keys`` caches their hash keys in
     sorted order for the merge-join comparison of Section 2.3.
     """
+
+    # As Subtree's: no instance dict, and copies rebuilt through __init__.
+    __slots__ = ("net", "root_type", "subtrees", "sorted_keys")
 
     net: str
     root_type: Optional[str]
@@ -106,6 +118,12 @@ class BitSignature:
 
     def subtrees_for_key(self, key: str) -> List[Subtree]:
         return [s for s in self.subtrees if s.key == key]
+
+    def __reduce__(self):
+        return (
+            BitSignature,
+            (self.net, self.root_type, self.subtrees, self.sorted_keys),
+        )
 
 
 class BitShape:
@@ -142,14 +160,13 @@ def fast_subtree(root_net: str, key: str) -> Subtree:
     Frozen dataclasses funnel every field store through
     ``object.__setattr__``; the bulk signature pass
     (:meth:`~repro.core.context.AnalysisContext.signatures`) constructs
-    one per child net of every candidate bit, so it writes the instance
-    dict directly.  Field-for-field identical to ``Subtree(...)``
-    (equality and hashing behave the same).
+    one per child net of every signed bit, so it stores each field
+    through its slot's member descriptor directly.  Field-for-field
+    identical to ``Subtree(...)`` (equality and hashing behave the same).
     """
     subtree = _SUBTREE_NEW(Subtree)
-    fields = subtree.__dict__
-    fields["root_net"] = root_net
-    fields["key"] = key
+    _SET_ROOT_NET(subtree, root_net)
+    _SET_KEY(subtree, key)
     return subtree
 
 
@@ -161,16 +178,21 @@ def fast_signature(
 ) -> BitSignature:
     """:class:`BitSignature` built like :func:`fast_subtree`."""
     signature = _SIGNATURE_NEW(BitSignature)
-    fields = signature.__dict__
-    fields["net"] = net
-    fields["root_type"] = root_type
-    fields["subtrees"] = subtrees
-    fields["sorted_keys"] = sorted_keys
+    _SET_NET(signature, net)
+    _SET_ROOT_TYPE(signature, root_type)
+    _SET_SUBTREES(signature, subtrees)
+    _SET_SORTED_KEYS(signature, sorted_keys)
     return signature
 
 
 _SUBTREE_NEW = Subtree.__new__
+_SET_ROOT_NET = Subtree.root_net.__set__
+_SET_KEY = Subtree.key.__set__
 _SIGNATURE_NEW = BitSignature.__new__
+_SET_NET = BitSignature.net.__set__
+_SET_ROOT_TYPE = BitSignature.root_type.__set__
+_SET_SUBTREES = BitSignature.subtrees.__set__
+_SET_SORTED_KEYS = BitSignature.sorted_keys.__set__
 
 
 def _root_type(node: ConeNode) -> Optional[str]:

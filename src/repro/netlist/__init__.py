@@ -11,31 +11,33 @@ checking (:mod:`~repro.netlist.simulate`), and structural validation
 (:mod:`~repro.netlist.validate`).
 """
 
-from .cells import (
-    AND,
-    BUF,
-    CellLibrary,
-    CellType,
-    DFF,
-    INV,
-    LIBRARY,
-    MUX,
-    NAND,
-    NOR,
-    OR,
-    TIE0,
-    TIE1,
-    XNOR,
-    XOR,
-)
-from .netlist import Gate, Netlist, NetlistError
-from .builder import NetlistBuilder
-from .cone import ConeNode, cone_gates, cone_nets, extract_cone
-from .verilog import VerilogError, parse_verilog, parse_verilog_file, write_verilog
-from .bench import BenchError, parse_bench, parse_bench_file, write_bench
-from .equiv import EquivalenceResult, check_equivalence
-from .simulate import Simulator, evaluate_combinational, exhaustive_inputs, step
-from .validate import NetlistStats, ValidationReport, stats, validate
+from .. import _lazy_exports
+
+# ``validate`` is also the name of its submodule: bound lazily, the
+# package attribute would be whichever the import system set first.
+from .validate import validate
+
+# Every other public name is imported from its module on first use: an
+# analysis never loads simulate or equiv.
+__getattr__ = _lazy_exports(__name__, {
+    ".cells": (
+        "AND", "BUF", "CellLibrary", "CellType", "DFF", "INV", "LIBRARY",
+        "MUX", "NAND", "NOR", "OR", "TIE0", "TIE1", "XNOR", "XOR",
+    ),
+    ".netlist": ("Gate", "Netlist", "NetlistError"),
+    ".builder": ("NetlistBuilder",),
+    ".cone": ("ConeNode", "cone_gates", "cone_nets", "extract_cone"),
+    ".verilog": (
+        "VerilogError", "parse_verilog", "parse_verilog_file",
+        "write_verilog",
+    ),
+    ".bench": ("BenchError", "parse_bench", "parse_bench_file", "write_bench"),
+    ".equiv": ("EquivalenceResult", "check_equivalence"),
+    ".simulate": (
+        "Simulator", "evaluate_combinational", "exhaustive_inputs", "step",
+    ),
+    ".validate": ("NetlistStats", "ValidationReport", "stats"),
+})
 
 __all__ = [
     "AND", "BUF", "CellLibrary", "CellType", "DFF", "INV", "LIBRARY", "MUX",

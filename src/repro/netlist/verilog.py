@@ -100,6 +100,12 @@ _CANON_INSTANCE_RE = re.compile(
     rf"((?:, \.[A-Z]\({_CANON_ID}\))*)\);"
 )
 _CANON_PIN_RE = re.compile(rf", \.([A-Z])\(({_CANON_ID})\)")
+#: The writer's two-input line (most gates of a mapped design), read
+#: with one match instead of the instance and pin patterns.
+_CANON_PAIR_RE = re.compile(
+    rf"  ({_CANON_ID}) ({_CANON_ID}) \(\.Z\(({_CANON_ID})\), "
+    rf"\.A\(({_CANON_ID})\), \.B\(({_CANON_ID})\)\);"
+)
 #: A statement starting with a keyword is never an instance (the general
 #: parser reads ``module...`` as a header and ``input x`` etc. as
 #: declarations), so the fast reader leaves such cells to it.
@@ -380,20 +386,43 @@ def _canonical_rows(
     """The gate rows of the statement lines ``lines[1:-1]``, for
     :meth:`Netlist._from_rows`; port declarations are appended to
     ``inputs``/``outputs`` on the way.  Raises :class:`_OffLayout` on a
-    line outside the layout or an instance of an unknown cell."""
+    line outside the layout or an instance of an unknown cell.
+
+    Every name is kept as one ``str`` per distinct spelling: a net is
+    written once per declaration, driver and fanout pin, and the writer
+    often names a gate after its output, so the rows and ports share one
+    object per name instead of a copy per occurrence."""
     declaration = _CANON_DECL_RE.fullmatch
+    pair = _CANON_PAIR_RE.fullmatch
     instance = _CANON_INSTANCE_RE.fullmatch
     pins_of = _CANON_PIN_RE.findall
+    names: Dict[str, str] = {}
+    intern = names.setdefault
     cells: Dict[str, CellType] = {}
+    pair_cells: Dict[str, CellType] = {}
     for index in range(1, len(lines) - 1):
         line = lines[index]
         decl = declaration(line)
         if decl is not None:
             kind, net = decl.groups()
             if kind == "input":
-                inputs.append(net)
+                inputs.append(intern(net, net))
             elif kind == "output":
-                outputs.append(net)
+                outputs.append(intern(net, net))
+            continue
+        match = pair(line)
+        if match is not None:
+            cell_name, name, output, a, b = match.groups()
+            cell = pair_cells.get(cell_name)
+            if cell is None:
+                cell = _pair_cell(cell_name, library)
+                if cell is None:
+                    raise _OffLayout
+                pair_cells[cell_name] = cell
+            yield (
+                intern(name, name), cell, (intern(a, a), intern(b, b)),
+                intern(output, output),
+            )
             continue
         match = instance(line)
         if match is None:
@@ -411,7 +440,24 @@ def _canonical_rows(
         pins = tuple([pin for pin, _ in pairs])
         if (out_pin, pins) != _pin_names(cell, len(pins)):
             raise _OffLayout
-        yield name, cell, tuple([net for _, net in pairs]), output
+        yield (
+            intern(name, name), cell,
+            tuple([intern(net, net) for _, net in pairs]),
+            intern(output, output),
+        )
+
+
+def _pair_cell(cell_name: str, library: CellLibrary) -> Optional[CellType]:
+    """The cell of a two-input line ``.Z .A .B`` of ``cell_name``, or
+    ``None`` where the instance path would refuse the line: a keyword
+    cell name, a cell outside the library, or a cell whose writer pins
+    are not ``.Z .A .B`` (flip-flops, muxes)."""
+    if cell_name.startswith(_KEYWORD_PREFIXES) or cell_name not in library:
+        return None
+    cell = library.get(cell_name)
+    if _pin_names(cell, 2) != ("Z", ("A", "B")):
+        return None
+    return cell
 
 
 def _apply_declaration(

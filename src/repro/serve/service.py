@@ -34,9 +34,7 @@ from typing import Dict, Optional, Tuple, Union
 from .. import metrics as _metrics
 from . import pool as _pool
 from ..api import AnalysisReport, Session
-from ..batch import _aggregate, _row_from_report
 from ..core.resilience import BudgetExceeded, PreflightError
-from ..eval.runner import append_journal_entry
 from ..schema import stamp
 from ..triage import TriageConfig
 
@@ -641,6 +639,11 @@ class AnalysisService:
         return _json_response(200, report.as_dict(top=payload.get("top")))
 
     def _batch(self, payload: Dict) -> Response:
+        # Imported here: only /v1/batch needs the corpus and journal
+        # helpers (and the evaluation harness they load).
+        from ..batch import _aggregate, _row_from_report
+        from ..eval.runner import append_journal_entry
+
         diagnostics = _validate_request(payload, "batch")
         if diagnostics:
             return _error(

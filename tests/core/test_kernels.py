@@ -392,6 +392,23 @@ class TestShapePath:
         if backend == "base":
             assert not art.tasks and stats.signature_misses == 0
 
+    @pytest.mark.parametrize("backend", ["ours", "base"])
+    @given(
+        netlist=word_like_designs(),
+        depth=st.integers(min_value=1, max_value=5),
+    )
+    def test_register_grouping_lists_each_net_once(
+        self, netlist, depth, backend
+    ):
+        """Twin registers share a D net; the words and singletons of
+        ``grouping="registers"`` still name each net at most once."""
+        result = identify_words(netlist, PipelineConfig(
+            depth=depth, grouping="registers", backend=backend
+        ))
+        nets = [net for word in result.words for net in word.bits]
+        nets += result.singletons
+        assert len(nets) == len(set(nets))
+
     @given(word_like_designs(), st.integers(min_value=1, max_value=5))
     def test_full_match_runs_equal_form_subgroups(self, netlist, depth):
         """The reduction search's re-check states the full-match case of

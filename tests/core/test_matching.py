@@ -5,10 +5,12 @@ import pytest
 from repro.core import (
     AnalysisContext,
     MatchKind,
+    PipelineConfig,
     compare_bits,
     form_subgroups,
     group_by_adjacency,
     group_register_inputs,
+    identify_words,
     root_type_of,
     signature_of,
 )
@@ -218,3 +220,19 @@ class TestStage1Grouping:
         nl = b.build()
         groups = group_register_inputs(nl)
         assert groups == [[d_nets[0], d_nets[1]]]
+
+    def test_register_grouping_lists_a_shared_d_net_once(self):
+        """Regression: two flip-flops on one D net made the grouping list
+        the net twice, and emission refused the word ``(x, x)``.  A twin
+        register neither joins the run nor breaks it."""
+        b = NetlistBuilder("t")
+        a, c = b.inputs("a", "c")
+        x = b.and_(a, c)
+        b.dff(x, output="r_reg_0")
+        b.dff(x, output="r_reg_1")
+        y = b.and_(c, a)
+        b.dff(y, output="r_reg_2")
+        nl = b.build()
+        assert group_register_inputs(nl) == [[x, y]]
+        result = identify_words(nl, PipelineConfig(grouping="registers"))
+        assert [word.bits for word in result.words] == [(x, y)]

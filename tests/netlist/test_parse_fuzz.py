@@ -9,7 +9,11 @@ mutations of it:
 * the fast reader returns ``None`` or a netlist equal to the general
   parser's (``==``, ``netlist_digest`` and every fact the netlist
   answers, also after the same edits on both);
-* whenever the general parser raises, the fast reader returns ``None``.
+* whenever the general parser raises, the fast reader returns ``None``;
+* the fast reader's one-match branch for the writer's two-input line
+  (``.Z .A .B``) decides every line as its instance path does, and a
+  netlist it builds holds one ``str`` per name: gate inputs, outputs
+  and ports that spell one net are one object.
 
 Separately, ``parse_verilog`` raises nothing but ``VerilogError`` and
 ``parse_bench`` nothing but ``BenchError`` on any input, and the fast
@@ -22,8 +26,10 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +38,7 @@ from hypothesis import strategies as st
 from repro.fuzz import generate, sample_seed
 from repro.netlist import AND, LIBRARY, CellLibrary, CellType, Netlist
 from repro.netlist import NetlistBuilder
+from repro.netlist import verilog
 from repro.netlist.bench import BenchError, parse_bench, write_bench
 from repro.netlist.verilog import (
     VerilogError,
@@ -109,6 +116,21 @@ def _instance_lines(lines):
     return [i for i, line in enumerate(lines) if " (." in line]
 
 
+#: Two-input lines: the writer's own, and ones the fast reader must
+#: decline (swapped pins, cells whose writer pins differ, cells whose
+#: arity refuses two inputs, a keyword-prefixed cell name).
+_PAIR_LINES = (
+    "  AND2 pair (.Z(pz), .A({a}), .B({b}));",
+    "  XNOR2 pair (.Z(pz), .A({a}), .B({b}));",
+    "  AND2 pair (.Z(pz), .B({b}), .A({a}));",
+    "  DFF pair (.Z(pz), .A({a}), .B({b}));",
+    "  MUX pair (.Z(pz), .A({a}), .B({b}));",
+    "  INV pair (.Z(pz), .A({a}), .B({b}));",
+    "  BUF pair (.Z(pz), .A({a}), .B({b}));",
+    "  wireAND2 pair (.Z(pz), .A({a}), .B({b}));",
+)
+
+
 @st.composite
 def mutated_verilog(draw):
     text = draw(st.sampled_from(_seeds()))
@@ -118,6 +140,7 @@ def mutated_verilog(draw):
         "instance_name", "crlf", "comment", "after_endmodule",
         "two_modules", "move_line", "dup_line", "drop_line",
         "drive_input", "char", "indent", "pin_case", "vector", "named_26",
+        "pair_line",
     )))
     gates = _instance_lines(lines)
     if kind in ("swap_pins", "drop_pin", "dup_pin", "cell_name",
@@ -192,6 +215,16 @@ def mutated_verilog(draw):
         lines.insert(
             len(lines) - 2, f"  AND26 old (.Z(old), {', '.join(pins)});"
         )
+    elif kind == "pair_line":
+        # Inputs from the design's own nets, so fanout is shared.
+        nets = [
+            line.split("(", 2)[2].split(")", 1)[0]
+            for line in (lines[i] for i in gates)
+        ] or ["pa"]
+        line = draw(st.sampled_from(_PAIR_LINES)).format(
+            a=draw(st.sampled_from(nets)), b=draw(st.sampled_from(nets))
+        )
+        lines.insert(draw(st.integers(1, len(lines) - 2)), line)
     return "\n".join(lines)
 
 
@@ -236,8 +269,40 @@ def _edit(netlist: Netlist) -> None:
     netlist.replace_gate(first.name, first.cell, first.inputs[::-1])
 
 
+#: Matches no line: with it, the fast reader reads every instance line
+#: through its general instance path.
+_NO_PAIR = re.compile(r"(?!)")
+
+
+def _without_pair_branch(text: str, library: CellLibrary):
+    with mock.patch.object(verilog, "_CANON_PAIR_RE", _NO_PAIR):
+        return _read_canonical(text, library)
+
+
+def _check_one_object_per_name(netlist: Netlist) -> None:
+    """Every reference to a name is one object: a driven gate input is
+    its driver's output, a port is the net the gates reference, and a
+    gate named after its output holds that one string."""
+    ports = {net: net for net in netlist.primary_outputs}
+    ports.update((net, net) for net in netlist.primary_inputs)
+    for gate in netlist.gates_in_file_order():
+        if gate.name == gate.output:
+            assert gate.name is gate.output
+        for net in gate.inputs:
+            driver = netlist.driver(net)
+            if driver is not None:
+                assert driver.output is net
+        for net in (gate.output, *gate.inputs):
+            assert ports.get(net, net) is net
+
+
 def _check_contract(text: str, library: CellLibrary = LIBRARY) -> None:
     fast = _read_canonical(text, library)
+    by_instance = _without_pair_branch(text, library)
+    assert (fast is None) == (by_instance is None)
+    if fast is not None:
+        assert _facts(fast) == _facts(by_instance)
+        _check_one_object_per_name(fast)
     try:
         general = _parse_recovering(text, library, 10)
     except VerilogError:
@@ -297,6 +362,22 @@ class TestDifferential:
             *LIBRARY.types(), CellType(cell.upper(), "and", False, 2, None)
         ])
         text = f"module m ();\n  {cell} g (.Z(y), .A(a), .B(b));\nendmodule\n"
+        assert _read_canonical(text, library) is None
+        _check_contract(text, library)
+
+    @pytest.mark.parametrize("cell", [
+        CellType("SDFF", "dff", False, 1, 2),
+        CellType("MUXW", "mux", False, 2, 3),
+    ])
+    def test_two_input_lines_of_other_pin_layouts_are_declined(self, cell):
+        """A flip-flop's writer pins are ``.Q .D`` and a mux's ``.Z .S .A
+        .B``: a ``.Z .A .B`` line of such a cell is off the layout even
+        where the library lets it take two inputs."""
+        library = CellLibrary([*LIBRARY.types(), cell])
+        text = (
+            f"module m ();\n  {cell.name} g (.Z(y), .A(a), .B(b));\n"
+            "endmodule\n"
+        )
         assert _read_canonical(text, library) is None
         _check_contract(text, library)
 
