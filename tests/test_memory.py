@@ -22,7 +22,6 @@ from repro.core.hashkey import (
     fast_signature,
     fast_subtree,
 )
-from repro.core.context import AnalysisContext
 from repro.netlist.verilog import parse_verilog, write_verilog
 
 #: Bytes a parsed gate may hold, netlist included.  The writer's b14
@@ -83,12 +82,3 @@ def test_field_order_is_unchanged():
     assert [f.name for f in dataclasses.fields(BitSignature)] == [
         "net", "root_type", "subtrees", "sorted_keys",
     ]
-
-
-def test_the_engine_builds_slotted_signatures(itc99):
-    netlist = itc99("b03")
-    nets = [net for net, gate in netlist.drivers() if not gate.is_ff]
-    for signature in AnalysisContext(netlist, 4).signatures(nets):
-        assert not hasattr(signature, "__dict__")
-        for subtree in signature.subtrees:
-            assert not hasattr(subtree, "__dict__")
