@@ -8,8 +8,6 @@ Everything a downstream user needs lives behind two names::
     report = session.analyze("design.v")         # path, or a Netlist
     print(report.words, report.cache)            # ("hit" on a warm rerun)
 
-    reports = session.analyze_many(paths, jobs=4)   # multi-process corpus
-
 :class:`Session` owns an optional
 :class:`~repro.store.ArtifactStore` handle plus a
 :class:`~repro.core.pipeline.PipelineConfig`, and every analysis returns a
@@ -17,8 +15,8 @@ frozen :class:`AnalysisReport` — a versioned, serializable bundle of
 words, trace, diagnostics, and cache provenance.  The facade is the
 compatibility contract: the modules underneath
 (:mod:`repro.core`, :mod:`repro.store`, :mod:`repro.batch`) may be
-refactored freely, but ``Session`` / ``AnalysisReport`` only change with
-a deprecation cycle, and their JSON forms only change with a
+refactored freely, but a name leaves ``Session`` / ``AnalysisReport``
+only in a major version, and their JSON forms only change with a
 ``schema_version`` bump.
 
 ``Session`` is also the only code that reads or writes identification
@@ -34,9 +32,7 @@ import errno
 import functools
 import os
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import metrics as _metrics
 from .core.pipeline import PipelineConfig, _gc_paused, identify_words
@@ -58,7 +54,6 @@ from .triage import TriageConfig, TriageResult, triage_netlist
 
 __all__ = [
     "AnalysisReport",
-    "IncrementalReport",
     "Session",
     "TriageReport",
 ]
@@ -127,57 +122,6 @@ class AnalysisReport:
             "result_digest": self.result_digest,
             "runtime_seconds": self.runtime_seconds,
             "trace": dict(self.trace),
-        })
-
-
-@dataclass(frozen=True)
-class IncrementalReport:
-    """An :class:`AnalysisReport` plus the edit-impact accounting of one
-    :meth:`Session.analyze_incremental` run.
-
-    ``base_digest`` names the previously analyzed design (any digest
-    :meth:`~repro.store.ArtifactStore.probe_netlist` resolves);
-    ``digest`` is the edited design's digest (``file:`` for source text
-    or a path, ``netlist:`` for an in-memory netlist) — pass it as the
-    next ``base_digest`` to chain edits.  The ``gates_*`` /
-    ``dirty_*`` fields describe the structural diff and its forward
-    closure through combinational logic (cones stop at flip-flops, so so
-    does the closure).  ``report`` is the plain analysis of the edited
-    design, byte-identical to a from-scratch one.
-    """
-
-    base_digest: str
-    digest: str
-    report: AnalysisReport
-    gates_added: Tuple[str, ...]
-    gates_removed: Tuple[str, ...]
-    gates_changed: Tuple[str, ...]
-    dirty_nets: int
-    dirty_bits: int
-    total_bits: int
-
-    @property
-    def num_edits(self) -> int:
-        return (
-            len(self.gates_added)
-            + len(self.gates_removed)
-            + len(self.gates_changed)
-        )
-
-    def as_dict(self) -> Dict:
-        """Versioned JSON-ready form (``schema_version`` stamped)."""
-        return stamp({
-            "base_digest": self.base_digest,
-            "digest": self.digest,
-            "diff": {
-                "gates_added": list(self.gates_added),
-                "gates_removed": list(self.gates_removed),
-                "gates_changed": list(self.gates_changed),
-                "dirty_nets": self.dirty_nets,
-                "dirty_bits": self.dirty_bits,
-                "total_bits": self.total_bits,
-            },
-            "report": self.report.as_dict(),
         })
 
 
@@ -327,8 +271,7 @@ class Session:
         :meth:`load_netlist` parsed): the parsed netlist is then stored
         as canonical Verilog.  ``stored`` means ``parse()`` reads the
         body back from the store (:meth:`triage_digest`), so it is not
-        committed again.  The body makes ``digest`` a base for
-        :meth:`analyze_incremental` and answerable by
+        committed again.  The body makes ``digest`` answerable by
         :meth:`triage_digest`.  ``name`` labels a hit report when the
         envelope carries no design name.
         """
@@ -573,138 +516,6 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # incremental re-analysis
-    # ------------------------------------------------------------------
-    def analyze_incremental(
-        self,
-        base_digest: str,
-        edited_source: Union[PathLike, Netlist, str],
-        format: Optional[str] = None,
-    ) -> IncrementalReport:
-        """Re-analyze an edited design against a previously analyzed base.
-
-        ``base_digest`` is the digest of any design this store has seen
-        (an earlier :class:`AnalysisReport`'s ``digest``, or an
-        :class:`IncrementalReport`'s ``digest`` when chaining edits);
-        ``edited_source`` is the edited design as a :class:`Netlist`, a
-        path, or netlist source text.
-
-        The edited design runs through the one analysis path
-        (:meth:`_analyze`: a store hit, or the six-stage pipeline), so the
-        result is byte-identical to a from-scratch analysis by
-        construction; the base is used solely to report the structural
-        diff and its dirty closure.
-
-        Raises :class:`ValueError` when the session has no store and
-        :class:`KeyError` when ``base_digest`` is unknown to it.
-        """
-        if self.store is None:
-            raise ValueError(
-                "analyze_incremental requires a store "
-                "(the base design lives there)"
-            )
-        base = self.store.probe_netlist(base_digest)
-        if base is None:
-            raise KeyError(f"unknown base digest: {base_digest}")
-        edited, digest, text, format = self._resolve(edited_source, format)
-        added, removed, changed = _gate_diff(base, edited)
-        dirty = _dirty_closure(base, edited, added, removed, changed)
-        bits = edited.register_input_nets()
-        dirty_bits = sum(1 for net in bits if net in dirty)
-
-        report = self._analyze(digest, lambda: edited, text, format)
-        incremental = IncrementalReport(
-            base_digest=base_digest,
-            digest=report.digest,
-            report=report,
-            gates_added=added,
-            gates_removed=removed,
-            gates_changed=changed,
-            dirty_nets=len(dirty),
-            dirty_bits=dirty_bits,
-            total_bits=len(bits),
-        )
-        registry = _metrics.current()
-        if registry is not None:
-            registry.counter(
-                "repro_incremental_runs_total",
-                "Completed incremental re-analyses",
-            ).inc()
-            registry.counter(
-                "repro_incremental_dirty_bits_total",
-                "Candidate bits whose cones an incremental edit dirtied",
-            ).inc(dirty_bits)
-        return incremental
-
-    def _resolve(
-        self,
-        source: Union[PathLike, Netlist, str],
-        format: Optional[str],
-    ) -> Tuple[Netlist, str, Optional[str], str]:
-        """A :class:`Netlist` from a netlist, a path, or source text, with
-        its key, the text the key digests and that text's format (the
-        body :meth:`_analyze` commits)."""
-        if isinstance(source, Netlist):
-            digest, text = self._key(source)
-            return source, digest, text, "verilog"
-        if isinstance(source, str) and (
-            "\n" in source or not os.path.exists(source)
-        ):
-            text, format = source, format or "verilog"
-            digest = bytes_digest(text.encode("utf-8"))
-        else:
-            digest, text, format = _read(os.fspath(source), format)
-        return _parse(text, format, digest), digest, text, format
-
-    # ------------------------------------------------------------------
-    # corpus analysis
-    # ------------------------------------------------------------------
-    def analyze_many(
-        self,
-        sources: Sequence[Union[PathLike, Netlist]],
-        jobs: int = 1,
-    ) -> List[AnalysisReport]:
-        """Analyze a corpus; ``jobs > 1`` shards paths across processes.
-
-        Reports come back in input order regardless of completion order.
-        In-memory netlists always run in this process (they are not
-        shipped across the process boundary); path sources fan out to a
-        :class:`~concurrent.futures.ProcessPoolExecutor` sharing this
-        session's store, so a rerun — or a duplicate file — is a cache
-        hit in any worker.
-        """
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        sources = list(sources)
-        paths = [
-            (index, os.fspath(source))
-            for index, source in enumerate(sources)
-            if not isinstance(source, Netlist)
-        ]
-        reports: List[Optional[AnalysisReport]] = [None] * len(sources)
-        if jobs > 1 and len(paths) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            store_root = self.store.root if self.store is not None else None
-            max_workers = min(jobs, len(paths))
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = {
-                    pool.submit(
-                        _analyze_path_task, path, self.config, store_root
-                    ): index
-                    for index, path in paths
-                }
-                for future, index in futures.items():
-                    reports[index] = future.result()
-        else:
-            for index, path in paths:
-                reports[index] = self.analyze(path)
-        for index, source in enumerate(sources):
-            if isinstance(source, Netlist):
-                reports[index] = self.analyze(source)
-        return [report for report in reports if report is not None]
-
-    # ------------------------------------------------------------------
     # supporting queries
     # ------------------------------------------------------------------
     def load_netlist(
@@ -789,69 +600,6 @@ def _parse(text: str, format: Optional[str], digest: str) -> Netlist:
     return netlist
 
 
-def _gate_diff(
-    base: Netlist, edited: Netlist
-) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
-    """Gate names added, removed, and changed between two netlists.
-
-    A gate "changed" when its cell, fanin list, output net, or
-    flip-flop-ness differs; renames show up as a remove + add, which is
-    conservative (more dirt, never less).
-    """
-    base_gates = {g.name: g for g in base.gates_in_file_order()}
-    edited_gates = {g.name: g for g in edited.gates_in_file_order()}
-    added = tuple(n for n in edited_gates if n not in base_gates)
-    removed = tuple(n for n in base_gates if n not in edited_gates)
-    changed = tuple(
-        name
-        for name, gate in edited_gates.items()
-        if name in base_gates
-        and (
-            gate.cell.name != base_gates[name].cell.name
-            or tuple(gate.inputs) != tuple(base_gates[name].inputs)
-            or gate.output != base_gates[name].output
-            or gate.is_ff != base_gates[name].is_ff
-        )
-    )
-    return added, removed, changed
-
-
-def _dirty_closure(
-    base: Netlist,
-    edited: Netlist,
-    added: Sequence[str],
-    removed: Sequence[str],
-    changed: Sequence[str],
-) -> set:
-    """Nets of ``edited`` whose fanin cones the edit may have altered.
-
-    Seeds are the outputs of added/changed gates plus the (surviving)
-    outputs of removed gates; the closure follows combinational fanout
-    only — hash-key cones stop at flip-flops, so a dirty FF input never
-    dirties the cones fed by that FF's output.
-    """
-    edited_gates = {g.name: g for g in edited.gates_in_file_order()}
-    base_gates = {g.name: g for g in base.gates_in_file_order()}
-    seeds = {edited_gates[name].output for name in added}
-    seeds.update(edited_gates[name].output for name in changed)
-    seeds.update(
-        base_gates[name].output
-        for name in removed
-        if edited.has_net(base_gates[name].output)
-    )
-    dirty = set(seeds)
-    stack = list(seeds)
-    while stack:
-        net = stack.pop()
-        for gate in edited.fanouts(net):
-            if gate.is_ff:
-                continue
-            if gate.output not in dirty:
-                dirty.add(gate.output)
-                stack.append(gate.output)
-    return dirty
-
-
 def _triage_fingerprint(config: TriageConfig) -> str:
     """Canonical fingerprint of the triage-affecting configuration."""
     import json
@@ -868,10 +616,3 @@ def _design_name(path: str) -> str:
             return name[: -len(suffix)]
     return name
 
-
-def _analyze_path_task(
-    path: str, config: PipelineConfig, store_root: Optional[str]
-) -> AnalysisReport:
-    """Worker-process entry: rebuild a session and analyze one path."""
-    session = Session(config=config, store=store_root)
-    return session.analyze(path)

@@ -34,7 +34,7 @@ __all__ = ["SCHEMA_VERSION", "PIPELINE_VERSION", "stamp"]
 #: ``--metrics-json`` dump, and ``result_digest`` in identify ``--json``.
 #: v4: cone-cache tier counters in trace ``cache`` and batch rows, the
 #: ``cone`` store-envelope kind, and the incremental-report payload
-#: (library ``as_dict`` and the serve ``base_digest`` response).
+#: (library ``as_dict`` and the serve incremental identify response).
 #: v5: failure-model fields (DESIGN.md §13) — quarantined batch rows and
 #: the ``degraded``/``quarantined``/``quarantine_reasons`` aggregate
 #: fields, ``read_timeout_seconds`` on ``/healthz``, and ``store_mode``
@@ -65,7 +65,11 @@ __all__ = ["SCHEMA_VERSION", "PIPELINE_VERSION", "stamp"]
 #: ``node_key_misses``; the stored ``netlist`` envelope is
 #: ``{digest, format, text}`` — the text the digest was taken from —
 #: instead of ``{digest, netlist, verilog}``.
-SCHEMA_VERSION = 10
+#: v11: incremental re-analysis is gone — no ``incremental_report``
+#: payload, neither from the library nor as serve's answer to an
+#: identify request naming a base; a ``/v1/identify`` body that names
+#: the retired field is a 400.
+SCHEMA_VERSION = 11
 
 
 def stamp(payload: Dict) -> Dict:

@@ -222,7 +222,6 @@ class ServeClient:
         name: Optional[str] = None,
         deadline_s: Optional[float] = None,
         strict: Optional[bool] = None,
-        base_digest: Optional[str] = None,
     ) -> Tuple[int, Dict]:
         payload: Dict = {}
         if verilog is not None:
@@ -230,10 +229,6 @@ class ServeClient:
             payload["format"] = format
         if digest is not None:
             payload["digest"] = digest
-        if base_digest is not None:
-            # Incremental re-analysis: verilog is the *edited* source,
-            # base_digest names the stored base (DESIGN.md §12).
-            payload["base_digest"] = base_digest
         if name is not None:
             payload["name"] = name
         if deadline_s is not None:

@@ -93,7 +93,7 @@ _FORMATS = ("verilog", "bench")
 _COMMON_FIELDS = ("deadline_s", "strict", "backend")
 #: request-level field sets per endpoint, plus per-item fields for batch.
 _IDENTIFY_FIELDS = _COMMON_FIELDS + (
-    "verilog", "digest", "base_digest", "format", "name",
+    "verilog", "digest", "format", "name",
 )
 _BATCH_FIELDS = _COMMON_FIELDS + ("netlists",)
 _TRIAGE_FIELDS = _COMMON_FIELDS + (
@@ -124,7 +124,7 @@ def _validate_source(item: Dict, diags, prefix: str = "") -> None:
     """Shared checks for anything naming a design (request or batch item)."""
     digest = item.get("digest")
     text = item.get("verilog")
-    if item.get("base_digest") is None and (digest is None) == (text is None):
+    if (digest is None) == (text is None):
         diags.append(_field_diag(
             prefix + "verilog",
             "exactly one of 'verilog' or 'digest' is required",
@@ -180,20 +180,6 @@ def _validate_request(payload: Dict, endpoint: str):
                 + ", ".join(backend_names()),
             ))
     if endpoint == "identify":
-        base_digest = payload.get("base_digest")
-        if base_digest is not None:
-            if not isinstance(base_digest, str):
-                diags.append(_field_diag("base_digest", "must be a string"))
-            if payload.get("verilog") is None:
-                diags.append(_field_diag(
-                    "verilog",
-                    "incremental requests need 'verilog' "
-                    "(the edited source)",
-                ))
-            if payload.get("digest") is not None:
-                diags.append(_field_diag(
-                    "digest", "cannot be combined with 'base_digest'"
-                ))
         _validate_source(payload, diags)
     elif endpoint == "triage":
         top = payload.get("top")
@@ -574,36 +560,11 @@ class AnalysisService:
                 f"{len(diagnostics)} invalid field(s)", diagnostics,
             )
         session = self._request_session(payload)
-        if payload.get("base_digest") is not None:
-            return self._identify_incremental(session, payload)
         try:
             report = self._analyze_one(session, payload)
         except _DigestMiss as miss:
             return _error(404, "unknown_digest", miss.digest)
         return _json_response(200, report.as_dict())
-
-    def _identify_incremental(
-        self, session: Session, payload: Dict
-    ) -> Response:
-        """``POST /v1/identify`` with ``base_digest``: an edited design
-        re-analyzed against a previously stored base — same words as a
-        from-scratch request, plus the diff accounting of
-        :meth:`repro.api.Session.analyze_incremental`."""
-        base_digest = payload["base_digest"]
-        if session.store is None:
-            return _error(
-                400, "no_store",
-                "incremental analysis needs a server-side store",
-            )
-        try:
-            incremental = session.analyze_incremental(
-                base_digest,
-                payload["verilog"],
-                format=payload.get("format", "verilog"),
-            )
-        except KeyError:
-            return _error(404, "unknown_digest", base_digest)
-        return _json_response(200, incremental.as_dict())
 
     def _triage(self, payload: Dict) -> Response:
         """``POST /v1/triage``: identify, then rank every gate by

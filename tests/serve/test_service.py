@@ -276,78 +276,6 @@ class TestAdmissionControl:
         assert service.drained()
 
 
-class TestIdentifyIncremental:
-    @staticmethod
-    def _edited_text():
-        from repro.netlist.cells import AND, NAND
-
-        netlist, _ = figure1_netlist()
-        gate = next(
-            g for g in netlist.gates_in_file_order()
-            if not g.is_ff and g.cell.name == "NAND" and len(g.inputs) == 2
-        )
-        edited = netlist.copy()
-        edited.replace_gate(gate.name, AND, gate.inputs)
-        return write_verilog(edited), gate.name
-
-    def test_incremental_round_trip(self, service, verilog_text):
-        base = service.call(
-            "POST", "/v1/identify", {"verilog": verilog_text}
-        )
-        assert base.status == 200
-        edited_text, edited_gate = self._edited_text()
-        response = service.call("POST", "/v1/identify", {
-            "base_digest": base.json["digest"],
-            "verilog": edited_text,
-        })
-        assert response.status == 200
-        body = response.json
-        assert body["base_digest"] == base.json["digest"]
-        assert body["diff"]["gates_changed"] == [edited_gate]
-        assert body["diff"]["dirty_bits"] <= body["diff"]["total_bits"]
-        assert "cone_cache" not in body
-        assert body["schema_version"] == SCHEMA_VERSION
-        # Byte-identical to a from-scratch request for the edited text.
-        scratch = service.call(
-            "POST", "/v1/identify", {"verilog": edited_text}
-        )
-        assert (
-            body["report"]["result_digest"]
-            == scratch.json["result_digest"]
-        )
-        assert body["report"]["words"] == scratch.json["words"]
-
-    def test_unknown_base_digest_is_404(self, service, verilog_text):
-        response = service.call("POST", "/v1/identify", {
-            "base_digest": "netlist:" + "0" * 64,
-            "verilog": verilog_text,
-        })
-        assert response.status == 404
-        assert response.json["error"] == "unknown_digest"
-
-    def test_incremental_without_store_is_400(self, verilog_text):
-        service = AnalysisService(Session(), workers=1, queue_size=2)
-        try:
-            response = service.call("POST", "/v1/identify", {
-                "base_digest": "netlist:" + "0" * 64,
-                "verilog": verilog_text,
-            })
-            assert response.status == 400
-            assert response.json["error"] == "no_store"
-        finally:
-            service.close()
-
-    def test_incremental_needs_the_edited_source(self, service,
-                                                 verilog_text):
-        base = service.call(
-            "POST", "/v1/identify", {"verilog": verilog_text}
-        )
-        response = service.call("POST", "/v1/identify", {
-            "base_digest": base.json["digest"],
-        })
-        assert response.status == 400
-
-
 class TestValidation:
     """Pins the 400 body shape: the uniform error envelope plus
     field-level Diagnostic-style records (DESIGN.md §15)."""
@@ -386,6 +314,25 @@ class TestValidation:
         assert "unknown backend 'nope'" in diag["message"]
         for name in ("ours", "base", "regfeat"):
             assert name in diag["message"]
+
+    @pytest.mark.parametrize(
+        "value", ["file:" + "0" * 64, None], ids=["string", "null"]
+    )
+    def test_retired_base_digest_is_an_unknown_field(
+        self, service, verilog_text, value
+    ):
+        # Incremental re-analysis is gone; a client that still sends the
+        # field, even as null, is told so rather than served a plain
+        # identify.
+        response = service.call(
+            "POST", "/v1/identify",
+            {"verilog": verilog_text, "base_digest": value},
+        )
+        assert response.status == 400
+        assert response.json["error"] == "invalid_request"
+        (diag,) = response.json["diagnostics"]
+        assert diag["field"] == "base_digest"
+        assert diag["message"].startswith("unknown field")
 
     def test_unknown_kernel_diagnostic(self, service, verilog_text):
         # Signatures have one implementation: "kernel" is not a field.
@@ -571,24 +518,3 @@ class TestNullFields:
                 ), path
         finally:
             service.close()
-
-    def test_null_base_digest_is_a_plain_identify(self, service, verilog_text):
-        """``base_digest: null`` still needs exactly one of ``verilog``
-        or ``digest`` (a field-level 400, not a crash), and with one it
-        is a plain identify."""
-        for body in ({}, {"verilog": verilog_text, "digest": "file:x"}):
-            response = service.call(
-                "POST", "/v1/identify", {**body, "base_digest": None}
-            )
-            assert response.status == 400, body
-            assert response.json["error"] == "invalid_request"
-            assert [d["field"] for d in response.json["diagnostics"]] == [
-                "verilog"
-            ]
-        plain = service.call("POST", "/v1/identify", {"verilog": verilog_text})
-        nulled = service.call(
-            "POST", "/v1/identify",
-            {"verilog": verilog_text, "base_digest": None},
-        )
-        assert nulled.status == plain.status == 200
-        assert nulled.json["result_digest"] == plain.json["result_digest"]

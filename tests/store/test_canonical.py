@@ -528,11 +528,11 @@ class TestCanonicalForm:
         assert digest == GOLDEN_WRITE_SHA256[name]
 
 
-def test_incremental_commits_the_edited_body_once(tmp_path, monkeypatch):
+def test_an_edited_copy_commits_its_body_once(tmp_path, monkeypatch):
     netlist = figure1_netlist()[0]
     store = ArtifactStore(str(tmp_path / "store"))
     session = Session(store=store)
-    base = session.analyze(netlist)
+    session.analyze(netlist)
     edited = netlist.copy()
     first = edited.primary_inputs[0]
     edited.add_gate("extra", AND, [first, first], "extra_net")
@@ -544,7 +544,7 @@ def test_incremental_commits_the_edited_body_once(tmp_path, monkeypatch):
         return original(self, digest, text, format)
 
     monkeypatch.setattr(ArtifactStore, "commit_netlist", counted)
-    report = session.analyze_incremental(base.digest, edited)
+    report = session.analyze(edited)
+    assert report.cache == "miss"
     assert commits == [report.digest]
-    assert report.gates_added == ("extra",)
     assert session.store.probe_netlist(report.digest) == edited

@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import sys
 
 import pytest
 
+import repro
 import repro.batch
 import repro.cli
 import repro.eval.runner
@@ -42,6 +44,18 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert out.startswith("repro ")
         assert "pipeline" in out and "schema" in out
+
+    def test_version_matches_pyproject(self):
+        import pathlib
+
+        # A regex, not tomllib: Python 3.10 has no tomllib.
+        pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+        project = re.search(
+            r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject.read_text(),
+            re.M | re.S,
+        )
+        version = re.search(r'^version = "([^"]+)"$', project.group(1), re.M)
+        assert repro.__version__ == version.group(1)
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

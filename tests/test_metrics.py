@@ -188,40 +188,29 @@ class TestGlobalInstall:
         assert stage_hist.count(stage="grouping") >= 1
 
 
-class TestConeAndIncrementalMetricNames:
-    """Pins the wire names of the incremental metrics, and that the
-    retired cone-cache metrics stay gone.
+class TestRetiredMetricNames:
+    """The retired cone-cache and incremental metrics stay gone.
 
-    Dashboards key on these exact names; a rename is a breaking change
-    and must show up here, not in Grafana.
+    Dashboards key on metric names; a name that comes back must show up
+    here, not in Grafana.
     """
 
     def teardown_method(self):
         metrics.uninstall()
 
-    def test_incremental_metrics_from_one_incremental_run(self, tmp_path):
+    def test_analyze_and_triage_publish_no_retired_metric(self, tmp_path):
         from repro.api import Session
-        from repro.netlist.cells import AND, NAND
         from repro.synth.designs import BENCHMARKS
 
-        base = BENCHMARKS["b03"]()
-        edited = base.copy()
-        gate = next(
-            g for g in edited.gates_in_file_order()
-            if not g.is_ff and g.cell.name in ("AND", "OR")
-            and len(g.inputs) >= 2
-        )
-        edited.replace_gate(gate.name, NAND, gate.inputs)
-
+        netlist = BENCHMARKS["b03"]()
         session = Session(store=str(tmp_path / "store"))
-        digest = session.analyze(base).digest
         reg = metrics.install()
-        inc = session.analyze_incremental(digest, edited)
+        session.analyze(netlist)
+        session.triage(netlist)
 
-        runs = reg.get("repro_incremental_runs_total")
-        dirty = reg.get("repro_incremental_dirty_bits_total")
-        assert runs is not None and runs.value() == 1.0
-        assert dirty is not None and dirty.value() == float(inc.dirty_bits)
+        names = [m["name"] for m in reg.as_dict()]
+        assert "repro_triage_runs_total" in names
         assert not [
-            m for m in reg.as_dict() if "cone_tier" in m["name"]
+            name for name in names
+            if "cone_tier" in name or "repro_incremental" in name
         ]
