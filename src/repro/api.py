@@ -183,7 +183,7 @@ class Session:
         settings).  ``config.backend`` selects the identification
         strategy (:mod:`repro.core.backends`): ``Session(
         PipelineConfig(backend="base"))`` runs the shape-hashing
-        baseline, ``backend="regfeat"`` the feature-vector aggregator.
+        baseline.
     ``store``
         ``None`` (no caching), a directory path (an
         :class:`~repro.store.ArtifactStore` is opened there), or an

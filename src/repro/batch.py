@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import math
 import os
 import sys
 import time
@@ -400,6 +401,14 @@ def _pool_round(
     return failures
 
 
+def _check_row_timeout(row_timeout: Optional[float]) -> None:
+    # A watchdog at 0 s fires at once and quarantines every row.
+    if row_timeout is not None and not (
+        math.isfinite(row_timeout) and row_timeout > 0
+    ):
+        raise ValueError("row timeout must be a finite number of seconds > 0")
+
+
 def analyze_corpus(
     paths: Sequence[str],
     config: Optional[PipelineConfig] = None,
@@ -430,8 +439,10 @@ def analyze_corpus(
     aggregate reports ``degraded: true``, and every other row is still
     byte-identical to a fault-free run.  ``row_timeout`` arms a progress
     watchdog: when no row completes for that many seconds the pool's
-    workers are killed and the hang is handled like a crash.
+    workers are killed and the hang is handled like a crash; it must be
+    a finite number of seconds > 0 (``ValueError`` otherwise).
     """
+    _check_row_timeout(row_timeout)
     config = config or PipelineConfig()
     paths = [os.fspath(path) for path in paths]
     started = time.perf_counter()
@@ -585,9 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="ours",
         metavar="NAME",
-        help="identification backend for every row: ours (default), "
-        "base, or regfeat (see repro.core.backends); rows cache under "
-        "per-backend store keys",
+        help="identification backend for every row: ours (default) or "
+        "base (see repro.core.backends); rows cache under per-backend "
+        "store keys",
     )
     parser.add_argument(
         "--score",
@@ -660,6 +671,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: cannot read {missing[0]}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_row_timeout(args.row_timeout)
         config = PipelineConfig(
             depth=args.depth,
             max_simultaneous=args.max_simultaneous,
@@ -678,7 +690,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Open once up front so the cap is enforced even with jobs=1.
         from .store import ArtifactStore
 
-        ArtifactStore(args.store, max_bytes=args.max_store_bytes)
+        try:
+            ArtifactStore(args.store, max_bytes=args.max_store_bytes)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     def announce(row: Dict) -> None:
         if args.quiet:

@@ -5,7 +5,6 @@ This is the tool a downstream user actually runs::
     repro identify design.v                      # structural Verilog
     repro identify design.bench --format bench   # ISCAS .bench
     repro identify design.v --backend base       # shape hashing [6] only
-    repro identify design.v --backend regfeat    # feature-vector backend
     repro identify design.v --json report.json   # machine-readable output
     repro identify design.v --depth 5 --max-simultaneous 3
     repro identify design.v --trace              # stage timings + caches
@@ -81,9 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="ours",
         metavar="NAME",
-        help="identification backend: ours (default), base (shape "
-        "hashing [6]), or regfeat (feature-vector register aggregation); "
-        "see repro.core.backends",
+        help="identification backend: ours (default) or base (shape "
+        "hashing [6]); see repro.core.backends",
     )
     parser.add_argument(
         "--propagate",
@@ -282,11 +280,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         derived = grown.derived
         all_words = grown.words
 
-    technique = {
-        "base": "shape hashing [6]",
-        "ours": "control-signal technique",
-        "regfeat": "feature-vector aggregation",
-    }.get(config.backend, config.backend)
+    technique = (
+        "shape hashing [6]" if config.backend == "base"
+        else "control-signal technique"
+    )
     print(f"{analysis.design}: {analysis.num_gates} gates, "
           f"{analysis.num_nets} nets, {analysis.num_ffs} flip-flops")
     words = [w for w in result.words if w.width >= args.min_width]

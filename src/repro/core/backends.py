@@ -1,28 +1,17 @@
 """The identification backends, a fixed table (DESIGN.md §15).
 
 The paper's six-stage pipeline is one *strategy* for word identification:
-shape-based grouping plus control-signal reduction.  Each strategy is a
-:class:`BackendSpec` that :func:`repro.core.pipeline.identify_words`,
-:class:`repro.api.Session`, the CLIs, and ``repro serve`` resolve by the
-name in ``PipelineConfig.backend``:
+shape-based grouping plus control-signal reduction.  Both strategies run
+on the one staged :class:`~repro.core.stages.AnalysisEngine`, and
+:func:`repro.core.pipeline.identify_words`, :class:`repro.api.Session`,
+the CLIs, and ``repro serve`` name them by ``PipelineConfig.backend``:
 
 ``ours``
-    The paper's technique (partial matching, control signals, reduction)
-    on the staged :class:`~repro.core.stages.AnalysisEngine`.  The
-    default.
+    The paper's technique (partial matching, control signals,
+    reduction).  The default.
 
 ``base``
-    The shape-hashing comparison point [6]: the same staged engine with
-    partial matching off.
-
-``regfeat``
-    A feature-vector register aggregator in the RELIC /
-    register-aggregation family (see PAPERS.md): FF words are unioned by
-    agglomerative similarity of connectivity features — fan-in cone
-    shape, control-signal overlap, file/cone proximity, fan-out degree —
-    with *no* structural-match requirement, catching regular
-    control-heavy words the matcher fragments on
-    (:mod:`repro.core.regfeat`).
+    The shape-hashing comparison point [6]: partial matching off.
 
 Fingerprint discipline (DESIGN.md §15): a backend's ``name`` and
 ``version`` join the store fingerprint
@@ -33,11 +22,8 @@ other's cached artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
-
-from .regfeat import run_regfeat
-from .stages import AnalysisEngine
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 __all__ = [
     "BackendSpec",
@@ -66,17 +52,7 @@ class UnknownBackendError(ValueError):
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """One identification strategy.
-
-    ``runner`` is the backend's entry point with the exact
-    :func:`~repro.core.pipeline.identify_words` contract::
-
-        runner(netlist, config) -> IdentificationResult
-
-    It must be deterministic (two runs on the same inputs byte-identical
-    on words, singletons, assignments, and trace counters) and must
-    stamp ``result.trace.backend`` with its own name.  It never touches
-    the artifact store: :class:`repro.api.Session` caches results.
+    """One identification strategy: a name and a version.
 
     ``version`` joins every store fingerprint alongside the name; bump it
     whenever the backend's output can change, exactly like
@@ -86,21 +62,11 @@ class BackendSpec:
 
     name: str
     version: str
-    runner: Callable = field(repr=False, compare=False)
-
-
-def _run_staged(netlist, config):
-    """The staged Figure-2 engine, shared by ``ours`` and ``base``."""
-    return AnalysisEngine(config).run(netlist)
 
 
 _BACKENDS: Dict[str, BackendSpec] = {
     spec.name: spec
-    for spec in (
-        BackendSpec("ours", "1.0.0", _run_staged),
-        BackendSpec("base", "1.0.0", _run_staged),
-        BackendSpec("regfeat", "1.0.0", run_regfeat),
-    )
+    for spec in (BackendSpec("ours", "1.0.0"), BackendSpec("base", "1.0.0"))
 }
 
 

@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Optional
 
 from ..netlist.netlist import Netlist
 from .backends import resolve
-from .stages import PIPELINE_VERSION
+from .stages import PIPELINE_VERSION, AnalysisEngine
 from .words import IdentificationResult
 
 __all__ = ["PIPELINE_VERSION", "PipelineConfig", "identify_words"]
@@ -71,10 +71,9 @@ class PipelineConfig:
         spent on non-word structures (evaluated in the ablation bench).
     ``backend``
         Which identification strategy runs (:mod:`repro.core.backends`):
-        ``"ours"`` (default, the paper's technique), ``"base"`` (shape
+        ``"ours"`` (default, the paper's technique) or ``"base"`` (shape
         hashing [6]: full matches only, no control signals, no
-        reduction), or ``"regfeat"`` (feature-vector register
-        aggregation).  It is the only strategy selector.
+        reduction).  It is the only strategy selector.
 
     Resilience knobs (see :mod:`repro.core.resilience` and DESIGN.md §8 —
     all default to "unlimited", in which case every budget check is a
@@ -141,7 +140,7 @@ class PipelineConfig:
 
     @property
     def allow_partial(self) -> bool:
-        """Whether bits may chain on partial matches: every backend but
+        """Whether bits may chain on partial matches: ``"ours"`` but not
         ``"base"``.  Derived, not settable; it stays in the store
         fingerprint, so keys do not move."""
         return self.backend != "base"
@@ -151,13 +150,13 @@ def identify_words(
     netlist: Netlist,
     config: Optional[PipelineConfig] = None,
 ) -> IdentificationResult:
-    """Run the word-identification flow ``config.backend`` selects.
+    """Run the staged Figure-2 engine under ``config``.
 
-    This is the dispatch point (:mod:`repro.core.backends`): the default
-    ``backend="ours"`` runs the staged Figure-2 engine (byte-identical
-    to running it directly, the ``backend`` fuzz oracle pins it),
-    ``"base"`` the shape-hashing comparison point, ``"regfeat"`` the
-    feature-vector aggregator.  Every call builds its own
+    ``config.backend`` picks the strategy (:mod:`repro.core.backends`):
+    the default ``"ours"`` is the paper's technique, ``"base"`` the
+    shape-hashing comparison point.  The result is byte-identical to
+    running :class:`~repro.core.stages.AnalysisEngine` directly (the
+    ``backend`` fuzz oracle pins it).  Every call builds its own
     :class:`~repro.core.context.AnalysisContext`.
 
     This function always computes.  Caching whole results in an
@@ -169,7 +168,7 @@ def identify_words(
     """
     config = config or PipelineConfig()
     with _gc_paused():
-        return resolve(config.backend).runner(netlist, config)
+        return AnalysisEngine(config).run(netlist)
 
 
 # An analysis builds no reference cycles (tests/test_lifetime.py), so the

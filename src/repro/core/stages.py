@@ -522,8 +522,7 @@ class AnalysisEngine:
         self._publish_metrics(result)
         return result
 
-    @staticmethod
-    def _publish_metrics(result: IdentificationResult) -> None:
+    def _publish_metrics(self, result: IdentificationResult) -> None:
         """Aggregate this run into the installed metrics registry.
 
         A no-op when no registry is installed (the default outside

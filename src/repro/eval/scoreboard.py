@@ -25,7 +25,7 @@ import sys
 from dataclasses import replace as dc_replace
 from typing import Dict, List, Optional, Sequence
 
-from ..core.backends import UnknownBackendError, backend_names, resolve
+from ..core.backends import backend_names, resolve
 from ..core.pipeline import PipelineConfig, identify_words
 from ..eval.metrics import FULL, NOT_FOUND, PARTIAL, evaluate
 from ..eval.reference import extract_reference_words
@@ -43,7 +43,7 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_BACKENDS = ("ours", "base", "regfeat")
+DEFAULT_BACKENDS = ("ours", "base")
 
 #: The acceptance floor: enough draws that every regime — including the
 #: two ~5%-weight sram/cam regimes — appears several times.
@@ -416,10 +416,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     backends = tuple(
         name.strip() for name in args.backends.split(",") if name.strip()
     )
+    if args.samples < 1:
+        print("error: --samples must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
+        PipelineConfig(depth=args.depth)  # a run's own range checks
         for name in backends:
             resolve(name)
-    except UnknownBackendError as exc:
+    except ValueError as exc:  # an unknown backend included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not backends:

@@ -23,15 +23,13 @@ decoder/wordline array, which is the selected class behind a deep
 address decode) and ``expect_base`` likewise for the baseline (data
 only).  The cam regime (per-bit heterogeneous match comparators held
 behind one shared wordline mux) stresses the backends differently:
-shape hashing fragments it outright (every comparator differs), the
-control-signal technique usually heals it by assigning the shared
-wordline its controlling value, and feature-vector aggregation (the
-``regfeat`` backend) must lean on shared-control features alone — the
-per-backend scoreboard in :mod:`repro.eval.scoreboard` quantifies the
-spread.  The expectation oracle checks
-those labels on every sample; regimes with data-dependent recovery
-(adder carries, concatenations, status/shift registers) are labelled
-``"any"`` and only participate in the metamorphic oracles.
+shape hashing fragments it outright (every comparator differs), while
+the control-signal technique usually heals it by assigning the shared
+wordline its controlling value — the per-backend scoreboard in
+:mod:`repro.eval.scoreboard` quantifies the spread.  The expectation
+oracle checks those labels on every sample; regimes with data-dependent
+recovery (adder carries, concatenations, status/shift registers) are
+labelled ``"any"`` and only participate in the metamorphic oracles.
 
 Consecutive words are always separated by a one-bit glue register so two
 words' subgroups cannot merge into one unhealable subgroup; with

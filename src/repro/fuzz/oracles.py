@@ -38,10 +38,8 @@ provably must not care about, re-run, compare:
 ``ours_superset``
     Any reference word FULL under the baseline is FULL under Ours.
 ``backend``
-    Resolving ``"ours"`` through the backend registry is byte-identical
-    to running the staged engine directly, and the ``regfeat`` backend
-    emits a deterministic, ground-truth-evaluable partition covering
-    the candidate flip-flop D nets.
+    ``identify_words`` with the default ``"ours"`` backend is
+    byte-identical to running the staged engine directly.
 ``expectation``
     The generator's per-regime labels hold (data/counter/selected/
     alternating/crossed ⇒ Ours FULL; data ⇒ Base FULL).
@@ -330,57 +328,22 @@ def _check_bit_permutation(ctx: OracleContext) -> Optional[str]:
 
 
 def _check_backend(ctx: OracleContext) -> Optional[str]:
-    """Registry dispatch ≡ direct engine; regfeat output is well-formed.
+    """``identify_words`` ≡ direct engine.
 
-    Differential check (a): resolving backend ``"ours"`` through
-    :mod:`repro.core.backends` must be byte-identical — result digest
-    and stage counters — to instantiating the staged
-    :class:`~repro.core.stages.AnalysisEngine` directly.  The dispatch
-    layer is pure plumbing and may not perturb results.
-
-    Functional check (b): the ``regfeat`` backend must emit a valid
-    partition (each bit in at most one word, every bit a real net)
-    covering every candidate flip-flop D net exactly once, must be
-    deterministic across re-runs, and must evaluate cleanly against the
-    sample's ground truth.
+    Running backend ``"ours"`` through
+    :func:`~repro.core.pipeline.identify_words` must be byte-identical —
+    result digest and stage counters — to instantiating the staged
+    :class:`~repro.core.stages.AnalysisEngine` directly.  The entry
+    point is pure plumbing and may not perturb results.
     """
     from ..core.stages import AnalysisEngine
     from ..store import result_digest
 
     direct = AnalysisEngine(ctx.ours_config).run(ctx.sample.netlist)
     if result_digest(direct) != result_digest(ctx.ours):
-        return "registry-dispatched ours differs from direct AnalysisEngine"
+        return "identify_words differs from direct AnalysisEngine"
     if direct.trace.counter_dict() != ctx.ours.trace.counter_dict():
-        return "registry dispatch changed ours stage counters"
-
-    netlist = ctx.sample.netlist
-    regfeat_config = PipelineConfig(depth=ctx.depth, backend="regfeat")
-    first = ctx.identify("regfeat", netlist, regfeat_config)
-    again = identify_words(netlist, regfeat_config)
-    if result_digest(first) != result_digest(again):
-        return "regfeat is not deterministic across re-runs"
-
-    candidates = set()
-    for ff in netlist.flip_flops():
-        candidates.add(ff.inputs[0])
-    seen: Set[str] = set()
-    for word in first.all_generated_words():
-        for bit in word.bits:
-            if bit in seen:
-                return f"regfeat: net {bit} appears in two words"
-            seen.add(bit)
-            if not netlist.has_net(bit):
-                return f"regfeat: word bit {bit} is not a netlist net"
-    if seen != candidates:
-        missing = sorted(candidates - seen)[:3]
-        extra = sorted(seen - candidates)[:3]
-        return (f"regfeat does not cover the candidate FF D nets "
-                f"(missing {missing}, extra {extra})")
-
-    reference = extract_reference_words(netlist)
-    metrics = evaluate(reference, first)
-    if len(metrics.outcomes) != len(reference):
-        return "regfeat evaluation dropped reference words"
+        return "identify_words changed ours stage counters"
     return None
 
 

@@ -32,7 +32,7 @@ from .. import metrics as _metrics
 from ..api import Session
 from ..core.pipeline import PipelineConfig
 from ..exitcodes import EXIT_FAILURE, EXIT_OK, EXIT_USAGE
-from .service import MAX_BODY_BYTES, AnalysisService, Response
+from .service import MAX_BODY_BYTES, AnalysisService, Response, _error
 
 __all__ = ["AnalysisServer", "main"]
 
@@ -41,6 +41,9 @@ __all__ = ["AnalysisServer", "main"]
 #: stall a drain).  Configurable per instance via ``repro serve
 #: --read-timeout``; the active value is reported on ``/healthz``.
 REQUEST_READ_TIMEOUT = 30.0
+
+#: Longest request or header line, terminator included.
+MAX_LINE_BYTES = 16 * 1024
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -114,9 +117,17 @@ class AnalysisServer:
                     _read_request(reader), self.read_timeout
                 )
             except _BadRequest as exc:
-                await _write_response(
-                    writer, Response(exc.status, exc.body)
-                )
+                await _write_response(writer, exc.response)
+                # Closing with unread input resets the connection, and
+                # the client loses the answer: half-close, then read what
+                # it still sends, for at most the read timeout.
+                writer.write_eof()
+                try:
+                    await asyncio.wait_for(
+                        _read_to_eof(reader), self.read_timeout
+                    )
+                except asyncio.TimeoutError:
+                    pass
                 return
             except (asyncio.TimeoutError, asyncio.IncompleteReadError,
                     ConnectionError):
@@ -145,49 +156,69 @@ class AnalysisServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # Cancelled by shutdown while closing: the transport is
+                # closed already, and a cancelled connection task makes
+                # Python 3.11's stream callback log a traceback.
                 pass
 
 
 class _BadRequest(Exception):
-    def __init__(self, status: int, message: str):
-        self.status = status
-        self.body = (
-            b'{"error": "bad_request", "detail": "' +
-            message.encode("ascii", "replace") + b'"}'
-        )
-        super().__init__(message)
+    """A request frame the reader refuses, with the error it answers."""
+
+    def __init__(self, detail: str, status: int = 400,
+                 error: str = "bad_request"):
+        super().__init__(detail)
+        self.response = _error(status, error, detail)
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        line = await reader.readline()
+    except ValueError:  # past the stream's own limit (64 KiB)
+        line = None
+    if line is None or len(line) > MAX_LINE_BYTES:
+        raise _BadRequest(f"line longer than {MAX_LINE_BYTES} bytes")
+    return line
+
+
+async def _read_to_eof(reader: asyncio.StreamReader) -> None:
+    while await reader.read(1 << 16):
+        pass
 
 
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, bytes]:
-    request_line = await reader.readline()
+    request_line = await _readline(reader)
     if not request_line:
         raise asyncio.IncompleteReadError(b"", None)
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise _BadRequest(400, "malformed request line")
+        raise _BadRequest("malformed request line")
     method, target = parts[0].upper(), parts[1]
-    content_length = 0
+    content_length = None
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         if line in (b"\r\n", b"\n", b""):
             break
-        if len(line) > 16 * 1024:
-            raise _BadRequest(400, "header line too long")
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
-            raise _BadRequest(400, "malformed header")
+            raise _BadRequest("malformed header")
         if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise _BadRequest(400, "bad content-length")
-    if content_length < 0 or content_length > MAX_BODY_BYTES:
-        raise _BadRequest(413, "body too large")
-    body = await reader.readexactly(content_length) if content_length else b""
-    return method, target, body
+            value = value.strip()
+            if content_length is not None:
+                raise _BadRequest("repeated content-length")
+            if not (value.isascii() and value.isdigit()):
+                raise _BadRequest("bad content-length")
+            content_length = int(value)
+    if content_length is None:
+        return method, target, b""
+    if content_length > MAX_BODY_BYTES:
+        raise _BadRequest(
+            f"max {MAX_BODY_BYTES} bytes", 413, "body_too_large"
+        )
+    return method, target, await reader.readexactly(content_length)
 
 
 async def _write_response(
@@ -225,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=2,
-        help="concurrent analyses (thread pool; the engine is CPU-bound "
-        "per netlist, default %(default)s)",
+        help="concurrent analyses: threads or worker processes, as "
+        "--pool picks (default %(default)s)",
     )
     parser.add_argument(
         "--pool", choices=("auto", "thread", "process"), default="auto",
@@ -329,22 +360,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     registry = _metrics.current() or _metrics.install()
-    session = Session(
-        config=config,
-        store=args.store,
-        max_store_bytes=args.max_store_bytes,
-    )
-    pool = args.pool
-    if pool == "auto":
-        # Process workers need the store (that is how designs reach
-        # them), and fault plans count per-process state the chaos tests
-        # assert on — keep those runs single-process.
-        pool = (
-            "process"
-            if session.store is not None and _faults.current() is None
-            else "thread"
-        )
     try:
+        session = Session(
+            config=config,
+            store=args.store,
+            max_store_bytes=args.max_store_bytes,
+        )
+        pool = args.pool
+        if pool == "auto":
+            # Process workers need the store (that is how designs reach
+            # them), and fault plans count per-process state the chaos
+            # tests assert on — keep those runs single-process.
+            pool = (
+                "process"
+                if session.store is not None and _faults.current() is None
+                else "thread"
+            )
         service = AnalysisService(
             session,
             workers=args.workers,

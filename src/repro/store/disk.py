@@ -202,6 +202,10 @@ class ArtifactStore:
         max_bytes: Optional[int] = None,
         degraded_after: Optional[int] = None,
     ):
+        # Checked before the disk is touched: a negative cap would evict
+        # every entry.
+        if max_bytes is not None and max_bytes < 0:
+            raise ValueError(f"store cap must be >= 0 bytes, not {max_bytes}")
         self.root = os.fspath(root)
         self.max_bytes = max_bytes
         if degraded_after is None:

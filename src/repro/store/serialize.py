@@ -63,17 +63,11 @@ def _trace_to_dict(trace: StageTrace) -> Dict:
     }
 
 
-#: Every stage name in run order: ``regfeat``'s ``features`` and
-#: ``pairing``, then the six stages of the engine that ``ours`` and
-#: ``base`` run; both end with ``emission``.  Envelopes are stored with
+#: The engine's six stage names in run order.  Envelopes are stored with
 #: sorted keys, so a loaded trace lists its stages in this order, as the
 #: run that stored it did.
 _STAGE_RANK = {
-    name: rank
-    for rank, name in enumerate((
-        "features", "pairing",
-        *(stage.name for stage in AnalysisEngine.stages),
-    ))
+    stage.name: rank for rank, stage in enumerate(AnalysisEngine.stages)
 }
 
 

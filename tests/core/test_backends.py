@@ -5,13 +5,11 @@ Pins the contracts DESIGN.md §15 promises:
 - the table's contents and resolution errors;
 - ``backend`` is the one strategy selector: ``allow_partial`` is derived
   from it, not a settable field;
-- dispatch purity — resolving ``"ours"`` through the table is
+- entry-point purity — ``identify_words`` with ``"ours"`` is
   byte-identical to running the staged engine directly;
 - fingerprint discipline — backend (name + version) is in the store
   fingerprint, so store keys are disjoint across backends, while a
-  stored ``kernel`` stamp never splits the cache;
-- the ``regfeat`` aggregator's output shape (valid partition over the
-  candidate FF D nets, deterministic, provenance-stamped).
+  stored ``kernel`` stamp never splits the cache.
 """
 
 import dataclasses
@@ -53,11 +51,11 @@ def netlist():
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert backend_names() == ("ours", "base", "regfeat")
+        assert backend_names() == ("ours", "base")
 
-    def test_specs_carry_name_version_and_runner_only(self):
+    def test_specs_carry_name_and_version_only(self):
         fields = [f.name for f in dataclasses.fields(BackendSpec)]
-        assert fields == ["name", "version", "runner"]
+        assert fields == ["name", "version"]
         for name in backend_names():
             spec = resolve(name)
             assert spec.name == name
@@ -92,7 +90,6 @@ class TestConfigNormalization:
         setter, and ``base`` is the only backend without it."""
         assert not PipelineConfig(backend="base").allow_partial
         assert PipelineConfig(backend="ours").allow_partial
-        assert PipelineConfig(backend="regfeat").allow_partial
         fields = [f.name for f in dataclasses.fields(PipelineConfig)]
         assert len(fields) == 12
         assert "allow_partial" not in fields
@@ -102,6 +99,10 @@ class TestConfigNormalization:
     def test_unknown_backend_raises_value_error(self):
         with pytest.raises(ValueError, match="registered backends"):
             PipelineConfig(backend="nope")
+        # The retired feature-vector backend is one more unknown name.
+        with pytest.raises(UnknownBackendError) as excinfo:
+            PipelineConfig(backend="regfeat")
+        assert excinfo.value.known == ("ours", "base")
 
 
 class TestDispatchParity:
@@ -120,42 +121,14 @@ class TestDispatchParity:
             assert result.trace.backend == name
 
     def test_trace_backend_survives_serialization(self, netlist):
-        result = identify_words(netlist, PipelineConfig(backend="regfeat"))
+        result = identify_words(netlist, PipelineConfig(backend="base"))
         restored = result_from_dict(result_to_dict(result))
-        assert restored.trace.backend == "regfeat"
+        assert restored.trace.backend == "base"
 
     def test_backend_outside_counter_dict(self, netlist):
         """Provenance must not leak into the digest-bearing counters."""
         result = identify_words(netlist, PipelineConfig())
         assert "backend" not in result.trace.counter_dict()
-
-
-class TestRegfeat:
-    def test_valid_partition_over_candidate_nets(self, netlist):
-        result = identify_words(netlist, PipelineConfig(backend="regfeat"))
-        candidates = {ff.inputs[0] for ff in netlist.flip_flops()}
-        seen = set()
-        for word in result.all_generated_words():
-            for bit in word.bits:
-                assert bit not in seen, f"{bit} emitted twice"
-                seen.add(bit)
-                assert netlist.has_net(bit)
-        assert seen == candidates
-
-    def test_deterministic(self, netlist):
-        config = PipelineConfig(backend="regfeat")
-        first = identify_words(netlist, config)
-        second = identify_words(netlist, config)
-        assert result_digest(first) == result_digest(second)
-
-    def test_counters_populated(self, netlist):
-        result = identify_words(netlist, PipelineConfig(backend="regfeat"))
-        counters = result.trace.counter_dict()
-        assert counters["num_candidate_nets"] > 0
-        assert counters["num_groups"] > 0
-        assert set(result.trace.stage_seconds) == {
-            "features", "pairing", "emission",
-        }
 
 
 class TestFingerprintDiscipline:
@@ -201,7 +174,7 @@ class TestFingerprintDiscipline:
         assert warm.trace.as_dict()["kernel"] == "python"
 
     def test_store_keys_disjoint_across_backends(self, netlist, tmp_path):
-        """One design, three backends, three distinct store entries."""
+        """One design, one store entry per backend."""
         store = ArtifactStore(str(tmp_path / "store"))
         digest = netlist_digest(netlist)
         keys = {}

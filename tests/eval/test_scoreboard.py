@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.eval.scoreboard import _roc_auc, render_scoreboard, run_scoreboard
+from repro.eval.scoreboard import (
+    _roc_auc,
+    main,
+    render_scoreboard,
+    run_scoreboard,
+)
 
 
 class TestRocAuc:
@@ -72,3 +77,15 @@ class TestTriageCampaign:
             triage=True,
         )
         assert upgraded["backends"]["ours"]["triage"] is not None
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["--depth", "0"], ["--samples", "0"], ["--samples", "-3"],
+    ], ids=["depth-0", "samples-0", "samples-negative"])
+    def test_out_of_range_numbers_exit_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")

@@ -7,9 +7,11 @@ up), the in-flight request finishes and ships its response, and only
 then does the listener close and the process exit 0.
 """
 
+import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -19,6 +21,7 @@ import pytest
 
 from repro.netlist import write_verilog
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.service import MAX_BODY_BYTES
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
 from fixtures import figure1_netlist  # noqa: E402
@@ -211,3 +214,54 @@ class TestGracefulShutdown:
             assert client.metric_value("repro_serve_shed_total") == 4
         finally:
             assert _terminate(process) == 0
+
+
+@pytest.fixture(scope="module")
+def served():
+    """One server shared by the framing cases; each checks it survives."""
+    process, client = _spawn()
+    yield client
+    assert _terminate(process) == 0
+
+
+def _raw_exchange(client, request: bytes):
+    """Send ``request`` bytes as-is; ``(status, JSON body)`` of the answer."""
+    with socket.create_connection(
+        (client.host, client.port), timeout=10
+    ) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        answer = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, body = answer.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+_PAD = b"a" * (65 * 1024)  # past asyncio's 64 KiB line limit
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"POST /v1/identify HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    (b"POST /v1/identify HTTP/1.1\r\nContent-Length: 2\r\n"
+     b"Content-Length: 40\r\n\r\n{}", 400),
+    (b"POST /v1/identify HTTP/1.1\r\nContent-Length: 1e3\r\n\r\n", 400),
+    (b"GET /" + _PAD + b" HTTP/1.1\r\n\r\n", 400),
+    (b"GET /healthz HTTP/1.1\r\nX-Pad: " + _PAD + b"\r\n\r\n", 400),
+    (b"GET /healthz HTTP/1.1\r\nX-Pad: " + _PAD * 16 + b"\r\n\r\n", 400),
+    (b"HELLO\r\n\r\n", 400),
+    (b"POST /v1/identify HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+     % (MAX_BODY_BYTES + 1), 413),
+], ids=[
+    "negative-length", "repeated-length", "non-digit-length",
+    "long-request-line", "long-header-line", "1-mib-header-line",
+    "malformed-request-line", "oversized-length",
+])
+def test_every_malformed_frame_gets_the_error_envelope(
+    served, request_bytes, status
+):
+    answered, body = _raw_exchange(served, request_bytes)
+    assert answered == status
+    assert set(body) == {
+        "schema_version", "pipeline_version", "error", "detail",
+        "diagnostics",
+    }
+    assert served.healthz()[0] == 200

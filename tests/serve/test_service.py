@@ -304,16 +304,20 @@ class TestValidation:
         assert "unknown field" in diag["message"]
 
     def test_unknown_backend_diagnostic(self, service, verilog_text):
-        response = service.call(
-            "POST", "/v1/identify",
-            {"verilog": verilog_text, "backend": "nope"},
-        )
-        assert response.status == 400
-        (diag,) = response.json["diagnostics"]
-        assert diag["field"] == "backend"
-        assert "unknown backend 'nope'" in diag["message"]
-        for name in ("ours", "base", "regfeat"):
-            assert name in diag["message"]
+        # The retired feature-vector backend is one more unknown name.
+        for name in ("nope", "regfeat"):
+            response = service.call(
+                "POST", "/v1/identify",
+                {"verilog": verilog_text, "backend": name},
+            )
+            assert response.status == 400
+            assert response.json["error"] == "invalid_request"
+            (diag,) = response.json["diagnostics"]
+            assert diag["field"] == "backend"
+            assert f"unknown backend {name!r}" in diag["message"]
+            assert diag["message"].endswith(
+                "registered backends: ours, base"
+            )
 
     @pytest.mark.parametrize(
         "value", ["file:" + "0" * 64, None], ids=["string", "null"]
@@ -412,10 +416,10 @@ class TestRequestBackend:
                                                 verilog_text):
         response = service.call(
             "POST", "/v1/identify",
-            {"verilog": verilog_text, "backend": "regfeat"},
+            {"verilog": verilog_text, "backend": "base"},
         )
         assert response.status == 200
-        assert response.json["backend"] == "regfeat"
+        assert response.json["backend"] == "base"
 
     def test_base_request_matches_base_server(self, tmp_path,
                                               verilog_text):

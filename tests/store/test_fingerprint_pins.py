@@ -40,13 +40,6 @@ PINNED = {
         '"max_cone_gates":null,"max_control_signals":8,'
         '"max_simultaneous":2,"preflight":false}'
     ),
-    ("regfeat", False): (
-        '{"accept_partial_heals":false,"allow_partial":true,'
-        '"backend":"regfeat","backend_version":"1.0.0","depth":4,'
-        '"grouping":"adjacency","max_assignments":null,'
-        '"max_cone_gates":null,"max_control_signals":8,'
-        '"max_simultaneous":2,"preflight":false}'
-    ),
     ("ours", True): (
         '{"accept_partial_heals":false,"allow_partial":true,'
         '"backend":"ours","backend_version":"1.0.0","depth":4,'
@@ -64,7 +57,7 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("backend", ["ours", "base", "regfeat"])
+@pytest.mark.parametrize("backend", ["ours", "base"])
 def test_library_config(backend):
     config = PipelineConfig(backend=backend)
     assert config_fingerprint(config) == PINNED[(backend, False)]

@@ -119,7 +119,7 @@ class TestSerialize:
         assert result_digest(restored) == result_digest(result)
         assert restored.trace.cache.as_dict() == result.trace.cache.as_dict()
 
-    @pytest.mark.parametrize("backend", ["ours", "base", "regfeat"])
+    @pytest.mark.parametrize("backend", ["ours", "base"])
     def test_a_warm_trace_lists_its_stages_in_run_order(
         self, netlist, tmp_path, backend
     ):
@@ -305,6 +305,68 @@ class TestLRU:
         store.put("a" * 8, "result", {"x": 1})
         store.put("b" * 8, "result", {"x": 2})
         assert calls == []
+
+
+def _snapshot(root):
+    """Every file under ``root`` with its bytes."""
+    files = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
+
+
+class TestNegativeCap:
+    """A negative cap is refused before the store is touched: it would
+    evict every entry."""
+
+    @pytest.fixture()
+    def filled(self, netlist, tmp_path):
+        root = str(tmp_path / "store")
+        Session(store=root).analyze(netlist)
+        assert len(_snapshot(root)) == 2
+        return root
+
+    def test_library_refuses_it(self, filled, tmp_path):
+        before = _snapshot(filled)
+        with pytest.raises(ValueError, match="store cap"):
+            ArtifactStore(filled, max_bytes=-1)
+        with pytest.raises(ValueError, match="store cap"):
+            Session(store=filled, max_store_bytes=-1)
+        assert _snapshot(filled) == before
+        fresh = tmp_path / "fresh"
+        with pytest.raises(ValueError):
+            ArtifactStore(str(fresh), max_bytes=-1)
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    def test_cli_exits_2_with_one_line(
+        self, filled, netlist, tmp_path, monkeypatch, capsys, command
+    ):
+        import repro.batch
+        import repro.metrics
+        import repro.serve.server
+
+        def served(*args):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr(repro.serve.server, "_amain", served)
+        # serve installs a global metrics registry; restore it afterwards.
+        monkeypatch.setattr(repro.metrics, "_installed", None)
+        design = tmp_path / "design.v"
+        design.write_text(write_verilog(netlist))
+        before = _snapshot(filled)
+        argv = ["--store", filled, "--max-store-bytes", "-1"]
+        if command == "batch":
+            code = repro.batch.main([str(design), *argv])
+        else:
+            code = repro.serve.server.main(["--port", "0", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: store cap")
+        assert _snapshot(filled) == before
 
 
 def _hammer_writer(root: str, key: str, marker: int, rounds: int) -> None:

@@ -176,6 +176,20 @@ class TestCli:
     def test_bad_jobs_exits_2(self, corpus, capsys):
         assert main([corpus[0], "--jobs", "0"]) == 2
 
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+    def test_row_timeout_must_be_finite_and_positive(
+        self, corpus, capsys, seconds
+    ):
+        """A 0 s watchdog would fire at once and quarantine every row."""
+        with pytest.raises(ValueError, match="row timeout"):
+            analyze_corpus(corpus, row_timeout=float(seconds))
+        argv = corpus + ["--jobs", "2", "--row-timeout", seconds]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: row timeout")
+
     def test_end_to_end_with_report(self, corpus, tmp_path, capsys):
         store = str(tmp_path / "store")
         report_path = str(tmp_path / "report.json")

@@ -160,19 +160,16 @@ class TestBackendFlag:
         assert by_backend["config"]["backend"] == "base"
         assert by_backend["result_digest"] == result_digest(library)
 
-    def test_backend_regfeat_runs(self, verilog_path, capsys):
-        assert main([verilog_path, "--backend", "regfeat"]) == 0
-        assert "feature-vector aggregation" in capsys.readouterr().out
-
     def test_unknown_backend_exits_2_with_one_line_diagnostic(
         self, verilog_path, capsys
     ):
-        assert main([verilog_path, "--backend", "nope"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "unknown backend 'nope'" in err
-        for name in ("ours", "base", "regfeat"):
-            assert name in err
+        # The retired feature-vector backend is one more unknown name.
+        for name in ("nope", "regfeat"):
+            assert main([verilog_path, "--backend", name]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"unknown backend {name!r}" in err
+            assert err.rstrip().endswith("registered backends: ours, base")
 
     def test_unknown_kernel_exits_2(self, verilog_path, capsys):
         # Signatures have one implementation: no CLI takes --kernel.
