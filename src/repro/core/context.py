@@ -1,18 +1,16 @@
 """Shared analysis state: memoized cones, hash keys, and incremental re-hash.
 
 The staged engine (:mod:`repro.core.stages`) routes every structural query
-through one :class:`AnalysisContext` per netlist instead of rebuilding
-indices ad hoc:
+of a run through one :class:`AnalysisContext`, the reduction searches
+included, and the context keeps one memo per structural fact:
 
-* **Cone extraction** is memoized by ``(net, levels)`` and DAG-shared —
-  a subtree expanded once is the *same* :class:`ConeNode` object inside
-  every cone that contains it, so identity-keyed memos (the control
-  stage's net profiles, :meth:`node_cache`) amortize across bits, groups,
-  and subgroups.
-* **Hash keys** are memoized by ``(net, levels)`` (the
-  :class:`~repro.core.hashkey.SignatureIndex` scheme), in bulk per-level
-  tables for the levels bit signatures query, each key formatted once
-  per distinct shape.
+* **Cones** are memoized by ``(net, levels)`` and DAG-shared — a subtree
+  expanded once is the *same* :class:`ConeNode` object inside every cone
+  that contains it.
+* **Hash keys** live in per-level key tables (the
+  :class:`~repro.core.hashkey.SignatureIndex` scheme), the only key
+  source: one ``net -> key`` table per level below the bit depth, each
+  key formatted once per distinct shape.
 * **Shapes** (:meth:`shapes`) are interned: every bit of one root type
   and sorted subtree-key multiset shares one
   :class:`~repro.core.hashkey.BitShape`, which is all that matching
@@ -22,21 +20,13 @@ indices ad hoc:
   interned shape plus its subtrees.  A
   :class:`~repro.core.hashkey.Subtree` is plain data (root net and key);
   the few consumers that need its expanded tree ask :meth:`cone`.
+* **Cone net sets** (:meth:`cone_nets`) are memoized by ``(net,
+  levels)``.  The control stage intersects and walks them, and the
+  reduced re-hash tests them.
 * **Incremental reduced re-hash** (:meth:`signatures_after_reduction`):
-  after a control-signal assignment reduces a subcircuit, only the nets
-  the assignment actually touched are rehashed.  Per ``(net, levels)``
-  subtree the context keeps its *support* — the set of nets whose
-  assignment can change that subtree's shape — and a subtree whose support
-  is disjoint from the assigned nets reuses its unreduced key verbatim.
-  This replaces the seed behaviour of constructing a fresh
-  ``SignatureIndex`` over every reduced netlist of every assignment.
-
-A context created with ``parent=`` (the engine does this for each
-subgroup's subcircuit) reads the parent's key cache before computing: the
-subcircuit cut preserves every gate a root-cone hash key can observe, so
-parent keys are valid wherever they exist.  Parent caches are never
-written through, which keeps parallel subgroup workers race-free — each
-worker owns its sub-context and only *reads* the shared one.
+  after a control-signal assignment reduces a subcircuit, only the
+  subtrees whose cone net set meets the assigned nets are rehashed; every
+  other subtree reuses its unreduced key verbatim.
 
 Every cache movement is counted in :class:`~repro.core.words.CacheStats`
 for the observability layer.
@@ -44,7 +34,7 @@ for the observability layer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.cone import ConeNode, extract_cone
 from ..netlist.netlist import Netlist
@@ -62,8 +52,6 @@ from .words import CacheStats
 
 __all__ = ["AnalysisContext"]
 
-_EMPTY_SUPPORT: frozenset = frozenset()
-
 
 class AnalysisContext:
     """Memoized structural-analysis state for one netlist.
@@ -74,35 +62,25 @@ class AnalysisContext:
     happens, never *what* is computed.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        depth: int = DEFAULT_DEPTH,
-        parent: Optional["AnalysisContext"] = None,
-    ):
+    def __init__(self, netlist: Netlist, depth: int = DEFAULT_DEPTH):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.netlist = netlist
         self.depth = depth
-        self.parent = parent
         self.boundary = netlist.cone_leaf_nets()
         self.stats = CacheStats()
         # Cooperative run budget (core/resilience.py), set by the engine
         # before the signature stage; None means no limits configured.
         self.budget = None
         self._cones: Dict[Tuple[str, int], ConeNode] = {}
-        self._keys: Dict[Tuple[str, int], str] = {}
         self._signatures: Dict[str, BitSignature] = {}
-        self._node_caches: Dict[str, dict] = {}
-        self._supports: Dict[Tuple[str, int], frozenset] = {}
         self._netsets: Dict[Tuple[str, int], frozenset] = {}
-        self._keys_precomputed = False
-        # level -> {net: key} for levels 1..depth-1, filled by
-        # precompute_keys(); lets shapes() and signatures() resolve
-        # subtree keys with one plain-string dict probe (missing net ==
-        # cone leaf == LEAF_TOKEN).  Nets of one shape share one key
-        # string.
-        self._level_keys: Dict[int, Dict[str, str]] = {}
+        # The key tables: entry L maps each eligible net to its key at L
+        # levels (a missing net is a cone leaf, LEAF_TOKEN), for levels
+        # 0 .. depth-1.  Level 0 is all leaves, so its table is empty;
+        # the others fill on first read or in precompute_keys().  Nets of
+        # one shape share one key string.
+        self._level_keys: List[Dict[str, str]] = [{}]
         # One Subtree per child net at depth-1 levels, shared by every
         # signature that reads the net.
         self._subtrees: Dict[str, Subtree] = {}
@@ -134,81 +112,55 @@ class AnalysisContext:
             node_cache=self._cones,
         )
 
-    def node_cache(self, namespace: str) -> dict:
-        """A named ``id(node) -> (node, value)`` memo for derived analyses.
-
-        Because :meth:`cone` canonicalizes subtrees, identity-keyed memos
-        here are shared across every cone containing the subtree (the
-        control stage caches its per-cone net profiles this way).
-        """
-        return self._node_caches.setdefault(namespace, {})
-
     # ------------------------------------------------------------------
     # hash keys
     # ------------------------------------------------------------------
     def key(self, net: str, levels: int) -> str:
-        """Hash key of ``net``'s cone expanded ``levels`` gate levels.
+        """Hash key of ``net``'s cone expanded ``levels`` gate levels, for
+        ``0 <= levels < depth``: one read of that level's key table.
 
-        The recursion itself is stat-free (it runs hundreds of thousands of
-        times on large designs); hit/miss counters are maintained at the
-        subtree-query level by :meth:`signatures`, :meth:`shapes` and
-        :meth:`precompute_keys`.
+        Stat-free; hit/miss counters are maintained at the subtree-query
+        level by :meth:`signatures` and :meth:`precompute_keys`.
         """
-        memo_key = (net, levels)
-        cached = self._keys.get(memo_key)
-        if cached is not None:
-            return cached
-        level_keys = self._level_keys.get(levels)
-        if level_keys is not None:
-            cached = level_keys.get(net)
-            if cached is not None:
-                return cached
-        if self.parent is not None:
-            inherited = self.parent._keys.get(memo_key)
-            if inherited is None:
-                parent_level = self.parent._level_keys.get(levels)
-                if parent_level is not None:
-                    inherited = parent_level.get(net)
-            if inherited is not None:
-                self.stats.key_shared_hits += 1
-                self._keys[memo_key] = inherited
-                return inherited
-        driver = self.netlist.driver(net)
-        if (
-            levels == 0
-            or driver is None
-            or driver.is_ff
-            or net in self.boundary
-        ):
-            result = LEAF_TOKEN
-        else:
-            parts = sorted(
-                [self.key(child, levels - 1) for child in driver.inputs]
-            )
-            result = f"({''.join(parts)}{driver.cell.name})"
-        self._keys[memo_key] = result
-        return result
+        return self._key_table(levels).get(net, LEAF_TOKEN)
 
-    def precompute_keys(self) -> None:
-        """Fill the per-level key tables bottom-up for every eligible net
-        at levels ``1 .. depth-1`` — the levels bit signatures query.
+    def precompute_keys(self) -> bool:
+        """Fill the key tables of levels ``1 .. depth-1``, the levels bit
+        signatures query; whether every table is filled.
 
-        The recursive :meth:`key` produces identical strings, but pays a
-        Python call per (net, level) frame; one bulk pass over the driver
-        index computes each level from the one below it with tight loops.
-        A key is a function of the gate's cell and its children's keys,
-        and real designs have few of those per level (b18: 13/90/173 keys
-        at levels 1/2/3 over 59k nets), so each level formats a key once
-        per distinct ``(cell name, sorted child keys)`` and maps every net
-        of that shape to the one string: matching's string compares then
-        short-circuit on identity.  The memo is keyed by the cell's name,
-        not its :class:`~repro.netlist.cells.CellType`, whose dataclass
-        hash rehashes every field.  Idempotent; sub-contexts skip it
-        (they inherit from the parent).
+        The pass checks the run budget before each level and stops once
+        it expires, leaving the tables it has not reached empty; it
+        returns ``False`` then.  Idempotent, and a later call resumes a
+        cut pass.  Outside the engine the tables also fill on first read.
         """
-        if self._keys_precomputed:
-            return
-        self._keys_precomputed = True
+        return self._fill_key_tables(self.depth - 1, self.budget)
+
+    def _key_table(self, levels: int) -> Dict[str, str]:
+        """The ``net -> key`` table of ``levels``, filled on first read."""
+        if not 0 <= levels < self.depth:
+            raise ValueError(f"levels must be in 0 .. {self.depth - 1}")
+        self._fill_key_tables(levels)
+        return self._level_keys[levels]
+
+    def _fill_key_tables(self, top: int, budget=None) -> bool:
+        """Fill the missing key tables up to level ``top``, bottom-up;
+        whether they all are filled (``budget`` may stop the pass between
+        levels).
+
+        One bulk pass over the driver index computes each level from the
+        one below it with tight loops.  A key is a function of the gate's
+        cell and its children's keys, and real designs have few of those
+        per level (b18: 13/90/173 keys at levels 1/2/3 over 59k nets), so
+        each level formats a key once per distinct ``(cell name, sorted
+        child keys)`` and maps every net of that shape to the one string:
+        matching's string compares then short-circuit on identity.  The
+        memo is keyed by the cell's name, not its
+        :class:`~repro.netlist.cells.CellType`, whose dataclass hash
+        rehashes every field.
+        """
+        tables = self._level_keys
+        if len(tables) > top:
+            return True
         boundary = self.boundary
         nets: List[str] = []
         cells: List[str] = []
@@ -218,17 +170,11 @@ class AnalysisContext:
                 nets.append(net)
                 cells.append(gate.cell.name)
                 fanins.append(gate.inputs)
-        # Level 0 is all leaves: every child reads LEAF_TOKEN at level 1.
-        prev: Dict[str, str] = {}
+        prev = tables[-1]
         leaf = LEAF_TOKEN
-        completed_levels = 0
-        for level in range(1, self.depth):
-            if self.budget is not None and self.budget.expired():
-                # The run is over (deadline / abort): stop the bulk pass
-                # between levels.  Partial tables stay correct — a level
-                # that was never filled just falls back to the recursive
-                # key path — and the engine degrades at the next stage
-                # boundary.
+        filled = 0
+        while len(tables) <= top:
+            if budget is not None and budget.expired():
                 break
             cur: Dict[str, str] = {}
             formatted: Dict[tuple, str] = {}
@@ -245,10 +191,11 @@ class AnalysisContext:
                 if key is None:
                     key = formatted[shape] = f"({''.join(shape[1:])}{cell})"
                 cur[net] = key
-            self._level_keys[level] = cur
+            tables.append(cur)
             prev = cur
-            completed_levels += 1
-        self.stats.key_misses += len(nets) * completed_levels
+            filled += 1
+        self.stats.key_misses += len(nets) * filled
+        return len(tables) > top
 
     # ------------------------------------------------------------------
     # signatures
@@ -280,7 +227,7 @@ class AnalysisContext:
             nets_shapes = zip(missing, self.shapes(missing))
         else:
             nets_shapes = zip(nets, shapes)
-        key_of = self._subtree_key_reader()
+        key_of = self._key_table(self.depth - 1).get
         driver_of = self.netlist.driver
         subtrees_of = self._subtrees
         sub_get = subtrees_of.get
@@ -301,7 +248,7 @@ class AnalysisContext:
                 subtree = sub_get(child)
                 if subtree is None:
                     subtree = subtrees_of[child] = new_subtree(
-                        child, key_of(child) or leaf
+                        child, key_of(child, leaf)
                     )
                 subtrees.append(subtree)
             memo[net] = fast_signature(
@@ -320,12 +267,11 @@ class AnalysisContext:
         off the depth-1 key table and interned per distinct ``(cell name,
         sorted subtree keys)``, so bits of one shape share one record and
         no per-bit object is built.  :meth:`signatures` takes its bits'
-        shapes from here.  Only keys computed without a table are
-        counted: the signature and key-hit counters describe the
-        signatures :meth:`signatures` builds, which the engine asks for
-        only where its later stages read subtrees.
+        shapes from here.  Nothing is counted: the signature and key-hit
+        counters describe the signatures :meth:`signatures` builds, which
+        the engine asks for only where its later stages read subtrees.
         """
-        key_of = self._subtree_key_reader()
+        key_of = self._key_table(self.depth - 1).get
         memo = self._shapes
         driver_of = self.netlist.driver
         boundary = self.boundary
@@ -340,11 +286,11 @@ class AnalysisContext:
             cell = driver.cell.name
             inputs = driver.inputs
             if len(inputs) == 2:
-                a = key_of(inputs[0]) or leaf
-                b = key_of(inputs[1]) or leaf
+                a = key_of(inputs[0], leaf)
+                b = key_of(inputs[1], leaf)
                 memo_key = (cell, a, b) if a <= b else (cell, b, a)
             else:
-                memo_key = (cell, *sorted([key_of(c) or leaf for c in inputs]))
+                memo_key = (cell, *sorted([key_of(c, leaf) for c in inputs]))
             shape = memo.get(memo_key)
             if shape is None:
                 shape = memo[memo_key] = BitShape(
@@ -352,28 +298,6 @@ class AnalysisContext:
                 )
             append(shape)
         return out
-
-    def _subtree_key_reader(self) -> Callable[[str], Optional[str]]:
-        """``child -> key`` at level ``depth - 1``, the level of a bit's
-        subtrees.  With the key table that is a plain probe, ``None`` for
-        a cone leaf (callers read it ``or LEAF_TOKEN``).  Without one
-        (depth 1, a budget-cut precompute) it is the recursive
-        :meth:`key`, counting a miss for each key not yet memoized."""
-        levels = self.depth - 1
-        view = self._level_keys.get(levels)
-        if view is not None:
-            return view.get
-        keys = self._keys
-        stats = self.stats
-
-        def key_of(child: str) -> str:
-            key = keys.get((child, levels))
-            if key is None:
-                stats.key_misses += 1
-                key = self.key(child, levels)
-            return key
-
-        return key_of
 
     # ------------------------------------------------------------------
     # cone net sets
@@ -385,7 +309,9 @@ class AnalysisContext:
         computed straight off the driver index — no :class:`ConeNode` tree
         is materialized.  The control stage intersects these sets to decide
         whether a subgroup has any common net at all before it pays for
-        cone extraction.
+        cone extraction, and reads them again for the nets below each
+        common net; the reduced re-hash tests them against the assigned
+        nets (:meth:`signatures_after_reduction`).
         """
         memo_key = (net, levels)
         cached = self._netsets.get(memo_key)
@@ -419,36 +345,6 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     # incremental re-hash after reduction
     # ------------------------------------------------------------------
-    def support(self, net: str, levels: int) -> frozenset:
-        """Nets whose constant assignment can change ``(net, levels)``'s key.
-
-        A gate's shape changes when its output is assigned (gate removed),
-        when an input is assigned (input dropped / cell rewritten), or when
-        a subtree below it changes — so the support is the net itself, the
-        driver's inputs, and the children's supports.  Cone leaves have
-        empty support: their key is ``$`` before and after any reduction.
-        """
-        memo_key = (net, levels)
-        cached = self._supports.get(memo_key)
-        if cached is not None:
-            return cached
-        driver = self.netlist.driver(net)
-        if (
-            levels == 0
-            or driver is None
-            or driver.is_ff
-            or net in self.boundary
-        ):
-            result = _EMPTY_SUPPORT
-        else:
-            nets = {net}
-            nets.update(driver.inputs)
-            for child in driver.inputs:
-                nets |= self.support(child, levels - 1)
-            result = frozenset(nets)
-        self._supports[memo_key] = result
-        return result
-
     def signatures_after_reduction(
         self,
         reduced: Netlist,
@@ -458,11 +354,13 @@ class AnalysisContext:
         """Signatures of ``bits`` on a netlist reduced under ``values``.
 
         ``reduced`` must be the result of
-        :func:`~repro.core.reduction.reduce_netlist` on this context's
-        netlist with ``values`` as the full constant map (seeds plus
-        inferred nets).  Subtrees whose support is disjoint from the
-        assigned nets reuse their unreduced keys; everything else is
-        rehashed against the reduced netlist.  The result is equal to
+        :func:`~repro.core.reduction.reduce_netlist` with ``values`` as the
+        full constant map (seeds plus inferred nets), run on this
+        context's netlist or on a subcircuit of it that holds the bits'
+        cones (:func:`~repro.netlist.cone.extract_subcircuit`, as the
+        reduction search cuts).  Subtrees whose cone net set is disjoint
+        from the assigned nets reuse their unreduced keys; everything else
+        is rehashed against the reduced netlist.  The result is equal to
         running a fresh ``SignatureIndex`` over ``reduced``.
         """
         reduced_boundary = reduced.cone_leaf_nets()
@@ -470,7 +368,7 @@ class AnalysisContext:
         depth = self.depth
         signatures: List[BitSignature] = []
         for bit in bits:
-            if bit not in values and not self._touched(values, bit, depth):
+            if not self._touched(values, bit, depth):
                 signatures.append(self.signature(bit))
                 continue
             driver = reduced.driver(bit)
@@ -497,15 +395,19 @@ class AnalysisContext:
     def _touched(
         self, values: Mapping[str, int], net: str, levels: int
     ) -> bool:
-        """Whether assigning ``values`` can change ``(net, levels)``'s key.
+        """Whether assigning ``values`` can change ``(net, levels)``'s key:
+        whether they assign a net of its cone, at levels >= 1 (a key at
+        level 0 is ``$`` whatever is assigned).
 
-        Assigned nets are conservatively dirty at levels >= 1: a reduced
-        netlist may re-drive them with a TIE cell, which an unreduced key
-        cannot anticipate.
+        A gate's shape changes when its output is assigned (gate removed),
+        when an input is assigned (input dropped / cell rewritten), or when
+        a subtree below it changes.  An assigned cone leaf is dirty too: a
+        reduced netlist may re-drive it with a TIE cell, which an unreduced
+        key cannot anticipate.
         """
-        if levels and net in values:
-            return True
-        return not self.support(net, levels).isdisjoint(values)
+        return levels > 0 and not self.cone_nets(net, levels).isdisjoint(
+            values
+        )
 
     def _reduced_key(
         self,

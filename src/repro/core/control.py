@@ -26,7 +26,8 @@ sets come from the :class:`~repro.core.context.AnalysisContext`'s
 tree is materialized for the common case.  Phase two, reached only when
 the intersection is non-empty, walks the (few) dissimilar cones — read
 from the context's DAG-shared cone cache — once to collect candidate
-order, controlling values, and the domination test of step 2.
+order and controlling values; step 2's domination test reads the nets
+below each common net from the same net-set index.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..netlist.cone import ConeNode
 from .context import AnalysisContext
 from .matching import Subgroup
 
@@ -49,28 +49,6 @@ class ControlSignalCandidate:
     values: Tuple[int, ...]
 
 
-def _node_nets(node: ConeNode, cache: dict) -> frozenset:
-    """Net names of a cone subtree, memoized by node identity.
-
-    ``cache`` maps ``id(node) -> (node, frozenset)``; the node reference
-    pins the object so CPython cannot recycle its id.  With DAG-shared
-    cones (an :class:`~repro.core.context.AnalysisContext` cache) shared
-    subtrees are summarized once across every cone containing them.
-    """
-    entry = cache.get(id(node))
-    if entry is not None and entry[0] is node:
-        return entry[1]
-    if node.is_leaf:
-        nets = frozenset((node.net,))
-    else:
-        acc = {node.net}
-        for child in node.children:
-            acc.update(_node_nets(child, cache))
-        nets = frozenset(acc)
-    cache[id(node)] = (node, nets)
-    return nets
-
-
 def find_control_signals(
     subgroup: Subgroup, context: AnalysisContext
 ) -> List[ControlSignalCandidate]:
@@ -79,9 +57,10 @@ def find_control_signals(
     Returns candidates in deterministic discovery order (bit order, then
     pre-order position within each dissimilar subtree).  ``context`` is
     the :class:`~repro.core.context.AnalysisContext` that produced the
-    subgroup's signatures: it supplies each dissimilar subtree's net set
-    and cone (``context.cone(root_net, depth - 1)``) and shares both
-    caches across subgroups.
+    subgroup's signatures: it supplies each dissimilar subtree's cone
+    (``context.cone(root_net, depth - 1)``) and the net set of every
+    subtree in it (``context.cone_nets(net, levels)``), and shares both
+    memos across subgroups.
     """
     subtrees = []
     for sig in subgroup.signatures:
@@ -115,18 +94,21 @@ def find_control_signals(
     if not common:
         return []
 
-    # Phase two: walk each dissimilar cone once, collecting — for common
-    # nets only — first-visit order, controlling values of the gates they
-    # feed, and the nets strictly below their occurrences (the "in the
-    # fanin cone of" data for step 2's domination test).
-    node_nets_cache = context.node_cache("cone_nets")
-    cones = [context.cone(st.root_net, levels) for st in subtrees]
+    # Phase two: walk each dissimilar cone once, in the pre-order of
+    # ConeNode.walk, with the levels left below each node, collecting — for
+    # common nets only — first-visit order, controlling values of the
+    # gates they feed, and the nets strictly below their occurrences (the
+    # "in the fanin cone of" data for step 2's domination test): a
+    # child's subtree holds the nets of ``cone_nets(child, levels left)``.
+    cone_nets = context.cone_nets
     ordered: List[str] = []
     seen: Set[str] = set()
     controlling: Dict[str, Set[int]] = {}
     below: Dict[str, Set[str]] = {}
-    for cone in cones:
-        for node in cone.walk():
+    for st in subtrees:
+        stack = [(context.cone(st.root_net, levels), levels)]
+        while stack:
+            node, left = stack.pop()
             net = node.net
             if net in common and net not in seen:
                 seen.add(net)
@@ -140,7 +122,10 @@ def find_control_signals(
                 if cv is not None and child_net in common:
                     controlling.setdefault(child_net, set()).add(cv)
                 if acc is not None:
-                    acc.update(_node_nets(child, node_nets_cache))
+                    acc.update(cone_nets(child_net, left - 1))
+            stack.extend(
+                (child, left - 1) for child in reversed(node.children)
+            )
 
     # Step 2: drop nets dominated by another common net's fanin cone.
     survivors = {

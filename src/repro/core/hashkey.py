@@ -25,7 +25,7 @@ re-hash after reduction) that production-scale runs need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..netlist.cone import ConeNode
 from ..netlist.netlist import Netlist
@@ -116,9 +116,6 @@ class BitSignature:
         cell_name = self.root_type.rstrip("0123456789")
         return f"({''.join(self.sorted_keys)}{cell_name})"
 
-    def subtrees_for_key(self, key: str) -> List[Subtree]:
-        return [s for s in self.subtrees if s.key == key]
-
     def __reduce__(self):
         return (
             BitSignature,
@@ -193,12 +190,6 @@ _SET_NET = BitSignature.net.__set__
 _SET_ROOT_TYPE = BitSignature.root_type.__set__
 _SET_SUBTREES = BitSignature.subtrees.__set__
 _SET_SORTED_KEYS = BitSignature.sorted_keys.__set__
-
-
-def _root_type(node: ConeNode) -> Optional[str]:
-    if node.is_leaf:
-        return None
-    return f"{node.gate_type}{len(node.children)}"
 
 
 class SignatureIndex:

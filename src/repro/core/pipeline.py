@@ -2,7 +2,7 @@
 
 Stages, in order (each a stage object in :mod:`repro.core.stages`, run by
 an :class:`~repro.core.stages.AnalysisEngine` that times every stage and
-aggregates cache statistics into the result's
+records its context's cache statistics on the result's
 :class:`~repro.core.words.StageTrace`):
 
 1. *Find potential bits of a word* (Section 2.2): scan the netlist file and
@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Optional
 
 from ..netlist.netlist import Netlist
 from .backends import resolve
-from .stages import PIPELINE_VERSION, AnalysisEngine
+from .stages import MAX_CONTROL_SIGNALS, PIPELINE_VERSION, AnalysisEngine
 from .words import IdentificationResult
 
 __all__ = ["PIPELINE_VERSION", "PipelineConfig", "identify_words"]
@@ -60,9 +60,6 @@ class PipelineConfig:
     ``grouping``
         ``"adjacency"`` (Section 2.2, default) or ``"registers"`` (the
         netlist-order-independent variation).
-    ``max_control_signals``
-        Safety cap on candidates per subgroup; the paper observes the
-        number is small in practice, this guards degenerate inputs.
     ``accept_partial_heals``
         The paper accepts an assignment only when it makes the whole
         subgroup fully similar ("we recheck if words can be identified").
@@ -107,7 +104,6 @@ class PipelineConfig:
     depth: int = 4
     max_simultaneous: int = 2
     grouping: str = "adjacency"
-    max_control_signals: int = 8
     accept_partial_heals: bool = False
     backend: str = "ours"
     deadline_s: Optional[float] = None
@@ -144,6 +140,13 @@ class PipelineConfig:
         ``"base"``.  Derived, not settable; it stays in the store
         fingerprint, so keys do not move."""
         return self.backend != "base"
+
+    @property
+    def max_control_signals(self) -> int:
+        """The cap on control-signal candidates per subgroup,
+        :data:`~repro.core.stages.MAX_CONTROL_SIGNALS`.  Not settable; it
+        stays in the store fingerprint, so keys do not move."""
+        return MAX_CONTROL_SIGNALS
 
 
 def identify_words(

@@ -113,16 +113,6 @@ class ReducedNetlist:
     netlist: Netlist
     values: Dict[str, int]
 
-    @property
-    def touched_nets(self) -> frozenset:
-        """The nets the reduction assigned (seeds plus inferred).
-
-        This is the dirty set of the incremental re-hash: a subtree whose
-        support is disjoint from it keeps its unreduced hash key (see
-        :meth:`repro.core.context.AnalysisContext.signatures_after_reduction`).
-        """
-        return frozenset(self.values)
-
 
 def reduce_netlist(
     netlist: Netlist, assignments: Mapping[str, int]

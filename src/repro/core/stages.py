@@ -22,9 +22,9 @@ stage                   artifact produced
 ======================  ===================================================
 
 The engine (:class:`AnalysisEngine`) times every stage into
-``StageTrace.stage_seconds`` and merges per-task cache statistics in task
-order.  Each reduction search owns a sub-:class:`AnalysisContext`
-(parent = the shared context) whose memos live for that search only.
+``StageTrace.stage_seconds``.  A run has one :class:`AnalysisContext`:
+every stage, each reduction search included, reads and writes its memos,
+and its cache statistics are the trace's.
 
 Resilience (DESIGN.md §8): the engine builds one
 :class:`~repro.core.resilience.RunBudget` per run and checks it at every
@@ -61,10 +61,11 @@ from .resilience import (
     RunBudget,
     SubgroupFailure,
 )
-from .words import CacheStats, ControlAssignment, IdentificationResult, Word
+from .words import ControlAssignment, IdentificationResult, Word
 
 __all__ = [
     "PIPELINE_VERSION",
+    "MAX_CONTROL_SIGNALS",
     "AnalysisEngine",
     "StageArtifacts",
     "SubgroupTask",
@@ -86,6 +87,11 @@ __all__ = [
 #: previously cached result.  Pure performance work that provably keeps
 #: output byte-identical does not bump it.
 PIPELINE_VERSION = "2.0.0"
+
+#: Cap on the control-signal candidates a partial subgroup's search tries;
+#: the paper observes the number is small in practice, this guards
+#: degenerate inputs.  ``PipelineConfig.max_control_signals`` reads it.
+MAX_CONTROL_SIGNALS = 8
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +130,6 @@ class SubgroupOutcome:
     assignments_tried: int = 0
     infeasible: int = 0
     subcircuits: int = 0
-    cache: Optional[CacheStats] = None
     failure: Optional[SubgroupFailure] = None
 
 
@@ -180,13 +185,19 @@ class GroupingStage(Stage):
 
 
 class SignatureStage(Stage):
-    """Compute each candidate bit's shape through the shared context."""
+    """Compute each candidate bit's shape through the shared context.
+
+    A key pass the run budget cuts ends the stage with no shape: the run
+    is over, and the next stage boundary records it.
+    """
 
     name = "signatures"
 
     def run(self, art: StageArtifacts) -> None:
-        art.context.precompute_keys()
-        art.group_shapes = [art.context.shapes(group) for group in art.groups]
+        if art.context.precompute_keys():
+            art.group_shapes = [
+                art.context.shapes(group) for group in art.groups
+            ]
 
 
 class MatchingStage(Stage):
@@ -245,12 +256,11 @@ class ControlStage(Stage):
     name = "control"
 
     def run(self, art: StageArtifacts) -> None:
-        cap = art.config.max_control_signals
         for task in art.tasks:
             art.trace.num_partially_matched_subgroups += 1
             task.candidates = find_control_signals(
                 task.subgroup, context=art.context
-            )[:cap]
+            )[:MAX_CONTROL_SIGNALS]
             art.trace.num_control_signal_candidates += len(task.candidates)
 
 
@@ -334,7 +344,11 @@ class ReductionStage(Stage):
         )
 
     def search(self, art: StageArtifacts, task: SubgroupTask) -> SubgroupOutcome:
-        """Run the assignment search for one partial subgroup."""
+        """Run the assignment search for one partial subgroup.
+
+        Each assignment reduces the subgroup's subcircuit (the cut of its
+        bits' cones), and the run's context re-checks the bits on it.
+        """
         config = art.config
         budget = art.budget
         subgroup = task.subgroup
@@ -366,9 +380,6 @@ class ReductionStage(Stage):
                 )
             outcome.failure = self._failure(task, "cone_gates", detail)
             return outcome
-        sub = AnalysisContext(
-            subcircuit, config.depth, parent=art.context
-        )
         for assignment in _assignments(
             task.candidates, config.max_simultaneous
         ):
@@ -392,7 +403,7 @@ class ReductionStage(Stage):
             except InfeasibleAssignment:
                 outcome.infeasible += 1
                 continue
-            new_signatures = sub.signatures_after_reduction(
+            new_signatures = art.context.signatures_after_reduction(
                 reduced.netlist, reduced.values, bits
             )
             partition = full_match_runs(new_signatures)
@@ -407,7 +418,6 @@ class ReductionStage(Stage):
                     best_score = score
                     outcome.partition = partition
                     outcome.assignment = ControlAssignment.of(assignment)
-        outcome.cache = sub.stats
         return outcome
 
 
@@ -432,8 +442,6 @@ class EmissionStage(Stage):
                 trace.num_assignments_tried += outcome.assignments_tried
                 trace.num_infeasible_assignments += outcome.infeasible
                 trace.num_subcircuits_extracted += outcome.subcircuits
-                if outcome.cache is not None:
-                    trace.cache.merge(outcome.cache)
                 if outcome.assignment is not None:
                     trace.num_reductions_that_matched += 1
                 if outcome.failure is not None:
@@ -457,7 +465,7 @@ class AnalysisEngine:
     The engine computes; it never reads or writes identification
     results.  :class:`repro.api.Session` owns the store key and the
     result commit.  Each run builds its own
-    :class:`~repro.core.context.AnalysisContext`.
+    :class:`~repro.core.context.AnalysisContext`, the only one it uses.
     """
 
     #: The Figure 2 stage graph, in execution order (the stages keep no
@@ -517,7 +525,7 @@ class AnalysisEngine:
             result.trace.stage_seconds[stage.name] = (
                 perf_counter() - stage_started
             )
-        result.trace.cache.merge(context.stats)
+        result.trace.cache = context.stats
         result.runtime_seconds = perf_counter() - started
         self._publish_metrics(result)
         return result

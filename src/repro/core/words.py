@@ -88,17 +88,21 @@ class ControlAssignment:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters of the :class:`~repro.core.context.AnalysisContext`
-    caches, aggregated deterministically across every context a run creates
-    (the engine's shared context plus one per reduction-searched subgroup).
+    """Hit/miss counters of the caches of a run's one
+    :class:`~repro.core.context.AnalysisContext`.
 
     ``signature_hits`` / ``signature_misses`` count the bit signatures a
     run builds or reuses.  The engine matches bits by interned shape and
     asks for signatures only for the bits of partially matched subgroups
-    (and a reduction search's sub-context for the bits it re-checks), so
-    a ``backend="base"`` run counts none.  ``key_hits`` counts the
-    subtree keys those signatures read; ``key_misses`` counts the keys a
-    run computes (the bulk precompute: every eligible net per level).
+    (a reduction search reads the memoized signature of a bit an
+    assignment leaves untouched), so a ``backend="base"`` run counts none.  ``key_hits`` counts the subtree
+    keys those signatures read; ``key_misses`` counts the keys a run
+    computes (the key tables: every eligible net per level).
+    ``key_shared_hits`` counted the keys a reduction search's sub-context
+    copied from the run's context; with one context per run it reads 0,
+    and stays in the trace payload for the readers that index it.
+    ``netset_hits`` / ``netset_misses`` count the reads of the cone
+    net-set memo (control-signal discovery and the reduced re-hash).
 
     ``reduced_keys_reused`` / ``reduced_keys_rehashed`` record the incremental
     re-check after each control-signal assignment: reused keys were taken
@@ -119,10 +123,6 @@ class CacheStats:
     netset_misses: int = 0
     reduced_keys_reused: int = 0
     reduced_keys_rehashed: int = 0
-
-    def merge(self, other: "CacheStats") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}

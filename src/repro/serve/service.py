@@ -271,8 +271,8 @@ class AnalysisService:
             raise ValueError("workers must be >= 1")
         if queue_size < 0:
             raise ValueError("queue_size must be >= 0")
-        if read_timeout <= 0:
-            raise ValueError("read_timeout must be > 0")
+        if not (math.isfinite(read_timeout) and read_timeout > 0):
+            raise ValueError("read_timeout must be a finite number > 0")
         if pool not in ("thread", "process"):
             raise ValueError("pool must be 'thread' or 'process'")
         self.session = session

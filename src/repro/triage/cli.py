@@ -89,6 +89,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.top is not None and args.top < 0:
+        print("error: --top must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
 
     from ..api import Session
 

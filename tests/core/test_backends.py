@@ -91,8 +91,9 @@ class TestConfigNormalization:
         assert not PipelineConfig(backend="base").allow_partial
         assert PipelineConfig(backend="ours").allow_partial
         fields = [f.name for f in dataclasses.fields(PipelineConfig)]
-        assert len(fields) == 12
+        assert len(fields) == 11
         assert "allow_partial" not in fields
+        assert "max_control_signals" not in fields
         with pytest.raises(AttributeError):
             PipelineConfig().allow_partial = False
 

@@ -3,8 +3,8 @@
 The context is pure bookkeeping — it must produce exactly what the
 reference implementations in :mod:`repro.core.hashkey` and
 :mod:`repro.netlist.cone` produce, only faster.  Every test here pins one
-of those equivalences or one of the identity-sharing guarantees the other
-stages rely on.
+of those equivalences, one of the identity-sharing guarantees the other
+stages rely on, or that a run builds one context.
 """
 
 import sys
@@ -14,6 +14,7 @@ import pytest
 sys.path.insert(0, "tests")
 from fixtures import figure1_netlist
 
+from repro.core import stages
 from repro.core.context import AnalysisContext
 from repro.core.hashkey import (
     LEAF_TOKEN,
@@ -21,6 +22,7 @@ from repro.core.hashkey import (
     hash_key,
     signature_of,
 )
+from repro.core.pipeline import PipelineConfig, identify_words
 from repro.core.reduction import reduce_netlist
 from repro.netlist import NetlistBuilder
 from repro.netlist.cone import cone_nets as walk_cone_nets
@@ -88,12 +90,21 @@ class TestKeyEquivalence:
                 assert context.key(bit, levels) == index.key(bit, levels)
 
     def test_precompute_matches_recursive(self, b03):
-        recursive = AnalysisContext(b03)
+        """The bulk key tables equal the recursive ``SignatureIndex``."""
+        index = SignatureIndex(b03)
         bulk = AnalysisContext(b03)
-        bulk.precompute_keys()
+        assert bulk.precompute_keys()
         for net, _gate in b03.drivers():
             for levels in range(1, bulk.depth):
-                assert bulk.key(net, levels) == recursive.key(net, levels)
+                assert bulk.key(net, levels) == index.key(net, levels)
+
+    def test_key_reads_only_the_levels_below_the_depth(self, fig1):
+        context = AnalysisContext(fig1)
+        net = candidate_bits(fig1)[0]
+        assert context.key(net, 0) == LEAF_TOKEN
+        for levels in (-1, context.depth):
+            with pytest.raises(ValueError):
+                context.key(net, levels)
 
     def test_precompute_is_idempotent(self, fig1):
         context = AnalysisContext(fig1)
@@ -103,11 +114,17 @@ class TestKeyEquivalence:
         assert context.stats.key_misses == misses
 
     def test_node_hash_key_matches_module_hash_key(self, fig1):
-        """Every node of a DAG-shared cone hashes to the context's
-        ``(net, levels)`` key for the levels left below it."""
+        """Every node of a DAG-shared cone hashes to the ``(net, levels)``
+        key for the levels left below it: the context's below the bit
+        depth, ``SignatureIndex``'s at the root."""
         context = AnalysisContext(fig1)
+        index = SignatureIndex(fig1)
         for bit in candidate_bits(fig1):
-            stack = [(context.cone(bit), context.depth)]
+            assert hash_key(context.cone(bit)) == index.key(bit, context.depth)
+            stack = [
+                (child, context.depth - 1)
+                for child in context.cone(bit).children
+            ]
             while stack:
                 node, levels = stack.pop()
                 assert hash_key(node) == context.key(node.net, levels)
@@ -186,27 +203,27 @@ class TestConeNets:
         assert context.cone_nets(pi, 3) == frozenset((pi,))
 
 
-class TestParentInheritance:
-    def test_child_reads_parent_keys(self, fig1):
-        parent = AnalysisContext(fig1)
-        parent.precompute_keys()
-        child = AnalysisContext(fig1, parent=parent)
-        bit = next(
-            b for b in candidate_bits(fig1)
-            if fig1.driver(b) is not None and not fig1.driver(b).is_ff
-        )
-        net = fig1.driver(bit).inputs[0]
-        expected = parent.key(net, parent.depth - 1)
-        assert child.key(net, child.depth - 1) == expected
-        assert child.stats.key_shared_hits >= 1
+class TestOneContextPerRun:
+    def test_parent_is_refused(self, fig1):
+        with pytest.raises(TypeError):
+            AnalysisContext(fig1, parent=AnalysisContext(fig1))
 
-    def test_child_never_writes_parent(self, fig1):
-        parent = AnalysisContext(fig1)
-        child = AnalysisContext(fig1, parent=parent)
-        for bit in candidate_bits(fig1):
-            child.signature(bit)
-        assert not parent._keys
-        assert not parent._signatures
+    @pytest.mark.parametrize("name", ["b03", "b05"])
+    def test_a_run_with_reduction_searches_builds_one_context(
+        self, name, monkeypatch
+    ):
+        built = []
+
+        class Counted(AnalysisContext):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "AnalysisContext", Counted)
+        result = identify_words(BENCHMARKS[name](), PipelineConfig())
+        assert result.trace.num_subcircuits_extracted > 0
+        assert len(built) == 1
+        assert result.trace.cache.key_shared_hits == 0
 
 
 class TestSignaturesAfterReduction:

@@ -10,12 +10,13 @@ tables, formatting each key once per distinct shape;
 shape, which is all matching compares; and
 :meth:`~AnalysisContext.signatures` builds bit signatures for the bits
 of partially matched subgroups only, the subgroups control and
-reduction read.  The bulk signatures must equal the per-net reference
-(:meth:`AnalysisContext.signature` on the recursive key path) and the
-paper transcription (:class:`~repro.core.hashkey.SignatureIndex`) key
-for key, with the same cache counters, and the engine's subgroups must
-equal :func:`~repro.core.matching.form_subgroups` over those
-signatures.  This suite pins it five ways:
+reduction read.  The key tables are the context's only key source, so
+the references are outside it: the bulk signatures must equal the
+per-net ones (:meth:`AnalysisContext.signature`, with the same cache
+counters) and the paper transcription
+(:class:`~repro.core.hashkey.SignatureIndex`) key for key, and the
+engine's subgroups must equal :func:`~repro.core.matching.form_subgroups`
+over ``SignatureIndex`` signatures.  This suite pins it five ways:
 
 1. on all twelve ITC99 designs: bulk ≡ per-net ≡ ``SignatureIndex`` over
    every candidate group, and each design's ``result_digest`` equals its
@@ -25,15 +26,14 @@ signatures.  This suite pins it five ways:
    included, where one shared subtree fills two slots of a signature;
 4. a Hypothesis differential of the engine's subgroups (bits, kind,
    dissimilar subtrees, task index) against ``form_subgroups``, over
-   depths 1–5, both groupings, both staged backends, and key tables cut
-   short, with registers that share a D net, and of the reduction
-   search's inline re-check ``full_match_runs`` against
-   ``form_subgroups(..., allow_partial=False)``;
+   depths 1–5, both groupings and both staged backends, with registers
+   that share a D net, and of the reduction search's inline re-check
+   ``full_match_runs`` against ``form_subgroups(..., allow_partial=False)``;
 5. counts on b18 (signatures only for the bits of partially matched
    subgroups, none for Base) and the task indices a ``fault_hook`` sees.
 
-``TestKernelSwitch`` pins that the removed ``kernel``, ``jobs`` and
-``cone_cache`` knobs stay removed.
+``TestKernelSwitch`` pins that the removed ``kernel``, ``jobs``,
+``cone_cache`` and ``max_control_signals`` knobs stay removed.
 """
 
 from __future__ import annotations
@@ -110,15 +110,11 @@ def _check_bulk(netlist, groups, depth: int = 4) -> None:
     bulk_ctx.precompute_keys()
     counted_ctx = AnalysisContext(netlist, depth)
     counted_ctx.precompute_keys()
-    recursive_ctx = AnalysisContext(netlist, depth)
     index = SignatureIndex(netlist, depth)
     for group in groups:
         bulk = bulk_ctx.signatures(group)
         _assert_same_signatures(
             bulk, [counted_ctx.signature(net) for net in group]
-        )
-        _assert_same_signatures(
-            bulk, [recursive_ctx.signature(net) for net in group]
         )
         _assert_same_signatures(bulk, [index.signature(net) for net in group])
     assert bulk_ctx.stats == counted_ctx.stats
@@ -148,6 +144,8 @@ class TestKernelSwitch:
             identify_words(netlist, config, cone_cache=[])
         with pytest.raises(TypeError):
             PipelineConfig(allow_partial=False)
+        with pytest.raises(TypeError):
+            PipelineConfig(max_control_signals=8)
         with pytest.raises(TypeError):
             Session(baseline=True)
         with pytest.raises(TypeError):
@@ -301,24 +299,10 @@ def word_like_designs(draw):
     return netlist
 
 
-class _CutAfter:
-    """A run budget that expires after ``levels`` key-table levels."""
-
-    def __init__(self, levels):
-        self.left = levels
-
-    def expired(self):
-        self.left -= 1
-        return self.left < 0
-
-
-def _engine_subgroups(netlist, config, cut=None):
+def _engine_subgroups(netlist, config):
     """The engine's subgroups after matching, as ``(bits, kind,
     dissimilar, task index)``, and the artifacts they came from."""
     context = AnalysisContext(netlist, config.depth)
-    if cut is not None:
-        context.budget = _CutAfter(cut)
-        context.precompute_keys()
     art = stages.StageArtifacts(
         netlist=netlist, config=config, context=context,
         result=IdentificationResult(),
@@ -343,13 +327,13 @@ def _engine_subgroups(netlist, config, cut=None):
 
 
 def _reference_subgroups(netlist, config, groups):
-    """``form_subgroups`` over per-net signatures on the recursive key
-    path, classified as the engine's tasks were before shapes."""
-    context = AnalysisContext(netlist, config.depth)
+    """``form_subgroups`` over ``SignatureIndex`` signatures, classified
+    as the engine's tasks were before shapes."""
+    index = SignatureIndex(netlist, config.depth)
     found = []
     for group in groups:
         for subgroup in form_subgroups(
-            context.signatures(group), config.allow_partial
+            [index.signature(net) for net in group], config.allow_partial
         ):
             if len(subgroup.signatures) == 1:
                 kind = "singleton"
@@ -369,15 +353,14 @@ class TestShapePath:
     @given(
         netlist=word_like_designs(),
         depth=st.integers(min_value=1, max_value=5),
-        cut=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
     )
     def test_engine_subgroups_equal_form_subgroups(
-        self, netlist, depth, grouping, backend, cut
+        self, netlist, depth, grouping, backend
     ):
         config = PipelineConfig(
             depth=depth, grouping=grouping, backend=backend
         )
-        found, art = _engine_subgroups(netlist, config, cut)
+        found, art = _engine_subgroups(netlist, config)
         assert found == _reference_subgroups(netlist, config, art.groups)
         assert art.trace.num_subgroups == len(found)
         assert art.tasks == [
@@ -428,7 +411,8 @@ class TestShapePath:
         context = AnalysisContext(netlist, 4)
         context.precompute_keys()
         nets = [net for net, _ in netlist.drivers()]
-        signatures = AnalysisContext(netlist, 4).signatures(nets)
+        index = SignatureIndex(netlist, 4)
+        signatures = [index.signature(net) for net in nets]
         by_value = {}
         for shape, sig in zip(context.shapes(nets), signatures):
             assert shape.root_type == sig.root_type

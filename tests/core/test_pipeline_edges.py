@@ -9,7 +9,7 @@ from repro.core import (
     shape_hashing,
 )
 from repro.core.control import ControlSignalCandidate
-from repro.core.stages import _assignments
+from repro.core.stages import MAX_CONTROL_SIGNALS, _assignments
 from repro.netlist import NetlistBuilder, Netlist
 
 
@@ -42,24 +42,26 @@ class TestGuardRails:
         """A partial subgroup with many candidates only explores the cap."""
         b = NetlistBuilder("t")
         controls = [b.inv(b.input(f"c{i}")) for i in range(12)]
-        # Bits share one subtree; the dissimilar subtrees contain many
+        # Bits share one subtree; the dissimilar subtrees contain 11
         # common nets that all become candidates.
         sel = b.inv(b.input("sel"))
         bits = []
         for i in range(2):
             common = b.nand(sel, b.input(f"r{i}"))
-            tangle = b.nand(*controls[:4], output=None)
+            tangle = b.nand(*controls[:11], output=None)
             if i:
-                diss = b.nand(tangle, b.nor(controls[4], b.input(f"x{i}")))
+                diss = b.nand(tangle, b.nor(controls[11], b.input(f"x{i}")))
             else:
-                diss = b.nand(tangle, b.nand(controls[4], b.input(f"x{i}")))
+                diss = b.nand(tangle, b.nand(controls[11], b.input(f"x{i}")))
             bits.append(b.nand(common, diss))
         nl = b.build()
-        config = PipelineConfig(max_control_signals=2)
-        result = identify_words(nl, config)
+        result = identify_words(nl, PipelineConfig())
+        assert MAX_CONTROL_SIGNALS == PipelineConfig().max_control_signals == 8
+        assert result.trace.num_control_signal_candidates == 8
         # Bounded work: the trace can't have tried more than the cap's
-        # worth of assignments (2 singles x values + 1 pair x values).
-        assert result.trace.num_assignments_tried <= 8
+        # worth of assignments (8 singles + 28 pairs, one value each);
+        # all 11 candidates would give 66.
+        assert result.trace.num_assignments_tried <= 36
 
     def test_empty_netlist(self):
         nl = Netlist("empty")

@@ -20,7 +20,8 @@ sys.path.insert(0, "tests")
 
 from fixtures import figure1_netlist
 
-from repro.core import PipelineConfig, identify_words
+from repro.core import PipelineConfig, identify_words, stages
+from repro.core.context import AnalysisContext
 from repro.core.resilience import (
     BudgetExceeded,
     Deadline,
@@ -216,6 +217,69 @@ class TestBudgets:
                 netlist, PipelineConfig(deadline_s=1e-9, strict=True)
             )
         assert info.value.reason == "deadline"
+
+
+class _AbortInKeyPass(RunBudget):
+    """A run budget whose abort flag sets at the key pass's second level
+    check (only ``precompute_keys`` calls ``expired``), so the run ends
+    inside that pass with its level-1 table filled."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checks = 0
+
+    def expired(self):
+        self.checks += 1
+        if self.checks == 2:
+            self.abort.set()
+        return super().expired()
+
+
+class TestCutKeyPass:
+    """A budget that expires inside the key pass ends the signature
+    stage: no shape is built from partial tables."""
+
+    @pytest.fixture
+    def shapes_built(self, monkeypatch):
+        built = []
+        shapes = AnalysisContext.shapes
+
+        def counted(context, nets):
+            built.append(len(nets))
+            return shapes(context, nets)
+
+        monkeypatch.setattr(AnalysisContext, "shapes", counted)
+        monkeypatch.setattr(stages, "RunBudget", _AbortInKeyPass)
+        return built
+
+    def test_cut_builds_no_shape_and_no_word(self, shapes_built):
+        netlist = BENCHMARKS["b03"]()
+        result = identify_words(netlist, PipelineConfig())
+        assert shapes_built == []
+        assert result.words == [] and result.singletons == []
+        assert [f.as_dict() for f in result.trace.failures] == [
+            SubgroupFailure(
+                index=-1, bits=(), stage="matching", kind="aborted"
+            ).as_dict()
+        ]
+        assert set(result.trace.stage_seconds) == {
+            "grouping", "signatures", "emission",
+        }
+        # One level of keys was computed before the cut.
+        boundary = netlist.cone_leaf_nets()
+        eligible = sum(
+            1 for net, gate in netlist.drivers()
+            if not gate.is_ff and net not in boundary
+        )
+        assert result.trace.cache.key_misses == eligible
+
+    def test_strict_cut_raises_at_the_matching_boundary(self, shapes_built):
+        with pytest.raises(BudgetExceeded) as info:
+            identify_words(BENCHMARKS["b03"](), PipelineConfig(strict=True))
+        assert (info.value.reason, info.value.where) == (
+            "aborted", "stage matching",
+        )
+        assert shapes_built == []
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,32 @@ class TestRouting:
         text = metrics.body.decode("utf-8")
         assert "repro_serve_requests_total" in text
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0"])
+    def test_read_timeout_must_be_finite_and_positive(self, timeout):
+        """``/healthz`` reports the timeout, and NaN or Infinity there
+        would not be JSON."""
+        with pytest.raises(ValueError, match="read_timeout"):
+            AnalysisService(Session(), read_timeout=float(timeout))
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_cli_refuses_a_non_finite_read_timeout(
+        self, timeout, monkeypatch, capsys
+    ):
+        import repro.serve.server
+
+        def served(*args):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr(repro.serve.server, "_amain", served)
+        # serve installs a global metrics registry; restore it afterwards.
+        monkeypatch.setattr(metrics, "_installed", None)
+        code = repro.serve.server.main(
+            ["--port", "0", "--read-timeout", timeout]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: read_timeout must be a finite number > 0\n"
+
     def test_unknown_route_is_404(self, service):
         assert service.call("GET", "/nope").status == 404
 

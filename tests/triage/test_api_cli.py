@@ -98,6 +98,12 @@ class TestCli:
         assert len(payload["gates"]) == 2
         assert payload["num_gates"] > 2
 
+    def test_negative_top_exits_2_with_one_line(self, design, capsys):
+        assert triage_main([design, "--top", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --top must be >= 0\n"
+
     def test_bad_jobs_is_a_usage_error(self, design):
         # The engine's thread pool is gone, and ``--jobs`` with it.
         with pytest.raises(SystemExit) as exited:
