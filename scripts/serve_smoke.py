@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI smoke test for ``repro serve`` (also runnable locally).
 
-Proves, over live TCP against real subprocesses, the three serve
-guarantees DESIGN.md §11 makes:
+Proves, over live TCP against real subprocesses, the four serve
+guarantees DESIGN.md §11 and §13 make:
 
 1. **Byte-identity** — every ITC99 benchmark POSTed to ``/v1/identify``
    answers the same ``result_digest`` the ``repro identify`` CLI wrote
@@ -10,7 +10,11 @@ guarantees DESIGN.md §11 makes:
    store (``repro_store_hits_total`` ≥ 1 on ``/metrics``).
 2. **Load shedding** — a server with ``--workers 1 --queue-size 1`` and
    a held worker sheds a burst of 8 with 429s and answers zero 500s.
-3. **Graceful drain** — both servers exit 0 on SIGTERM.
+3. **Worker loss** — one worker of a ``--store`` server's process pool
+   (``--pool auto`` picks it) is SIGKILLed; all 12 designs still answer
+   200 with the CLI's ``result_digest``, ``/readyz`` answers 200, and
+   ``/metrics`` counts exactly one pool rebuild.
+4. **Graceful drain** — every server exits 0 on SIGTERM.
 
 With ``--bench OUT.json`` it additionally runs a sustained load
 benchmark: concurrent clients posting unique (cache-missing) designs
@@ -97,6 +101,14 @@ def cli_digests(designs, store):
     return digests
 
 
+def pool_workers(process):
+    """PIDs of a server's worker processes (its child processes)."""
+    found = subprocess.run(
+        ["pgrep", "-P", str(process.pid)], capture_output=True, text=True
+    )
+    return [int(pid) for pid in found.stdout.split()]
+
+
 def check_byte_identity(scratch):
     corpus_dir = os.path.join(scratch, "corpus")
     store = os.path.join(scratch, "store")
@@ -134,6 +146,38 @@ def check_byte_identity(scratch):
     finally:
         drain(process)
     print("[smoke] byte-identity server drained cleanly")
+    return designs, expected
+
+
+def check_worker_loss(scratch, designs, expected):
+    store = os.path.join(scratch, "store")
+    process, client = start_server("--store", store, "--workers", "2")
+    try:
+        assert "pool=process" in process_banner(process), (
+            f"--pool auto did not pick the process pool: "
+            f"{process_banner(process)!r}"
+        )
+        status, _ = client.identify_path(designs[0])  # starts the workers
+        assert status == 200, f"HTTP {status} before the kill"
+        workers = pool_workers(process)
+        assert len(workers) == 2, f"expected 2 pool workers, saw {workers}"
+        os.kill(workers[0], signal.SIGKILL)
+        for path in designs:
+            status, report = client.identify_path(path)
+            assert status == 200, f"{path}: HTTP {status}: {report}"
+            assert report["result_digest"] == expected[path], (
+                f"{path}: digest {report['result_digest']} after the "
+                f"kill != CLI digest {expected[path]}"
+            )
+        ready = client.wait_ready(timeout=15)
+        assert ready, f"/readyz after the kill: {ready.reason} {ready.detail}"
+        assert client.readyz()[0] == 200
+        restarts = client.metric_value("repro_serve_worker_restarts_total")
+        assert restarts == 1, f"expected 1 pool rebuild, /metrics: {restarts}"
+    finally:
+        drain(process)
+    print(f"[smoke] SIGKILLed pool worker {workers[0]}: all {len(designs)} "
+          f"designs == CLI, /readyz 200, 1 rebuild; drained cleanly")
 
 
 def check_load_shedding(scratch):
@@ -288,7 +332,8 @@ def main():
 
     def run(scratch):
         if not args.bench_only:
-            check_byte_identity(scratch)
+            designs, expected = check_byte_identity(scratch)
+            check_worker_loss(scratch, designs, expected)
             check_load_shedding(scratch)
         if args.bench:
             check_sustained_load(scratch, args.bench, args.bench_duration)

@@ -51,7 +51,7 @@ import importlib
 import sys
 from typing import Callable, Dict, Mapping, Sequence
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 
 def _lazy_exports(

@@ -2,9 +2,9 @@
 
 Corpus-scale reverse engineering is the normal workload: a researcher has
 a directory of netlists and wants words for all of them, repeatedly, as
-configurations evolve.  This orchestrator shards the corpus across a
-:class:`~concurrent.futures.ProcessPoolExecutor` where every worker opens
-the *same* content-addressed store (:mod:`repro.store`), so
+configurations evolve.  This orchestrator shards the corpus across the
+worker processes of a :class:`~repro.workers.WorkerPool`, where every
+worker opens the *same* content-addressed store (:mod:`repro.store`), so
 
 * duplicate designs inside one corpus are analyzed once;
 * a rerun — same files, same config — is pure cache hits and skips both
@@ -37,6 +37,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,6 +51,7 @@ from .eval.runner import append_journal_entry, load_journal_entries
 from .schema import stamp
 from .exitcodes import EXIT_DEGRADED, EXIT_OK, EXIT_USAGE
 from .store import file_digest
+from .workers import BrokenProcessPool, WorkerPool
 
 __all__ = [
     "BatchReport",
@@ -293,111 +295,78 @@ def _aggregate(rows: Sequence[Dict], wall_seconds: float) -> Dict:
     }
 
 
-def _kill_pool_workers(pool) -> None:
-    """SIGKILL every live worker of a wedged pool (the hang watchdog).
-
-    Reaches into ``ProcessPoolExecutor._processes`` — there is no public
-    API for "a worker stopped making progress" — and turns the hang into
-    the crash path: the killed workers surface as ``BrokenProcessPool``
-    on the in-flight futures, which the retry/quarantine loop already
-    handles.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except Exception:
-            pass
-
-
 def _pool_round(
+    pool: WorkerPool,
     pending: Sequence[Tuple[int, str]],
     config: PipelineConfig,
     store: Optional[str],
     score: bool,
-    jobs: int,
     row_timeout: Optional[float],
     on_done,
     triage: bool = False,
 ) -> List[Tuple[int, str, str, str]]:
-    """Run one process pool over ``pending``; returns the failures.
+    """Run ``pending`` on the pool's current executor; returns the failures.
 
     ``on_done(index, row)`` fires for each completed row as it arrives.
     Failures come back as ``(index, path, reason, detail)`` — a worker
-    crash (``BrokenProcessPool``) fails every row that was in flight in
-    that pool, and a ``row_timeout`` with no progress gets the pool's
+    crash (``BrokenProcessPool``) fails every row that was in flight on
+    that executor, and a ``row_timeout`` with no progress gets the
     workers killed, converting a hang into the same failure shape.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
     failures: List[Tuple[int, str, str, str]] = []
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-    try:
-        futures = {}
-        for index, path in pending:
-            try:
-                future = pool.submit(
-                    _corpus_task, path, config, store, score, triage
-                )
-            except BrokenProcessPool as exc:
-                # A worker died before every row was submitted: the rows
-                # left over fail with the pool, like the ones in flight.
-                failures.append(
-                    (index, path, "worker_crash", str(exc) or "worker_crash")
-                )
-                continue
-            futures[future] = (index, path)
-        remaining = set(futures)
-        hung = False
-        while remaining:
-            done, not_done = wait(
-                remaining, timeout=row_timeout,
-                return_when=FIRST_COMPLETED,
+    futures = {}
+    for index, path in pending:
+        try:
+            future = pool.executor.submit(
+                _corpus_task, path, config, store, score, triage
             )
-            if not done:
-                # No row finished within row_timeout: the pool is
-                # wedged.  Kill its workers; the in-flight futures
-                # complete exceptionally almost immediately.
-                hung = True
-                _kill_pool_workers(pool)
-                done, not_done = wait(remaining, timeout=60)
-                if not done:  # workers unkillable — give up this round
-                    for future in not_done:
-                        future.cancel()
-                    done = {f for f in remaining if f.done()}
-            for future in done:
-                remaining.discard(future)
-                index, path = futures[future]
-                if future.cancelled():  # unkillable-worker fallback
-                    failures.append((
-                        index, path, "worker_hang",
-                        "cancelled by the progress watchdog",
-                    ))
-                    continue
-                try:
-                    row = future.result()
-                except BrokenProcessPool as exc:
-                    reason = "worker_hang" if hung else "worker_crash"
-                    failures.append((index, path, reason, str(exc) or reason))
-                except Exception as exc:
-                    failures.append((
-                        index, path, "row_error",
-                        f"{type(exc).__name__}: {exc}",
-                    ))
-                else:
-                    on_done(index, row)
-            remaining -= {f for f in remaining if f.cancelled()}
-    finally:
-        # Grab the manager thread before shutdown() drops its reference,
-        # then give it a bounded join: if it is still mid-teardown at
-        # interpreter exit, the atexit hook races its wakeup-pipe close
-        # and spews "Exception ignored ... Bad file descriptor" after an
-        # otherwise clean run.  Unkillable workers bound the wait.
-        manager = getattr(pool, "_executor_manager_thread", None)
-        pool.shutdown(wait=False, cancel_futures=True)
-        if manager is not None:
-            manager.join(timeout=5)
+        except BrokenProcessPool as exc:
+            # A worker died before every row was submitted: the rows
+            # left over fail with the pool, like the ones in flight.
+            failures.append(
+                (index, path, "worker_crash", str(exc) or "worker_crash")
+            )
+            continue
+        futures[future] = (index, path)
+    remaining = set(futures)
+    hung = False
+    while remaining:
+        done, not_done = wait(
+            remaining, timeout=row_timeout, return_when=FIRST_COMPLETED,
+        )
+        if not done:
+            # No row finished within row_timeout: the pool is wedged.
+            # Kill its workers; the in-flight futures complete
+            # exceptionally almost immediately.
+            hung = True
+            pool.kill()
+            done, not_done = wait(remaining, timeout=60)
+            if not done:  # workers unkillable — give up this round
+                for future in not_done:
+                    future.cancel()
+                done = {f for f in remaining if f.done()}
+        for future in done:
+            remaining.discard(future)
+            index, path = futures[future]
+            if future.cancelled():  # unkillable-worker fallback
+                failures.append((
+                    index, path, "worker_hang",
+                    "cancelled by the progress watchdog",
+                ))
+                continue
+            try:
+                row = future.result()
+            except BrokenProcessPool as exc:
+                reason = "worker_hang" if hung else "worker_crash"
+                failures.append((index, path, reason, str(exc) or reason))
+            except Exception as exc:
+                failures.append((
+                    index, path, "row_error",
+                    f"{type(exc).__name__}: {exc}",
+                ))
+            else:
+                on_done(index, row)
+        remaining -= {f for f in remaining if f.cancelled()}
     return failures
 
 
@@ -484,29 +453,34 @@ def analyze_corpus(
 
     attempts: Dict[int, int] = {}
     if jobs > 1 and len(pending) > 1:
-        while pending:
-            failures = _pool_round(
-                pending, config, store, score, jobs, row_timeout, record,
-                triage,
-            )
-            retry: List[Tuple[int, str]] = []
-            for index, path, reason, detail in failures:
-                attempts[index] = attempts.get(index, 0) + 1
-                if attempts[index] >= MAX_ROW_ATTEMPTS:
-                    record(
-                        index,
-                        _quarantine_row(path, reason, detail, attempts[index]),
-                    )
-                else:
-                    retry.append((index, path))
-            if retry:
-                registry = _metrics.current()
-                if registry is not None:
-                    registry.counter(
-                        "repro_batch_pool_rebuilds_total",
-                        "Process pools rebuilt after a worker crash/hang",
-                    ).inc()
-            pending = retry
+        pool = WorkerPool(min(jobs, len(pending)))
+        try:
+            while pending:
+                failures = _pool_round(
+                    pool, pending, config, store, score, row_timeout,
+                    record, triage,
+                )
+                retry: List[Tuple[int, str]] = []
+                for index, path, reason, detail in failures:
+                    attempts[index] = attempts.get(index, 0) + 1
+                    if attempts[index] >= MAX_ROW_ATTEMPTS:
+                        record(index, _quarantine_row(
+                            path, reason, detail, attempts[index]
+                        ))
+                    else:
+                        retry.append((index, path))
+                if retry:
+                    # The retry runs on fresh workers, whatever broke.
+                    pool.rebuild(pool.executor)
+                    registry = _metrics.current()
+                    if registry is not None:
+                        registry.counter(
+                            "repro_batch_pool_rebuilds_total",
+                            "Process pools rebuilt after a worker crash/hang",
+                        ).inc()
+                pending = retry
+        finally:
+            pool.close()
     else:
         for index, path in pending:
             try:

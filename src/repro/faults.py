@@ -2,7 +2,7 @@
 
 The engine already has a ``fault_hook`` for in-pipeline mutation testing
 (DESIGN.md §8/§9); this module is its counterpart for everything *around*
-the engine — the disk store, the batch worker pool, and the serve socket
+the engine — the disk store, the worker processes, and the serve socket
 path — where real deployments fail in ways unit tests never exercise:
 ``EIO`` on a cache read, ``ENOSPC`` mid-write, a worker process dying, a
 connection reset halfway through a response.
@@ -52,6 +52,8 @@ only answers "fire or not"):
 ``batch.worker.crash``   ``os._exit(3)`` inside a pool worker
 ``batch.worker.hang``    sleep ``delay`` (default forever-ish) inside
                          a pool worker
+``serve.worker.crash``   ``os._exit(3)`` inside a serve pool worker
+                         (``--pool process``; context: the endpoint)
 ``serve.response.reset`` abort the TCP connection mid-response
 ``serve.response.delay`` sleep ``delay`` seconds before responding
 =======================  =============================================
@@ -87,6 +89,7 @@ KNOWN_SITES = (
     "store.truncate",
     "batch.worker.crash",
     "batch.worker.hang",
+    "serve.worker.crash",
     "serve.response.reset",
     "serve.response.delay",
 )

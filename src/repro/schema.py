@@ -69,7 +69,10 @@ __all__ = ["SCHEMA_VERSION", "PIPELINE_VERSION", "stamp"]
 #: payload, neither from the library nor as serve's answer to an
 #: identify request naming a base; a ``/v1/identify`` body that names
 #: the retired field is a 400.
-SCHEMA_VERSION = 11
+#: v12: ``POST /v1/batch`` is gone — no ``serve_batch_response``,
+#: ``serve_batch_row`` or ``serve_batch_aggregate`` payload; ``repro
+#: batch`` is the one corpus path.
+SCHEMA_VERSION = 12
 
 
 def stamp(payload: Dict) -> Dict:

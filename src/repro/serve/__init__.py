@@ -7,9 +7,11 @@ across requests and answers
 =======================  =============================================
 ``POST /v1/identify``    netlist body (or store digest) →
                          :class:`~repro.api.AnalysisReport` JSON
-``POST /v1/batch``       many netlists → rows + aggregate (journaled)
+``POST /v1/triage``      netlist body (or store digest) →
+                         :class:`~repro.api.TriageReport` JSON
 ``GET /healthz``         liveness (200 while the process runs)
-``GET /readyz``          readiness (503 the moment a drain begins)
+``GET /readyz``          readiness (503 while draining, or while a
+                         broken worker pool is rebuilt)
 ``GET /metrics``         Prometheus text exposition
 =======================  =============================================
 
@@ -18,8 +20,9 @@ with bounded admission (429 load shedding), per-request deadlines
 on SIGTERM.  Layers:
 
 * :mod:`repro.serve.service` — transport-independent request handling,
-  admission control, thread-pool offload (callable in-process by tests
+  admission control, worker-pool offload (callable in-process by tests
   and the fuzz ``serve`` oracle);
+* :mod:`repro.serve.pool` — what runs inside a worker process;
 * :mod:`repro.serve.server` — the asyncio socket listener, HTTP/1.1
   framing, signal handling, and the ``repro serve`` CLI;
 * :mod:`repro.serve.client` — a minimal blocking client.

@@ -39,7 +39,7 @@ import socket
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 __all__ = ["ServeClient", "ServeError", "ReadyStatus", "default_retry_seed"]
 
@@ -244,19 +244,6 @@ class ServeClient:
             text = handle.read()
         format = "bench" if str(path).endswith(".bench") else "verilog"
         return self.identify(verilog=text, format=format, **kwargs)
-
-    def batch(
-        self,
-        netlists: List[Dict],
-        deadline_s: Optional[float] = None,
-        strict: Optional[bool] = None,
-    ) -> Tuple[int, Dict]:
-        payload: Dict = {"netlists": netlists}
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        if strict is not None:
-            payload["strict"] = strict
-        return self.request("POST", "/v1/batch", payload)
 
     def healthz(self) -> Tuple[int, Dict]:
         return self.request("GET", "/healthz")

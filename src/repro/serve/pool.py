@@ -1,17 +1,19 @@
-"""Process-pool backend for :class:`~repro.serve.service.AnalysisService`.
+"""The worker side of ``repro serve --pool process``.
 
 ``repro serve --pool process`` runs each admitted analysis in a worker
 *process* instead of a worker thread, sidestepping the GIL that makes
-thread workers take turns on CPU-bound requests.  The split of
-responsibilities:
+thread workers take turns on CPU-bound requests.  The processes belong
+to a :class:`~repro.workers.WorkerPool`; this module runs inside them.
+The split of responsibilities:
 
 * The **parent** keeps everything request-shaped: the socket layer, the
-  admission counter (shed-with-429, drain), and the authoritative
+  admission counter (shed-with-429, drain), the retry of a request whose
+  worker died, and the authoritative
   :class:`~repro.metrics.MetricsRegistry` behind ``GET /metrics``.
-* Each **worker** (built once by :func:`init_worker`) owns a full
-  :class:`~repro.api.Session` over the *shared* artifact store plus a
-  process-local registry, and serves requests for the life of the
-  process.
+* Each **worker** (built by :func:`init_worker`, in the first pool and
+  in every rebuilt one) owns a full :class:`~repro.api.Session` over the
+  *shared* artifact store plus a process-local registry, and serves
+  requests for the life of the process.
 
 Netlists are never shipped between processes: requests travel as their
 JSON payloads, and designs move through the content-addressed store —
@@ -20,8 +22,8 @@ under its byte digest; every later request, in any worker, probes by
 digest and re-parses nothing.  This is why ``--pool auto`` only picks
 the process pool when a store is configured.
 
-Metric movement inside a worker (store hits, engine counters, journal
-rows) would be invisible to the parent's ``/metrics``, so every request
+Metric movement inside a worker (store hits, engine counters, triage
+runs) would be invisible to the parent's ``/metrics``, so every request
 returns alongside its :class:`~repro.serve.service.Response` a *delta*
 of the worker registry since the previous request, and the parent merges
 it (:func:`merge_deltas`).  Counters add; histograms merge bucket
@@ -32,15 +34,16 @@ once the request has finished.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+import signal
 from typing import Dict, List, Optional, Tuple
 
+from .. import faults as _faults
 from .. import metrics as _metrics
 from ..api import Session
 from ..core.pipeline import PipelineConfig
 
 __all__ = [
-    "create_executor",
     "init_worker",
     "run_request",
     "merge_deltas",
@@ -52,50 +55,31 @@ _SERVICE = None
 _LAST_SNAPSHOT: Optional[Dict] = None
 
 
-def create_executor(
-    workers: int,
-    config: PipelineConfig,
-    store_root: Optional[str],
-    max_store_bytes: Optional[int],
-    default_deadline_s: Optional[float],
-    strict: bool,
-    journal: Optional[str],
-    hold_s: float,
-) -> ProcessPoolExecutor:
-    """A :class:`ProcessPoolExecutor` whose workers are ready-made services.
-
-    Workers are initialized eagerly with everything a request needs, so
-    :func:`run_request` is a plain ``(endpoint, payload)`` call — nothing
-    configuration-shaped crosses the process boundary per request.
-    """
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=init_worker,
-        initargs=(
-            config,
-            store_root,
-            max_store_bytes,
-            default_deadline_s,
-            strict,
-            journal,
-            hold_s,
-        ),
-    )
-
-
 def init_worker(
     config: PipelineConfig,
     store_root: Optional[str],
     max_store_bytes: Optional[int],
     default_deadline_s: Optional[float],
     strict: bool,
-    journal: Optional[str],
     hold_s: float,
 ) -> None:
-    """Build this worker's session, service, and process-local registry."""
+    """Build this worker's session, service, and process-local registry.
+
+    Everything a request needs is built here, once per worker, so
+    :func:`run_request` is a plain ``(endpoint, payload)`` call: nothing
+    configuration-shaped crosses the process boundary per request.
+    """
     # Imported here, not at module top: service.py imports this module.
     from .service import AnalysisService
 
+    # A forked worker inherits the server's asyncio signal handling,
+    # whose wakeup fd is the parent's event-loop socket: a signal to the
+    # worker would reach the parent as its own, and the pool's SIGTERM to
+    # the siblings of a crashed worker would read as a drain request.
+    # SIGTERM ends a worker; SIGINT is the parent's to drain on.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _SERVICE, _LAST_SNAPSHOT
     registry = _metrics.install()  # fresh, replaces any forked-in parent one
     session = Session(
@@ -107,7 +91,6 @@ def init_worker(
         queue_size=0,
         default_deadline_s=default_deadline_s,
         strict=strict,
-        journal=journal,
         registry=registry,
         hold_s=hold_s,
     )
@@ -116,6 +99,8 @@ def init_worker(
 
 def run_request(endpoint: str, payload: Dict) -> Tuple[object, Dict]:
     """Worker entry: run one request, return (Response, metric deltas)."""
+    if _faults.fire("serve.worker.crash", endpoint):
+        os._exit(3)  # a real worker crash: no cleanup, no goodbye
     service = _SERVICE
     if service is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("serve worker used before init_worker")

@@ -2,7 +2,7 @@
 
 Stdlib only: :func:`asyncio.start_server` plus a hand-rolled HTTP/1.1
 request reader (request line, headers, ``Content-Length`` body; every
-response is ``Connection: close``).  The protocol surface is four
+response is ``Connection: close``).  The protocol surface is five
 endpoints — see :mod:`repro.serve.service` and DESIGN.md §11 — so a real
 HTTP stack would buy nothing but a dependency.
 
@@ -12,8 +12,7 @@ job): on SIGTERM/SIGINT the server
 1. flips ``/readyz`` to 503 and starts refusing new analysis requests
    (503) while the listener stays up, so clients and load balancers can
    observe the drain;
-2. lets every in-flight analysis finish and ship its response (batch
-   journal rows are fsynced per append, so nothing needs flushing);
+2. lets every in-flight analysis finish and ship its response;
 3. closes the listener and exits 0.
 
 A second signal skips the wait and exits immediately (exit code 1).
@@ -299,11 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "/healthz, default %(default)s)",
     )
     parser.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="append every /v1/batch row to this JSONL journal "
-        "(fsynced per row, same shape as repro batch --journal)",
-    )
-    parser.add_argument(
         "--backend", default="ours",
         help="default identification backend for requests that do not "
         "name one (see `repro identify --backend`, default %(default)s)",
@@ -382,7 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             queue_size=args.queue_size,
             default_deadline_s=args.deadline,
             strict=args.strict,
-            journal=args.journal,
             registry=registry,
             hold_s=args.hold_s,
             read_timeout=args.read_timeout,

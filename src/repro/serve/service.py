@@ -2,8 +2,9 @@
 
 :class:`AnalysisService` owns everything the HTTP layer does not: the
 shared :class:`~repro.api.Session` (one artifact store, one base
-configuration), the CPU thread pool the GIL-bound engine runs on, the
-bounded admission counter, the readiness/drain state machine, and the
+configuration), the worker pool analyses run on (threads, or the
+supervised worker processes of :mod:`repro.workers`), the bounded
+admission counter, the readiness/drain state machine, and the
 :class:`~repro.metrics.MetricsRegistry` behind ``GET /metrics``.
 
 The socket server (:mod:`repro.serve.server`) feeds it
@@ -12,7 +13,7 @@ call :meth:`AnalysisService.call` directly — same admission control,
 same response bytes, no port needed.
 
 Admission model (DESIGN.md §11): at most ``workers`` analyses execute at
-once (the thread pool) and at most ``queue_size`` more may wait.  A
+once (the worker pool) and at most ``queue_size`` more may wait.  A
 request beyond ``workers + queue_size`` is shed immediately with 429 —
 the service degrades by refusing work it cannot start soon, never by
 letting latency grow without bound.  ``GET /healthz`` answers as long as
@@ -29,14 +30,15 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional
 
 from .. import metrics as _metrics
 from . import pool as _pool
-from ..api import AnalysisReport, Session
+from ..api import Session
 from ..core.resilience import BudgetExceeded, PreflightError
 from ..schema import stamp
 from ..triage import TriageConfig
+from ..workers import BrokenProcessPool, WorkerPool
 
 __all__ = ["AnalysisService", "Response"]
 
@@ -91,19 +93,13 @@ def _field_diag(field: str, message: str) -> Dict[str, str]:
 _FORMATS = ("verilog", "bench")
 #: Fields every analysis request may carry.
 _COMMON_FIELDS = ("deadline_s", "strict", "backend")
-#: request-level field sets per endpoint, plus per-item fields for batch.
+#: The fields each endpoint accepts.
 _IDENTIFY_FIELDS = _COMMON_FIELDS + (
     "verilog", "digest", "format", "name",
 )
-_BATCH_FIELDS = _COMMON_FIELDS + ("netlists",)
-_TRIAGE_FIELDS = _COMMON_FIELDS + (
-    "verilog", "digest", "format", "name", "top", "threshold",
-)
-_ITEM_FIELDS = ("verilog", "digest", "format", "name")
 _ENDPOINT_FIELDS = {
     "identify": _IDENTIFY_FIELDS,
-    "batch": _BATCH_FIELDS,
-    "triage": _TRIAGE_FIELDS,
+    "triage": _IDENTIFY_FIELDS + ("top", "threshold"),
 }
 
 
@@ -120,34 +116,33 @@ def _number_error(value) -> Optional[str]:
     return None if finite else "must be a finite number"
 
 
-def _validate_source(item: Dict, diags, prefix: str = "") -> None:
-    """Shared checks for anything naming a design (request or batch item)."""
-    digest = item.get("digest")
-    text = item.get("verilog")
+def _validate_source(payload: Dict, diags) -> None:
+    """Checks of the fields that name the request's one design."""
+    digest = payload.get("digest")
+    text = payload.get("verilog")
     if (digest is None) == (text is None):
         diags.append(_field_diag(
-            prefix + "verilog",
+            "verilog",
             "exactly one of 'verilog' or 'digest' is required",
         ))
     if digest is not None and not isinstance(digest, str):
-        diags.append(_field_diag(prefix + "digest", "must be a string"))
+        diags.append(_field_diag("digest", "must be a string"))
     if text is not None and not isinstance(text, str):
-        diags.append(_field_diag(prefix + "verilog", "must be a string"))
-    fmt = item.get("format", "verilog")
+        diags.append(_field_diag("verilog", "must be a string"))
+    fmt = payload.get("format", "verilog")
     if fmt not in _FORMATS:
         diags.append(_field_diag(
-            prefix + "format",
+            "format",
             f"unknown format {fmt!r}; expected one of {list(_FORMATS)}",
         ))
-    name = item.get("name")
+    name = payload.get("name")
     if name is not None and not isinstance(name, str):
-        diags.append(_field_diag(prefix + "name", "must be a string"))
+        diags.append(_field_diag("name", "must be a string"))
 
 
 def _validate_request(payload: Dict, endpoint: str):
-    """Field-level validation of one ``/v1/identify`` / ``/v1/batch`` /
-    ``/v1/triage`` body; returns :func:`_field_diag` records (empty when
-    valid).
+    """Field-level validation of one ``/v1/identify`` or ``/v1/triage``
+    body; returns :func:`_field_diag` records (empty when valid).
 
     Unknown fields are rejected rather than ignored — a typoed
     ``"bakcend"`` silently running the default backend would be a
@@ -179,9 +174,7 @@ def _validate_request(payload: Dict, endpoint: str):
                 f"unknown backend {backend!r}; registered backends: "
                 + ", ".join(backend_names()),
             ))
-    if endpoint == "identify":
-        _validate_source(payload, diags)
-    elif endpoint == "triage":
+    if endpoint == "triage":
         top = payload.get("top")
         if top is not None:
             if isinstance(top, bool) or not isinstance(top, int):
@@ -193,28 +186,7 @@ def _validate_request(payload: Dict, endpoint: str):
             error = _number_error(threshold)
             if error is not None:
                 diags.append(_field_diag("threshold", error))
-        _validate_source(payload, diags)
-    else:
-        items = payload.get("netlists")
-        if not isinstance(items, list) or not items:
-            diags.append(_field_diag(
-                "netlists", "must be a non-empty list"
-            ))
-        else:
-            for index, item in enumerate(items):
-                prefix = f"netlists[{index}]."
-                if not isinstance(item, dict):
-                    diags.append(_field_diag(
-                        prefix.rstrip("."), "must be an object"
-                    ))
-                    continue
-                for field in sorted(set(item) - set(_ITEM_FIELDS)):
-                    diags.append(_field_diag(
-                        prefix + field,
-                        f"unknown field; expected one of "
-                        f"{sorted(_ITEM_FIELDS)}",
-                    ))
-                _validate_source(item, diags, prefix)
+    _validate_source(payload, diags)
     return diags
 
 
@@ -234,9 +206,6 @@ class AnalysisService:
     ``default_deadline_s`` / ``strict``
         Per-request defaults applied when the request does not override
         them.
-    ``journal``
-        Optional JSONL path; every ``/v1/batch`` row is appended there
-        exactly as ``repro batch --journal`` would (fsynced per row).
     ``hold_s``
         Artificial per-request delay inside the worker, used by drain
         and load-shedding tests to hold a slot open deterministically.
@@ -246,12 +215,12 @@ class AnalysisService:
         ``/healthz``); enforcement lives in the transport.
     ``pool``
         ``"thread"`` (default) runs analyses on a thread pool sharing
-        this process's session; ``"process"`` runs them in worker
-        processes built by :mod:`repro.serve.pool`, each with its own
-        session over the same store (designs travel by content digest,
-        never re-parsed; worker metric movement is merged back into
-        ``registry``).  Admission, drain, and response bytes are
-        identical either way.
+        this process's session; ``"process"`` runs them in the worker
+        processes of a :class:`~repro.workers.WorkerPool`, each with a
+        session over the same store (:mod:`repro.serve.pool`: designs
+        travel by content digest, never re-parsed; worker metric
+        movement is merged back into ``registry``).  Admission, drain,
+        and response bytes are identical either way.
     """
 
     def __init__(
@@ -261,7 +230,6 @@ class AnalysisService:
         queue_size: int = 16,
         default_deadline_s: Optional[float] = None,
         strict: bool = False,
-        journal: Optional[str] = None,
         registry: Optional[_metrics.MetricsRegistry] = None,
         hold_s: float = 0.0,
         read_timeout: float = 30.0,
@@ -281,7 +249,6 @@ class AnalysisService:
         self.queue_size = queue_size
         self.default_deadline_s = default_deadline_s
         self.strict = strict
-        self.journal = journal
         self.hold_s = hold_s
         self.registry = (
             registry
@@ -291,16 +258,14 @@ class AnalysisService:
         self.pool = pool
         if pool == "process":
             store = session.store
-            self._pool = _pool.create_executor(
-                workers,
+            self._pool = WorkerPool(workers, _pool.init_worker, (
                 session.config,
                 store.root if store is not None else None,
                 store.max_bytes if store is not None else None,
                 default_deadline_s,
                 strict,
-                journal,
                 hold_s,
-            )
+            ))
         else:
             self._pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-serve"
@@ -338,10 +303,6 @@ class AnalysisService:
     # lifecycle
     # ------------------------------------------------------------------
     @property
-    def ready(self) -> bool:
-        return not self._draining
-
-    @property
     def in_flight(self) -> int:
         return self._admitted
 
@@ -363,7 +324,27 @@ class AnalysisService:
 
     def close(self) -> None:
         """Shut the worker pool down (after the last request finished)."""
-        self._pool.shutdown(wait=True)
+        if self.pool == "process":
+            self._pool.close()
+        else:
+            self._pool.shutdown(wait=True)
+
+    def _readiness(self) -> str:
+        """``/readyz``'s status; a broken process pool answers
+        ``"worker_lost"`` and starts its rebuild, for the next probe."""
+        if self._draining:
+            return "draining"
+        if self.pool == "process" and self._pool.broken:
+            self._rebuild(self._pool.executor)
+            return "worker_lost"
+        return "ready"
+
+    def _rebuild(self, executor) -> None:
+        if self._pool.rebuild(executor):
+            self.registry.counter(
+                "repro_serve_worker_restarts_total",
+                "Worker process pools rebuilt after a worker died",
+            ).inc()
 
     # ------------------------------------------------------------------
     # request handling
@@ -404,13 +385,9 @@ class AnalysisService:
         if path == "/readyz":
             if method != "GET":
                 return _error(405, "method_not_allowed", "use GET")
-            if self.ready:
-                return _json_response(200, stamp({
-                    "status": "ready",
-                    "store_mode": self._store_mode(),
-                }))
-            return _json_response(503, stamp({
-                "status": "draining",
+            status = self._readiness()
+            return _json_response(200 if status == "ready" else 503, stamp({
+                "status": status,
                 "store_mode": self._store_mode(),
             }))
         if path == "/metrics":
@@ -425,10 +402,6 @@ class AnalysisService:
             if method != "POST":
                 return _error(405, "method_not_allowed", "use POST")
             return await self._admitted_request(body, "identify")
-        if path == "/v1/batch":
-            if method != "POST":
-                return _error(405, "method_not_allowed", "use POST")
-            return await self._admitted_request(body, "batch")
         if path == "/v1/triage":
             if method != "POST":
                 return _error(405, "method_not_allowed", "use POST")
@@ -443,12 +416,7 @@ class AnalysisService:
             return _error(503, "draining", "service is shutting down")
         if len(body) > MAX_BODY_BYTES:
             return _error(413, "body_too_large", f"max {MAX_BODY_BYTES} bytes")
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (ValueError, UnicodeDecodeError) as exc:
-            return _error(400, "bad_json", str(exc))
-        if not isinstance(payload, dict):
-            return _error(400, "bad_json", "request body must be an object")
+        # Shed before decoding: a refused request pays for no parse.
         if self._admitted >= self.workers + self.queue_size:
             self._shed.inc()
             return _error(
@@ -457,22 +425,44 @@ class AnalysisService:
                 f"{self._admitted} requests admitted "
                 f"(capacity {self.workers}+{self.queue_size})",
             )
+        try:
+            payload = json.loads(body.decode("utf-8")) if body else {}
+        except (ValueError, UnicodeDecodeError) as exc:
+            return _error(400, "bad_json", str(exc))
+        if not isinstance(payload, dict):
+            return _error(400, "bad_json", "request body must be an object")
         self._admitted += 1
         self._update_gauges()
         try:
-            loop = asyncio.get_running_loop()
             if self.pool == "process":
-                response, deltas = await loop.run_in_executor(
-                    self._pool, _pool.run_request, endpoint, payload
-                )
-                _pool.merge_deltas(self.registry, deltas)
-                return response
+                return await self._in_worker(endpoint, payload)
+            loop = asyncio.get_running_loop()
             return await loop.run_in_executor(
                 self._pool, self.execute, endpoint, payload
             )
         finally:
             self._admitted -= 1
             self._update_gauges()
+
+    async def _in_worker(self, endpoint: str, payload: Dict) -> Response:
+        """Run one request in a worker process.  A request is one design
+        keyed by its content digest, so when its worker dies it runs once
+        more on the rebuilt pool; a second death answers 503."""
+        loop = asyncio.get_running_loop()
+        for _ in range(2):
+            executor = self._pool.executor
+            try:
+                response, deltas = await loop.run_in_executor(
+                    executor, _pool.run_request, endpoint, payload
+                )
+            except BrokenProcessPool:
+                self._rebuild(executor)
+                continue
+            _pool.merge_deltas(self.registry, deltas)
+            return response
+        return _error(
+            503, "worker_lost", "the worker process died twice on this request"
+        )
 
     def _update_gauges(self) -> None:
         self._inflight.set(min(self._admitted, self.workers))
@@ -486,12 +476,7 @@ class AnalysisService:
         calls it inside the worker process (via
         :func:`repro.serve.pool.run_request`).
         """
-        handlers = {
-            "identify": self._identify,
-            "batch": self._batch,
-            "triage": self._triage,
-        }
-        handler = handlers[endpoint]
+        handler = self._identify if endpoint == "identify" else self._triage
         if self.hold_s > 0:
             time.sleep(self.hold_s)
         try:
@@ -537,21 +522,6 @@ class AnalysisService:
         )
         return Session(config=config, store=self.session.store)
 
-    def _analyze_one(self, session: Session, item: Dict) -> AnalysisReport:
-        """One design of a validated request (:func:`_validate_source`
-        has checked its fields)."""
-        digest = item.get("digest")
-        if digest is not None:
-            report = session.analyze_digest(digest)
-            if report is None:
-                raise _DigestMiss(digest)
-            return report
-        return session.analyze_text(
-            item["verilog"],
-            format=item.get("format", "verilog"),
-            name=item.get("name"),
-        )
-
     def _identify(self, payload: Dict) -> Response:
         diagnostics = _validate_request(payload, "identify")
         if diagnostics:
@@ -560,10 +530,17 @@ class AnalysisService:
                 f"{len(diagnostics)} invalid field(s)", diagnostics,
             )
         session = self._request_session(payload)
-        try:
-            report = self._analyze_one(session, payload)
-        except _DigestMiss as miss:
-            return _error(404, "unknown_digest", miss.digest)
+        digest = payload.get("digest")
+        if digest is not None:
+            report = session.analyze_digest(digest)
+            if report is None:
+                return _error(404, "unknown_digest", digest)
+        else:
+            report = session.analyze_text(
+                payload["verilog"],
+                format=payload.get("format", "verilog"),
+                name=payload.get("name"),
+            )
         return _json_response(200, report.as_dict())
 
     def _triage(self, payload: Dict) -> Response:
@@ -598,45 +575,3 @@ class AnalysisService:
                 triage_config=config,
             )
         return _json_response(200, report.as_dict(top=payload.get("top")))
-
-    def _batch(self, payload: Dict) -> Response:
-        # Imported here: only /v1/batch needs the corpus and journal
-        # helpers (and the evaluation harness they load).
-        from ..batch import _aggregate, _row_from_report
-        from ..eval.runner import append_journal_entry
-
-        diagnostics = _validate_request(payload, "batch")
-        if diagnostics:
-            return _error(
-                400, "invalid_request",
-                f"{len(diagnostics)} invalid field(s)", diagnostics,
-            )
-        items = payload["netlists"]
-        session = self._request_session(payload)
-        started = time.perf_counter()
-        rows = []
-        for item in items:
-            item_started = time.perf_counter()
-            try:
-                report = self._analyze_one(session, item)
-            except _DigestMiss as miss:
-                return _error(404, "unknown_digest", miss.digest)
-            row = _row_from_report(
-                report, None, time.perf_counter() - item_started
-            )
-            if self.journal is not None:
-                append_journal_entry(self.journal, row)
-            rows.append(row)
-        aggregate = _aggregate(rows, time.perf_counter() - started)
-        return _json_response(200, stamp({
-            "rows": rows,
-            "aggregate": aggregate,
-        }))
-
-
-class _DigestMiss(Exception):
-    """Internal: a digest-only request missed the store (→ 404)."""
-
-    def __init__(self, digest: str):
-        self.digest = digest
-        super().__init__(digest)

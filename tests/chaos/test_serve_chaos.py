@@ -1,12 +1,15 @@
-"""Serve-path chaos: torn responses, stalls, and the client retry policy.
+"""Serve-path chaos: torn responses, stalls, lost workers, client retries.
 
-Two layers under test.  The :class:`ServeClient` retry contract is
+Three layers under test.  The :class:`ServeClient` retry contract is
 pinned against a scripted in-process HTTP server (exact attempt counts,
 no real sleeps to speak of): bounded attempts, jittered exponential
 backoff, retry *only* on transport errors and 429/503 — never on other
 4xx.  Then the ``serve.response.reset`` / ``serve.response.delay``
 fault sites are exercised against a real ``repro serve`` subprocess,
-showing the retrying client rides through both.
+showing the retrying client rides through both.  Last, the process
+pool loses workers — SIGKILLed, or crashed by ``serve.worker.crash`` —
+and the service rebuilds it, retries the request once, and answers a
+typed 503 ``worker_lost`` when the retry dies too.
 """
 
 import http.server
@@ -22,8 +25,15 @@ import time
 
 import pytest
 
+from repro import faults, workers
+from repro.api import Session
 from repro.faults import FaultPlan
+from repro.metrics import MetricsRegistry
+from repro.netlist import write_verilog
 from repro.serve.client import ReadyStatus, ServeClient, ServeError
+from repro.serve.service import AnalysisService
+
+from fixtures import figure1_netlist
 
 REPO = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -292,5 +302,206 @@ class TestInjectedResponseFaults:
             client = ServeClient(host, port, timeout=10)
             assert client.wait_ready(timeout=15)
             assert client.readyz()[1]["store_mode"] == "off"
+        finally:
+            assert _terminate(process) == 0
+
+
+# ----------------------------------------------------------------------
+# the process pool loses a worker
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def design():
+    return write_verilog(figure1_netlist()[0])
+
+
+def _process_service(tmp_path):
+    return AnalysisService(
+        Session(store=str(tmp_path / "store")), workers=2, queue_size=4,
+        registry=MetricsRegistry(), pool="process",
+    )
+
+
+def _restarts(service):
+    counter = service.registry.get("repro_serve_worker_restarts_total")
+    return 0 if counter is None else counter.value()
+
+
+def _kill_one_worker(service):
+    """SIGKILL one pool worker; return once the pool has seen it die."""
+    victim = next(iter(service._pool.executor._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not service._pool.broken:
+        assert time.monotonic() < deadline, "the pool never saw the kill"
+        time.sleep(0.01)
+
+
+def _fault_free_triage(tmp_path, design):
+    """The triage body a thread-pool service without faults answers."""
+    service = AnalysisService(
+        Session(store=str(tmp_path / "clean-store")), workers=1,
+        queue_size=1, registry=MetricsRegistry(),
+    )
+    try:
+        response = service.call("POST", "/v1/triage", {"verilog": design})
+    finally:
+        service.close()
+    assert response.status == 200
+    return response.body
+
+
+class TestWorkerLoss:
+    def test_sigkilled_worker_costs_no_request(self, tmp_path, design):
+        service = _process_service(tmp_path)
+        body = {"verilog": design}
+        try:
+            assert service.call("POST", "/v1/identify", body).status == 200
+            expected = service.call("POST", "/v1/identify", body)
+            assert expected.json["cache"] == "hit"
+            _kill_one_worker(service)
+            for _ in range(3):
+                response = service.call("POST", "/v1/identify", body)
+                assert response.status == 200
+                assert response.body == expected.body
+            assert service.call("GET", "/readyz").status == 200
+            assert _restarts(service) == 1
+            metrics = service.call("GET", "/metrics").body.decode("utf-8")
+            assert "repro_serve_worker_restarts_total 1\n" in metrics
+        finally:
+            service.close()
+
+    def test_readyz_answers_503_while_the_pool_is_broken(
+        self, tmp_path, design
+    ):
+        service = _process_service(tmp_path)
+        try:
+            assert service.call(
+                "POST", "/v1/identify", {"verilog": design}
+            ).status == 200
+            _kill_one_worker(service)
+            lost = service.call("GET", "/readyz")
+            assert lost.status == 503
+            assert lost.json["status"] == "worker_lost"
+            # That probe started the rebuild: the pool is ready again.
+            ready = service.call("GET", "/readyz")
+            assert ready.status == 200 and ready.json["status"] == "ready"
+            assert service.call(
+                "POST", "/v1/identify", {"verilog": design}
+            ).status == 200
+            assert _restarts(service) == 1
+        finally:
+            service.close()
+
+    def test_crashed_request_is_retried_to_a_200(self, tmp_path, design):
+        state = tmp_path / "fault-state"
+        faults.install(FaultPlan.from_spec(
+            "serve.worker.crash:first=1", state_dir=str(state)
+        ))
+        service = _process_service(tmp_path)
+        try:
+            response = service.call("POST", "/v1/triage", {"verilog": design})
+        finally:
+            service.close()
+        assert response.status == 200
+        assert response.body == _fault_free_triage(tmp_path, design)
+        assert _restarts(service) == 1
+        # One crash and one retry across both executors' workers.
+        assert os.path.getsize(state / "serve_worker_crash.calls") == 2
+
+    def test_retry_that_dies_too_answers_503_worker_lost(
+        self, tmp_path, design
+    ):
+        faults.install(FaultPlan.from_spec(
+            "serve.worker.crash:first=2",
+            state_dir=str(tmp_path / "fault-state"),
+        ))
+        service = _process_service(tmp_path)
+        try:
+            lost = service.call("POST", "/v1/triage", {"verilog": design})
+            after = service.call("POST", "/v1/triage", {"verilog": design})
+        finally:
+            service.close()
+        assert lost.status == 503
+        assert lost.json["error"] == "worker_lost"
+        assert after.status == 200
+        assert after.body == _fault_free_triage(tmp_path, design)
+        assert _restarts(service) == 2
+
+    def test_thread_pool_never_fires_the_site(self, tmp_path, design):
+        clean = _fault_free_triage(tmp_path, design)
+        plan = faults.install(FaultPlan.from_spec("serve.worker.crash:always"))
+        service = AnalysisService(
+            Session(store=str(tmp_path / "store")), workers=1,
+            queue_size=1, registry=MetricsRegistry(),
+        )
+        try:
+            triage = service.call("POST", "/v1/triage", {"verilog": design})
+            ready = service.call("GET", "/readyz")
+        finally:
+            service.close()
+        assert triage.status == 200 and triage.body == clean
+        assert ready.status == 200 and ready.json["status"] == "ready"
+        assert plan.fired == {}
+        assert service.registry.get(
+            "repro_serve_worker_restarts_total"
+        ) is None
+
+    def test_rebuild_does_not_block_the_event_loop_on_teardown(
+        self, tmp_path, design, monkeypatch
+    ):
+        """The broken executor's teardown is held for as long as the
+        test likes; the request that found the pool broken is answered
+        from the rebuilt pool meanwhile."""
+        released = threading.Event()
+        shut = workers._shut
+
+        def held_shut(executor):
+            released.wait(30)
+            shut(executor)
+
+        monkeypatch.setattr(workers, "_shut", held_shut)
+        service = _process_service(tmp_path)
+        try:
+            assert service.call(
+                "POST", "/v1/identify", {"verilog": design}
+            ).status == 200
+            _kill_one_worker(service)
+            started = time.monotonic()
+            response = service.call(
+                "POST", "/v1/identify", {"verilog": design}
+            )
+            assert response.status == 200
+            assert not released.is_set()  # the teardown is still held
+            assert time.monotonic() - started < 20
+            assert _restarts(service) == 1
+        finally:
+            released.set()
+            service.close()
+
+    def test_client_retries_worker_lost_against_a_live_server(
+        self, tmp_path, design
+    ):
+        """``repro serve --pool process`` under a fault plan: the 503
+        ``worker_lost`` is one of the statuses ``ServeClient`` retries."""
+        plan = FaultPlan.from_spec(
+            "serve.worker.crash:first=2",
+            state_dir=str(tmp_path / "fault-state"),
+        )
+        process, host, port = _spawn_server(
+            plan, "--pool", "process", "--store", str(tmp_path / "store")
+        )
+        try:
+            client = ServeClient(
+                host, port, timeout=30,
+                max_retries=3, backoff_base=0.01, backoff_cap=0.1,
+            )
+            assert client.wait_ready(timeout=15)
+            status, report = client.identify(verilog=design)
+            assert status == 200 and report["words"]
+            assert client.last_attempts == 2  # the 503, then the 200
+            assert client.metric_value(
+                "repro_serve_worker_restarts_total"
+            ) == 2
         finally:
             assert _terminate(process) == 0

@@ -134,19 +134,6 @@ class TestSocketRoundTrip:
         finally:
             assert _terminate(process) == 0
 
-    def test_batch_over_tcp_with_journal(self, tmp_path, verilog_text):
-        journal = tmp_path / "journal.jsonl"
-        process, client = _spawn("--journal", str(journal))
-        try:
-            status, payload = client.batch(
-                [{"verilog": verilog_text}, {"verilog": verilog_text}]
-            )
-            assert status == 200
-            assert payload["aggregate"]["designs"] == 2
-            assert len(journal.read_text().strip().splitlines()) == 2
-        finally:
-            assert _terminate(process) == 0
-
 
 class TestGracefulShutdown:
     def test_sigterm_finishes_in_flight_and_refuses_new_work(

@@ -6,7 +6,6 @@ backpressure, drain semantics — holds verbatim for the socket path
 (covered separately in test_server.py).
 """
 
-import json
 import os
 import sys
 import threading
@@ -149,29 +148,6 @@ class TestIdentify:
         assert response.json["trace"]["degraded"] is True
 
 
-class TestBatch:
-    def test_rows_and_aggregate(self, service, verilog_text, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        service.journal = str(journal)
-        response = service.call(
-            "POST",
-            "/v1/batch",
-            {"netlists": [{"verilog": verilog_text}] * 2},
-        )
-        assert response.status == 200
-        payload = response.json
-        assert len(payload["rows"]) == 2
-        assert payload["aggregate"]["designs"] == 2
-        with open(journal, encoding="utf-8") as handle:
-            lines = [json.loads(line) for line in handle if line.strip()]
-        assert len(lines) == 2
-        assert lines[0]["design"] == payload["rows"][0]["design"]
-
-    def test_empty_list_is_400(self, service):
-        response = service.call("POST", "/v1/batch", {"netlists": []})
-        assert response.status == 400
-
-
 class TestRouting:
     def test_health_ready_metrics(self, service):
         health = service.call("GET", "/healthz")
@@ -210,8 +186,36 @@ class TestRouting:
         err = capsys.readouterr().err
         assert err == "error: read_timeout must be a finite number > 0\n"
 
+    def test_cli_refuses_the_retired_journal_flag(
+        self, monkeypatch, capsys
+    ):
+        import repro.serve.server
+
+        def served(*args):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr(repro.serve.server, "_amain", served)
+        monkeypatch.setattr(metrics, "_installed", None)
+        with pytest.raises(SystemExit) as exited:
+            repro.serve.server.main(["--port", "0", "--journal", "rows.jsonl"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --journal" in capsys.readouterr().err
+
     def test_unknown_route_is_404(self, service):
         assert service.call("GET", "/nope").status == 404
+
+    def test_retired_batch_route_is_404(self, service, verilog_text):
+        # `repro batch` is the one corpus path; serve answers one design
+        # per request.
+        response = service.call(
+            "POST", "/v1/batch", {"netlists": [{"verilog": verilog_text}]}
+        )
+        assert response.status == 404
+        assert response.json["error"] == "not_found"
+
+    def test_journal_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            AnalysisService(Session(), journal="rows.jsonl")
 
     def test_wrong_methods_are_405(self, service):
         assert service.call("POST", "/healthz").status == 405
@@ -287,6 +291,36 @@ class TestAdmissionControl:
             service.close()
         assert sorted(statuses) == [200, 200, 429, 429, 429, 429]
         assert registry.get("repro_serve_shed_total").value() == 4.0
+
+    def test_shed_request_is_not_decoded(self, tmp_path, verilog_text):
+        """At capacity a body is refused before its JSON is read: a body
+        that is no JSON at all answers 429, not 400, and counts as
+        shed."""
+        import asyncio
+
+        registry = MetricsRegistry()
+        service = AnalysisService(
+            Session(store=str(tmp_path / "store")), workers=1,
+            queue_size=0, hold_s=0.5, registry=registry,
+        )
+        held = threading.Thread(target=service.call, args=(
+            "POST", "/v1/identify", {"verilog": verilog_text},
+        ))
+        try:
+            held.start()
+            deadline = time.monotonic() + 10
+            while service.in_flight == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.in_flight == 1
+            response = asyncio.run(
+                service.handle("POST", "/v1/identify", b"{not json")
+            )
+        finally:
+            held.join()
+            service.close()
+        assert response.status == 429
+        assert response.json["error"] == "overloaded"
+        assert registry.get("repro_serve_shed_total").value() == 1.0
 
     def test_draining_service_refuses_new_work(self, service, verilog_text):
         service.begin_drain()
@@ -401,7 +435,6 @@ class TestValidation:
         number either."""
         bodies = {
             "/v1/identify": {"verilog": verilog_text},
-            "/v1/batch": {"netlists": [{"verilog": verilog_text}]},
             "/v1/triage": {"verilog": verilog_text},
         }
         for path, body in bodies.items():
@@ -416,27 +449,9 @@ class TestValidation:
                     "message": "must be a finite number",
                 }]
 
-    def test_batch_item_diagnostics_carry_the_item_prefix(self, service,
-                                                          verilog_text):
-        response = service.call("POST", "/v1/batch", {"netlists": [
-            {"verilog": verilog_text},
-            {"verilog": verilog_text, "oops": 1},
-        ]})
-        assert response.status == 400
-        (diag,) = response.json["diagnostics"]
-        assert diag["field"] == "netlists[1].oops"
-
-    def test_batch_unknown_backend_is_400(self, service, verilog_text):
-        response = service.call("POST", "/v1/batch", {
-            "netlists": [{"verilog": verilog_text}],
-            "backend": "nope",
-        })
-        assert response.status == 400
-        assert response.json["error"] == "invalid_request"
-
 
 class TestRequestBackend:
-    """Per-request backend selection on both POST endpoints."""
+    """Per-request backend selection."""
 
     def test_identify_backend_lands_in_response(self, service,
                                                 verilog_text):
@@ -478,14 +493,6 @@ class TestRequestBackend:
             == native.json["result_digest"]
         )
 
-    def test_batch_rows_carry_the_backend(self, service, verilog_text):
-        response = service.call("POST", "/v1/batch", {
-            "netlists": [{"verilog": verilog_text}],
-            "backend": "base",
-        })
-        assert response.status == 200
-        assert response.json["rows"][0]["backend"] == "base"
-
 
 class TestNullFields:
     """A JSON ``null`` is "not set": the request runs under the server
@@ -496,7 +503,6 @@ class TestNullFields:
     def _bodies(verilog_text):
         return {
             "/v1/identify": {"verilog": verilog_text},
-            "/v1/batch": {"netlists": [{"verilog": verilog_text}]},
             "/v1/triage": {"verilog": verilog_text},
         }
 
@@ -536,15 +542,10 @@ class TestNullFields:
                     "POST", path, {**body, "backend": None}
                 )
                 assert omitted.status == nulled.status == 200, path
-                if path == "/v1/batch":
-                    omitted_row = omitted.json["rows"][0]
-                    nulled_row = nulled.json["rows"][0]
-                else:
-                    omitted_row, nulled_row = omitted.json, nulled.json
-                assert nulled_row["backend"] == "base", path
+                assert nulled.json["backend"] == "base", path
                 assert (
-                    nulled_row["result_digest"]
-                    == omitted_row["result_digest"]
+                    nulled.json["result_digest"]
+                    == omitted.json["result_digest"]
                 ), path
         finally:
             service.close()

@@ -73,6 +73,7 @@ _NOT_FOR_ANALYSIS = (
     "repro.netlist.equiv",
     "repro.netlist.simulate",
     "concurrent.futures.process",
+    "repro.workers",
 )
 
 _DESIGN = (

@@ -126,15 +126,6 @@ def current_shapes():
             )
             assert identify.status == 200
             shapes["serve_identify_response"] = sorted(identify.json)
-            served_batch = service.call(
-                "POST", "/v1/batch", {"netlists": [{"verilog": text}]}
-            )
-            assert served_batch.status == 200
-            shapes["serve_batch_response"] = sorted(served_batch.json)
-            shapes["serve_batch_row"] = sorted(served_batch.json["rows"][0])
-            shapes["serve_batch_aggregate"] = sorted(
-                served_batch.json["aggregate"]
-            )
             served_triage = service.call(
                 "POST", "/v1/triage", {"verilog": text}
             )
@@ -186,8 +177,8 @@ def load_golden():
 
 
 class TestVersionStamps:
-    def test_schema_version_is_11(self):
-        assert SCHEMA_VERSION == 11
+    def test_schema_version_is_12(self):
+        assert SCHEMA_VERSION == 12
 
     def test_stamp_prepends_current_versions(self):
         stamped = stamp({"x": 1, "schema_version": 999})
@@ -228,7 +219,6 @@ class TestGolden:
             "batch_row",
             "batch_report",
             "serve_identify_response",
-            "serve_batch_response",
             "triage_report",
             "serve_triage_response",
             "serve_error",
